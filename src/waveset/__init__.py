@@ -51,7 +51,6 @@ from .spectral import (
     validate_scaling_spectrum,
 )
 from .torus import (
-    TorusStep,
     check_S3,
     check_cover_r4,
     extract_transversal,

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Any
 
 from . import construct as cons
@@ -20,7 +19,7 @@ from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet
 from .serialize import format_rational
 from .spectral import StepFn
-from .torus import check_S3, fold_multiplicity
+from .torus import fold_multiplicity
 
 EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
 
@@ -89,18 +88,16 @@ def _cmd_verify(args) -> dict:
         return _report(command, "fail", [_witness(verdict.reason, verdict.witness)], data=data)
     if args.kind == "scaling-set":
         s = _load_interval_set(args.file)
-        s1, s2, s3 = cons.check_S1(s), cons.check_S2(s), check_S3(s)
+        escape, not_one = cons.s1_witness(s), fold_multiplicity(s).where_not(1)
+        s1, s2, s3 = escape is None, cons.check_S2(s), not_one.is_empty
         witnesses = []
         if not s1:
-            witnesses.append(_witness("S1: escapes its double", cons.s1_witness(s)))
+            witnesses.append(_witness("S1: escapes its double", escape))
         if not s2:
             witnesses.append(_witness("S2: no punctured neighborhood of 0"))
         if not s3:
-            bad = fold_multiplicity(s).where_not(1) if not s.is_empty else None
-            witnesses.append(
-                _witness("S3: translates do not tile with multiplicity one",
-                         bad.parts[0] if bad and bad.parts else Interval(0, 1))
-            )
+            witnesses.append(_witness("S3: translates do not tile with multiplicity one",
+                                      not_one.parts[0]))
         data = {"S1": s1, "S2": s2, "S3": s3, "measure": format_rational(s.measure())}
         return _report(command, "pass" if s1 and s2 and s3 else "fail", witnesses, data=data)
     g = _load_step_fn(args.file)
@@ -163,32 +160,24 @@ def _outcome_json(o: spectral.CheckOutcome) -> dict:
 def _cmd_dimfun(args) -> dict:
     h = _load_step_fn(args.file)
     depth = args.depth
-    window = spectral.dimension_function(h, depth)
-    checks = spectral.check_D1_D4(spectral.dimension_function(h, depth + 2), depth)
-    mra = spectral.mra_check(h, depth)
-    conditions = {
-        "D1": _outcome_json(checks.d1),
-        "D2": _outcome_json(checks.d2),
-        "D3": _outcome_json(checks.d3),
-        "D4": _outcome_json(checks.d4),
-    }
+    # One window deep enough for D4; the shallower ones are exact restrictions of it.
+    deep = spectral.dimension_function(h, 2 * depth + 2)
+    window = deep.restrict(depth)
+    checks = spectral.check_D1_D4(deep, depth)
+    mra = spectral.mra_verdict(window)
+    outcomes = {"D1": checks.d1, "D2": checks.d2, "D3": checks.d3, "D4": checks.d4}
     data = {
         "window": serialize.dim_fn_window_to_json(window),
-        "conditions": conditions,
+        "conditions": {name: _outcome_json(o) for name, o in outcomes.items()},
         "mra": {
             "status": mra.status,
             "witness": serialize.interval_to_json(mra.witness) if mra.witness else None,
             "note": mra.note,
         },
     }
-    failed = [name for name, c in conditions.items() if c["status"] == "fail"]
-    witnesses = [
-        _witness(f"{name}: certified violation",
-                 Interval(*(Fraction(x) for x in conditions[name]["witness"]))
-                 if "witness" in conditions[name] else None)
-        for name in failed
-    ]
-    return _report("dimfun", "fail" if failed else "pass", witnesses, data=data)
+    witnesses = [_witness(f"{name}: certified violation", o.witness)
+                 for name, o in outcomes.items() if o.status == "fail"]
+    return _report("dimfun", "fail" if witnesses else "pass", witnesses, data=data)
 
 
 def _calderon_data(res: spectral.CalderonResult) -> dict:

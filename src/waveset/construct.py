@@ -98,10 +98,10 @@ def _zero_reach(s: IntervalSet) -> tuple[Fraction, Fraction]:
 
 def check_scaling_set_preconditions(sprime: IntervalSet) -> None:
     """Raise PreconditionError naming the first failed hypothesis (S1, r4, S2)."""
-    if not check_S1(sprime):
+    escape = s1_witness(sprime)
+    if escape is not None:
         raise PreconditionError(
-            "S1", f"input is not nested under doubling: {s1_witness(sprime)} escapes",
-            witness=s1_witness(sprime),
+            "S1", f"input is not nested under doubling: {escape} escapes", witness=escape,
         )
     witness = uncovered_witness(sprime)
     if witness is not None:
@@ -232,17 +232,15 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     [-2c, -c) decide all of R minus {0}, and only finitely many dilates meet
     that annulus.
     """
-    m = fold_multiplicity(w) if not w.is_empty else None
-    if m is None or not m.is_constant(1):
-        if m is None:
-            return WaveletSetVerdict(False, "translation gap: empty set", Interval(ZERO, ONE))
-        for a, b, v in m.pieces():
-            if v != 1:
-                kind = "gap" if v < 1 else "overlap"
-                return WaveletSetVerdict(
-                    False, f"translation {kind}: multiplicity {v} on residues [{a}, {b})",
-                    Interval(a, b),
-                )
+    if w.is_empty:
+        return WaveletSetVerdict(False, "translation gap: empty set", Interval(ZERO, ONE))
+    for a, b, v in fold_multiplicity(w).pieces():
+        if v != 1:
+            kind = "gap" if v < 1 else "overlap"
+            return WaveletSetVerdict(
+                False, f"translation {kind}: multiplicity {v} on residues [{a}, {b})",
+                Interval(a, b),
+            )
     for p in w.parts:
         if p.lo <= 0 <= p.hi:
             witness = Interval(p.hi / 2, p.hi) if p.hi > 0 else Interval(p.lo, p.lo / 2)

@@ -13,7 +13,8 @@ from typing import Union
 from .errors import InputError
 from .intervals import IntervalSet
 from .serialize import format_rational
-from .spectral import DimFnWindow, StepFn
+from .spectral import StepFn
+from .torus import DimFnWindow
 
 Plottable = Union[IntervalSet, StepFn, DimFnWindow]
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import InputError
@@ -90,14 +91,15 @@ class IntervalSet:
 
     def contains_point(self, x: RationalLike) -> bool:
         x = rat(x)
-        idx = bisect_right(self._los(), x) - 1
+        idx = bisect_right(self._los, x) - 1
         return idx >= 0 and self.parts[idx].hi > x
 
     def contains_interval(self, iv: Interval) -> bool:
         """True iff [iv.lo, iv.hi) lies inside a single part."""
-        idx = bisect_right(self._los(), iv.lo) - 1
+        idx = bisect_right(self._los, iv.lo) - 1
         return idx >= 0 and self.parts[idx].hi >= iv.hi
 
+    @cached_property
     def _los(self) -> list[Fraction]:
         return [p.lo for p in self.parts]
 
@@ -212,37 +214,3 @@ def normalize(raw: Iterable[Interval | tuple[RationalLike, RationalLike]]) -> In
 def iset(*pairs: tuple[RationalLike, RationalLike]) -> IntervalSet:
     """Shorthand constructor: iset((0, 1), ("3/2", 2))."""
     return normalize(pairs)
-
-
-# Functional aliases mirroring the operation names used across the package.
-
-def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.union(b)
-
-
-def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.intersect(b)
-
-
-def subtract(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    return a.subtract(b)
-
-
-def scale(s: RationalLike, a: IntervalSet) -> IntervalSet:
-    return a.scale(s)
-
-
-def translate(t: RationalLike, a: IntervalSet) -> IntervalSet:
-    return a.translate(t)
-
-
-def measure(a: IntervalSet) -> Fraction:
-    return a.measure()
-
-
-def sym_diff_measure(a: IntervalSet, b: IntervalSet) -> Fraction:
-    return a.sym_diff_measure(b)
-
-
-def subset_mod_null(a: IntervalSet, b: IntervalSet) -> bool:
-    return a.subset_mod_null(b)

@@ -13,7 +13,8 @@ from .construct import DefectReport
 from .errors import InputError
 from .intervals import Interval, IntervalSet, normalize, rat
 from .msf2d import Mat2, QuadScalar
-from .spectral import DimFnWindow, StepFn
+from .spectral import StepFn
+from .torus import DimFnWindow
 
 
 def format_rational(x: Fraction) -> str:
@@ -81,18 +82,19 @@ def step_fn_from_json(obj: Any) -> StepFn:
         raise InputError('"pieces" must be a list')
     pieces = []
     for entry in raw:
-        if not isinstance(entry, dict) or "interval" not in entry or "value" not in entry:
-            raise InputError(f"bad step piece {entry!r}")
-        iv = entry["interval"]
-        if not isinstance(iv, list) or len(iv) != 2:
-            raise InputError(f"bad piece interval {iv!r}")
-        pieces.append(
-            (
-                (parse_rational(iv[0]), parse_rational(iv[1])),
-                parse_rational(entry["value"]),
-            )
-        )
+        a, b, v = _piece_from_json(entry)
+        pieces.append(((a, b), v))
     return StepFn.build(pieces)
+
+
+def _piece_from_json(entry: Any) -> tuple[Fraction, Fraction, Fraction]:
+    """An {"interval": [lo, hi], "value": v} piece as exact (lo, hi, v)."""
+    if not isinstance(entry, dict) or "interval" not in entry or "value" not in entry:
+        raise InputError(f"bad step piece {entry!r}")
+    iv = entry["interval"]
+    if not isinstance(iv, list) or len(iv) != 2:
+        raise InputError(f"bad piece interval {iv!r}")
+    return parse_rational(iv[0]), parse_rational(iv[1]), parse_rational(entry["value"])
 
 
 # ------------------------------------------------------------------- Mat2
@@ -158,20 +160,23 @@ def dim_fn_window_from_json(obj: Any) -> DimFnWindow:
     pieces = obj.get("pieces")
     if not isinstance(pieces, list) or not pieces:
         raise InputError('"pieces" must be a nonempty list')
-    breaks = [parse_rational(pieces[0]["interval"][0])]
+    depth = obj.get("depth", 0)
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise InputError(f'"depth" must be an integer, got {depth!r}')
+    boundary_note = obj.get("boundary_note", True)
+    if not isinstance(boundary_note, bool):
+        raise InputError(f'"boundary_note" must be true or false, got {boundary_note!r}')
+    breaks: list[Fraction] = []
     values = []
     for entry in pieces:
-        a, b = (parse_rational(x) for x in entry["interval"])
-        if a != breaks[-1]:
+        a, b, v = _piece_from_json(entry)
+        if not breaks:
+            breaks.append(a)
+        elif a != breaks[-1]:
             raise InputError("window pieces must be contiguous")
         breaks.append(b)
-        values.append(parse_rational(entry["value"]))
-    return DimFnWindow(
-        tuple(breaks),
-        tuple(values),
-        int(obj.get("depth", 0)),
-        bool(obj.get("boundary_note", True)),
-    )
+        values.append(v)
+    return DimFnWindow(tuple(breaks), tuple(values), depth, boundary_note)
 
 
 def defect_report_to_json(d: DefectReport) -> dict:

@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .intervals import Interval, IntervalSet, RationalLike, iset, normalize, rat
-from .torus import fold_step, fold_to_unit, sweep_weighted
+from .torus import DimFnWindow, _unit_fragments, fold_step, fold_to_unit, sweep_weighted
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -96,10 +97,13 @@ class StepFn:
     def support(self) -> IntervalSet:
         return normalize(iv for iv, _ in self.pieces)
 
+    @cached_property
+    def _los(self) -> list[Fraction]:
+        return [iv.lo for iv, _ in self.pieces]
+
     def value_at(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        los = [iv.lo for iv, _ in self.pieces]
-        idx = bisect_right(los, x) - 1
+        idx = bisect_right(self._los, x) - 1
         if idx >= 0 and self.pieces[idx][0].hi > x:
             return self.pieces[idx][1]
         return ZERO
@@ -148,16 +152,9 @@ class StepFn:
 
     def combine(self, other: "StepFn", op: Callable[[Fraction, Fraction], Fraction]) -> "StepFn":
         """Pointwise binary operation via common refinement (op(0, 0) must be 0)."""
-        cuts = sorted(
-            {x for iv, _ in self.pieces for x in (iv.lo, iv.hi)}
-            | {x for iv, _ in other.pieces for x in (iv.lo, iv.hi)}
+        return StepFn.build(
+            (Interval(a, b), op(x, y)) for a, b, x, y in _refine(self, other)
         )
-        out = []
-        for a, b in zip(cuts, cuts[1:]):
-            v = op(self.value_at(a), other.value_at(a))
-            if v != 0:
-                out.append((Interval(a, b), v))
-        return StepFn.build(out)
 
     def __add__(self, other: "StepFn") -> "StepFn":
         return self.combine(other, lambda x, y: x + y)
@@ -167,6 +164,21 @@ class StepFn:
 
     def __mul__(self, other: "StepFn") -> "StepFn":
         return self.combine(other, lambda x, y: x * y)
+
+
+def _refine(f: StepFn, g: StepFn) -> Iterable[tuple[Fraction, Fraction, Fraction, Fraction]]:
+    """(a, b, f value, g value) on each cell of the common refinement, one merge-walk."""
+    cuts = sorted({x for iv, _ in f.pieces + g.pieces for x in (iv.lo, iv.hi)})
+    fp, gp = f.pieces, g.pieces
+    i = j = 0
+    for a, b in zip(cuts, cuts[1:]):
+        while i < len(fp) and fp[i][0].hi <= a:
+            i += 1
+        while j < len(gp) and gp[j][0].hi <= a:
+            j += 1
+        x = fp[i][1] if i < len(fp) and fp[i][0].lo <= a else ZERO
+        y = gp[j][1] if j < len(gp) and gp[j][0].lo <= a else ZERO
+        yield a, b, x, y
 
 
 def _signed_reach(parts: Sequence[Interval]) -> tuple[Fraction, Fraction]:
@@ -234,28 +246,21 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
         return SpectrumVerdict(False, "F1", sticking_out.parts[0],
                                "support is not nested under doubling")
     # ... and the forced filter modulus g(2x)/g(x) is consistent mod 1.
-    doubled = g.stretch(HALF)  # x -> g(2x)
-    cuts = sorted(
-        {x for iv, _ in g.pieces for x in (iv.lo, iv.hi)}
-        | {x for iv, _ in doubled.pieces for x in (iv.lo, iv.hi)}
-    )
-    frags: list[tuple[Fraction, Fraction, Fraction]] = []
-    for a, b in zip(cuts, cuts[1:]):
-        den = g.value_at(a)
+    changes: dict[Fraction, list[tuple[Fraction, int]]] = {}
+    for a, b, den, num in _refine(g, g.stretch(HALF)):  # num is g(2x)
         if den == 0:
             continue
-        ratio = doubled.value_at(a) / den
-        k = math.floor(a)
-        while k < b:
-            lo = max(a, Fraction(k))
-            hi = min(b, Fraction(k + 1))
-            if lo < hi:
-                frags.append((lo - k, hi - k, ratio))
-            k += 1
-    points = sorted({x for lo, hi, _ in frags for x in (lo, hi)})
+        for lo, hi, _ in _unit_fragments([(Interval(a, b), ONE)]):
+            changes.setdefault(lo, []).append((num / den, 1))
+            changes.setdefault(hi, []).append((num / den, -1))
+    points = sorted(changes)
+    covering: dict[Fraction, int] = {}  # ratio -> fragments covering the current cell
     for a, b in zip(points, points[1:]):
-        vals = {v for lo, hi, v in frags if lo <= a and hi >= b}
-        if len(vals) > 1:
+        for ratio, d in changes[a]:
+            covering[ratio] = covering.get(ratio, 0) + d
+            if covering[ratio] == 0:
+                del covering[ratio]
+        if len(covering) > 1:
             return SpectrumVerdict(False, "F1", Interval(a, b),
                                    "filter ratio is not 1-periodic on the support")
     return SpectrumVerdict(True)
@@ -339,50 +344,6 @@ def calderon(h: StepFn) -> CalderonResult:
 # ------------------------------------------------- dimension function
 
 
-@dataclass(frozen=True)
-class DimFnWindow:
-    """Wavelet dimension function computed exactly on [2^-L, 1 - 2^-L).
-
-    Every dyadic-translate term meeting the window is summed, so values are
-    exact there; pieces may accumulate at 0 and 1 outside the window, which
-    ``boundary_note`` records.  The source spectrum, when attached, lets the
-    limit-condition probes evaluate the function at dyadically small
-    arguments by recomputing deeper windows.
-    """
-
-    breaks: tuple[Fraction, ...]
-    values: tuple[Fraction, ...]
-    depth_L: int
-    boundary_note: bool
-    source: StepFn | None = None
-
-    def window(self) -> tuple[Fraction, Fraction]:
-        return self.breaks[0], self.breaks[-1]
-
-    def pieces(self) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
-        for i, v in enumerate(self.values):
-            yield self.breaks[i], self.breaks[i + 1], v
-
-    def value_at(self, x: RationalLike) -> Fraction:
-        x = rat(x)
-        wlo, whi = self.window()
-        if not wlo <= x < whi:
-            raise InputError(f"{x} is outside the computed window [{wlo}, {whi})")
-        idx = bisect_right(self.breaks, x) - 1
-        return self.values[min(idx, len(self.values) - 1)]
-
-    def is_constant(self, c) -> bool:
-        c = rat(c)
-        return all(v == c for v in self.values)
-
-    def where_not(self, c) -> IntervalSet:
-        c = rat(c)
-        return normalize(Interval(a, b) for a, b, v in self.pieces() if v != c)
-
-    def zero_set(self) -> IntervalSet:
-        return normalize(Interval(a, b) for a, b, v in self.pieces() if v == 0)
-
-
 def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     """Sum of h(2^j (x + k)) over j >= 1, k in Z, exact on the depth-L window.
 
@@ -412,9 +373,7 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
             for iv, v in h.pieces:
                 frags.append((s * iv.lo - k, s * iv.hi - k, v))
         j += 1
-    atoms = sweep_weighted(frags, wlo, whi)
-    breaks = [atoms[0][0]] + [b for _, b, _ in atoms]
-    return DimFnWindow(tuple(breaks), tuple(v for _, _, v in atoms), depth_L, True, h)
+    return DimFnWindow.from_atoms(sweep_weighted(frags, wlo, whi), depth_L, True, h)
 
 
 @dataclass(frozen=True)
@@ -440,13 +399,15 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int, d3_class_depth: int | None = Non
     the window.  The two limit conditions are semi-decided: a violation found
     at the declared depth is a certified FAIL, otherwise the status is
     "no violation found" (they are limit statements and cannot be decided by
-    any finite computation).
+    any finite computation).  D1-D3 look at the depth-(L + 2) part of the
+    input; D4 reads the input itself when it is at least 2L + 2 deep.
     """
     if dim.depth_L < depth_L + 2:
         raise InputError(
             f"dimension window depth {dim.depth_L} is insufficient; need at least {depth_L + 2}"
         )
     L = depth_L
+    deep, dim = dim, dim.restrict(L + 2)
 
     # (D1): nonnegative-integer values.
     d1 = CheckOutcome("pass")
@@ -463,7 +424,8 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int, d3_class_depth: int | None = Non
             if a0 < cand < b0:
                 cuts.add(cand)
     d2 = CheckOutcome("pass", note=f"identity checked exactly on [{a0}, {b0})")
-    for a, b in zip(*(lambda xs: (xs, xs[1:]))(sorted(cuts))):
+    points = sorted(cuts)
+    for a, b in zip(points, points[1:]):
         lhs = dim.value_at(a) + dim.value_at(a + HALF)
         rhs = dim.value_at(2 * a) + 1
         if lhs != rhs:
@@ -471,7 +433,7 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int, d3_class_depth: int | None = Non
             break
 
     d3 = _check_d3(dim, L, d3_class_depth if d3_class_depth is not None else min(L, 8))
-    d4 = _check_d4(dim, L)
+    d4 = _check_d4(deep, L)
     return DimConditionsReport(d1, d2, d3, d4, L)
 
 
@@ -512,19 +474,22 @@ def _check_d3(dim: DimFnWindow, L: int, class_depth: int) -> CheckOutcome:
 
 
 def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
-    """Semi-decide the contraction liminf via a deeper window of the source.
+    """Semi-decide the contraction liminf via a window of depth 2L + 2.
 
     Certified-fail probe at depth L: the function vanishes at every
-    contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull window subset.  The
-    contracted arguments fall below the given window, so they are evaluated
-    on a freshly computed window of depth 2L + 2 from the source spectrum.
+    contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset of the
+    depth-L window.  The contracted arguments reach down to 2^-2L, so they
+    are read from a window of depth 2L + 2: the given one when it is that
+    deep, otherwise one computed afresh from the source spectrum.
     """
-    if dim.source is None:
+    if dim.depth_L >= 2 * L + 2:
+        deep = dim
+    elif dim.source is None:
         return CheckOutcome("skipped", note="no source spectrum attached; deep window unavailable")
-    deep = dimension_function(dim.source, 2 * L + 2)
+    else:
+        deep = dimension_function(dim.source, 2 * L + 2)
     deep_zeros = deep.zero_set()
-    wlo, whi = dim.window()
-    t = iset((max(wlo, pow2(-L)), min(whi, 1 - pow2(-L))))
+    t = iset((pow2(-L), 1 - pow2(-L)))
     j_lo = (L + 1) // 2
     for j in range(j_lo, L + 1):
         t = t.intersect(deep_zeros.scale(pow2(j)))
@@ -557,12 +522,16 @@ def mra_check(h: StepFn, depth_L: int = 20) -> MraVerdict:
     with the standing note that pieces outside the window (within 2^-L of the
     integers) are not inspected.
     """
-    dim = dimension_function(h, depth_L)
+    return mra_verdict(dimension_function(h, depth_L))
+
+
+def mra_verdict(dim: DimFnWindow) -> MraVerdict:
+    """The MRA verdict read off an exact dimension-function window."""
     deviations = dim.where_not(1)
     if deviations.is_empty:
         return MraVerdict(
             "is_mra",
-            note=f"dimension function is identically 1 on the exact depth-{depth_L} window",
+            note=f"dimension function is identically 1 on the exact depth-{dim.depth_L} window",
             window=dim,
         )
     return MraVerdict("not_mra", deviations.parts[0],
@@ -648,17 +617,6 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
 
 
 # ------------------------------------------------- band-pair family psi_b
-
-
-PSI_B_ROWS = (
-    ("b = 0", "not a frame wavelet"),
-    ("0 < b <= 1/8", "frame wavelet (not Riesz)"),
-    ("1/8 < b <= 1/6", "open: frame status unknown"),
-    ("1/6 < b < 1/3", "not a frame wavelet"),
-    ("1/3 <= b < 1/2", "biorthogonal Riesz wavelet"),
-    ("b = 1/2", "orthonormal wavelet"),
-    ("1/2 < b < 1", "not a frame wavelet"),
-)
 
 
 def psi_b_spectrum(b: RationalLike) -> StepFn:

@@ -2,18 +2,23 @@
 
 Folds interval sets onto the unit torus [0, 1), counts translation
 multiplicities exactly, and extracts deterministic transversals (subsets whose
-integer translates tile the line with multiplicity one).
+integer translates tile the line with multiplicity one).  Fold results and
+dimension-function windows share one exact periodic-step type.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, iset, normalize, rat
+
+if TYPE_CHECKING:
+    from .spectral import StepFn
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -49,25 +54,44 @@ def sweep_weighted(
 
 
 @dataclass(frozen=True)
-class TorusStep:
-    """1-periodic step function represented on [0, 1) by exact breakpoints."""
+class DimFnWindow:
+    """1-periodic step function, known exactly on a window of [0, 1).
 
-    breaks: tuple[Fraction, ...]  # 0 = b_0 < ... < b_m = 1
-    values: tuple[Fraction, ...]  # one value per piece, len = m
+    ``breaks`` strictly increase inside [0, 1]; piece i carries ``values[i]``
+    on [breaks[i], breaks[i + 1]).  Folds are exact on all of [0, 1) and have
+    ``depth_L`` 0.  A dimension-function window of depth L covers
+    [2^-L, 1 - 2^-L) exactly; pieces may accumulate at 0 and 1 outside it,
+    which ``boundary_note`` records.  The source spectrum, when attached, lets
+    the limit-condition probes recompute deeper windows.
+    """
+
+    breaks: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
+    depth_L: int
+    boundary_note: bool
+    source: StepFn | None = None
 
     def __post_init__(self) -> None:
-        if len(self.breaks) != len(self.values) + 1:
-            raise InputError("breaks/values length mismatch")
-        if self.breaks[0] != 0 or self.breaks[-1] != 1:
-            raise InputError("torus breakpoints must start at 0 and end at 1")
+        if not self.values or len(self.breaks) != len(self.values) + 1:
+            raise InputError("a window needs a value per piece and one breakpoint more than values")
+        if self.breaks[0] < 0 or self.breaks[-1] > 1:
+            raise InputError("window breakpoints must lie inside [0, 1]")
         if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
-            raise InputError("torus breakpoints must be strictly increasing")
+            raise InputError("window breakpoints must be strictly increasing")
 
     @classmethod
-    def from_atoms(cls, atoms: Sequence[tuple[Fraction, Fraction, Fraction]]) -> "TorusStep":
-        breaks = [atoms[0][0]] + [b for _, b, _ in atoms]
-        values = [v for _, _, v in atoms]
-        return cls(tuple(breaks), tuple(values))
+    def from_atoms(
+        cls,
+        atoms: Sequence[tuple[Fraction, Fraction, Fraction]],
+        depth_L: int = 0,
+        boundary_note: bool = False,
+        source: StepFn | None = None,
+    ) -> "DimFnWindow":
+        breaks = (atoms[0][0],) + tuple(b for _, b, _ in atoms)
+        return cls(breaks, tuple(v for _, _, v in atoms), depth_L, boundary_note, source)
+
+    def window(self) -> tuple[Fraction, Fraction]:
+        return self.breaks[0], self.breaks[-1]
 
     def pieces(self) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
         for i, v in enumerate(self.values):
@@ -79,47 +103,72 @@ class TorusStep:
     def min_value(self) -> Fraction:
         return min(self.values)
 
-    def max_value(self) -> Fraction:
-        return max(self.values)
-
     def is_constant(self, c) -> bool:
         c = rat(c)
         return all(v == c for v in self.values)
 
     def value_at(self, xi) -> Fraction:
-        """Value at a point of [0, 1) (argument reduced mod 1 first)."""
+        """Value at a point of the window (argument reduced mod 1 first)."""
         xi = rat(xi)
         xi -= math.floor(xi)
-        for a, b, v in self.pieces():
-            if a <= xi < b:
-                return v
-        raise AssertionError("unreachable: breakpoints cover [0,1)")
+        wlo, whi = self.window()
+        if not wlo <= xi < whi:
+            raise InputError(f"{xi} is outside the computed window [{wlo}, {whi})")
+        return self.values[bisect_right(self.breaks, xi) - 1]
 
     def where_not(self, c) -> IntervalSet:
-        """Subset of [0, 1) where the value differs from c."""
+        """Subset of the window where the value differs from c."""
         c = rat(c)
         return normalize(Interval(a, b) for a, b, v in self.pieces() if v != c)
 
+    def zero_set(self) -> IntervalSet:
+        return normalize(Interval(a, b) for a, b, v in self.pieces() if v == 0)
+
+    def restrict(self, depth_L: int) -> "DimFnWindow":
+        """The depth-L window [2^-L, 1 - 2^-L) cut out of this deeper one.
+
+        Values are exact wherever a window is, so the cut equals the window
+        computed at depth L directly, piece for piece.
+        """
+        if depth_L < 2:
+            raise InputError("window depth must be at least 2")
+        lo, hi = Fraction(1, 1 << depth_L), 1 - Fraction(1, 1 << depth_L)
+        if lo < self.breaks[0] or hi > self.breaks[-1]:
+            raise InputError(f"the window [{self.breaks[0]}, {self.breaks[-1]}) does not "
+                             f"cover the depth-{depth_L} window [{lo}, {hi})")
+        i = bisect_right(self.breaks, lo) - 1
+        j = bisect_left(self.breaks, hi)
+        return DimFnWindow((lo,) + self.breaks[i + 1:j] + (hi,), self.values[i:j],
+                           depth_L, self.boundary_note, self.source)
+
 
 def _unit_fragments(pieces: Iterable[tuple[Interval, Fraction]]):
-    """Cut weighted intervals at integers and reduce each cell into [0, 1)."""
+    """Reduce weighted intervals into [0, 1), at most three fragments each.
+
+    The whole periods an interval covers become one [0, 1) fragment weighted
+    by their number, so the work does not grow with the interval's length.
+    """
     for iv, val in pieces:
-        k = math.floor(iv.lo)
-        while k < iv.hi:
-            a = max(iv.lo, Fraction(k))
-            b = min(iv.hi, Fraction(k + 1))
-            if a < b:
-                yield a - k, b - k, val
-            k += 1
+        k_lo, k_hi = math.floor(iv.lo), math.floor(iv.hi)
+        a, b = iv.lo - k_lo, iv.hi - k_hi
+        if k_lo == k_hi:
+            yield a, b, val
+            continue
+        if a > 0:
+            yield a, ONE, val
+            k_lo += 1
+        if k_hi > k_lo:
+            yield ZERO, ONE, (k_hi - k_lo) * val
+        if b > 0:
+            yield ZERO, b, val
 
 
-def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> TorusStep:
+def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
     """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function."""
-    atoms = sweep_weighted(_unit_fragments(pieces), ZERO, ONE)
-    return TorusStep.from_atoms(atoms)
+    return DimFnWindow.from_atoms(sweep_weighted(_unit_fragments(pieces), ZERO, ONE))
 
 
-def fold_multiplicity(s: IntervalSet) -> TorusStep:
+def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
     """Multiplicity m(xi) = #{k in Z : xi + k in S} on [0, 1)."""
     return fold_step((p, ONE) for p in s.parts)
 
@@ -136,13 +185,11 @@ def check_S3(s: IntervalSet) -> bool:
 
 def check_cover_r4(s: IntervalSet) -> bool:
     """True iff the integer translates of S cover the line (multiplicity >= 1)."""
-    return not s.is_empty and fold_multiplicity(s).min_value() >= 1
+    return fold_multiplicity(s).min_value() >= 1
 
 
 def uncovered_witness(s: IntervalSet) -> Interval | None:
     """A sub-interval of [0, 1) whose residues S misses, or None if S covers."""
-    if s.is_empty:
-        return Interval(ZERO, ONE)
     for a, b, v in fold_multiplicity(s).pieces():
         if v < 1:
             return Interval(a, b)

@@ -278,3 +278,59 @@ def test_cli_output_byte_deterministic(capsys, journe_file):
     _, _, first = run_cli(capsys, ["verify", "wavelet-set", journe_file])
     _, _, second = run_cli(capsys, ["verify", "wavelet-set", journe_file])
     assert first == second
+
+
+MALFORMED_WINDOWS = {
+    "pieces_not_objects": {"type": "dim_fn_window", "depth": 4, "window": ["1/16", "15/16"],
+                           "pieces": [1, 2], "boundary_note": True},
+    "depth_not_integer": {"type": "dim_fn_window", "depth": "four", "window": ["1/16", "15/16"],
+                          "pieces": [{"interval": ["1/16", "15/16"], "value": "1"}],
+                          "boundary_note": True},
+    "decreasing_breaks": {"type": "dim_fn_window", "depth": 4, "window": ["1", "0"],
+                          "pieces": [{"interval": ["1", "0"], "value": "1"}], "boundary_note": True},
+    "depth_is_bool": {"type": "dim_fn_window", "depth": True,
+                      "pieces": [{"interval": ["1/16", "15/16"], "value": "1"}]},
+    "note_not_bool": {"type": "dim_fn_window", "depth": 4, "boundary_note": "yes",
+                      "pieces": [{"interval": ["1/16", "15/16"], "value": "1"}]},
+    "interval_not_pair": {"type": "dim_fn_window", "depth": 4,
+                          "pieces": [{"interval": ["1/16"], "value": "1"}]},
+    "breaks_outside_unit": {"type": "dim_fn_window", "depth": 4,
+                            "pieces": [{"interval": ["1/2", "3/2"], "value": "1"}]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_WINDOWS))
+def test_cli_plot_malformed_window_is_input_error(capsys, tmp_path, name):
+    doc = _write(tmp_path, "w.json", MALFORMED_WINDOWS[name])
+    code, rep, _ = run_cli(capsys, ["plot", doc, "--format", "svg", "--out", str(tmp_path / "w.svg")])
+    assert code == 2 and rep["status"] == "error"
+    assert not (tmp_path / "w.svg").exists()
+
+
+def test_cli_verify_long_interval_returns(capsys, tmp_path):
+    # Folding costs the same for any interval length, so this answers at once.
+    long = _write(tmp_path, "long.json", interval_set_to_json(iset((0, 10**9))))
+    code, rep, _ = run_cli(capsys, ["verify", "wavelet-set", long])
+    assert code == 1 and rep["status"] == "fail"
+    assert rep["witnesses"] == [{
+        "reason": "translation overlap: multiplicity 1000000000 on residues [0, 1)",
+        "interval": ["0", "1"],
+    }]
+
+
+def test_cli_dimfun_computes_one_window(capsys, monkeypatch, tmp_path):
+    from waveset import spectral
+
+    calls = []
+    original = spectral.dimension_function
+
+    def counting(h, depth_L=20):
+        calls.append(depth_L)
+        return original(h, depth_L)
+
+    monkeypatch.setattr(spectral, "dimension_function", counting)
+    h = _write(tmp_path, "h.json", step_fn_to_json(
+        StepFn.indicator(iset(("-16/7", -2), ("-1/2", "-2/7"), ("2/7", "1/2"), (2, "16/7")))))
+    code, rep, _ = run_cli(capsys, ["dimfun", h, "--depth", "6"])
+    assert code == 0 and rep["data"]["window"]["depth"] == 6
+    assert calls == [14]

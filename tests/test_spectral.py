@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from oracles import calderon_sum_at, dim_sum_at, sample_fractions, tq_sum_at
 from waveset.errors import InconsistentSpectrumError, InputError
@@ -228,6 +230,24 @@ def test_dimension_window_exactness():
         mid = (a + b) / 2
         assert deep.value_at(mid) == v
     assert deep.window()[0] < lo
+
+
+@st.composite
+def nonnegative_spectra(draw):
+    """Nonnegative step functions with a few pieces inside [-4, 4)."""
+    ends = draw(st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=24),
+                         min_size=2, max_size=8, unique=True))
+    ends.sort()
+    values = draw(st.lists(st.integers(min_value=0, max_value=3),
+                           min_size=len(ends) - 1, max_size=len(ends) - 1))
+    return StepFn.build(((a, b), v) for a, b, v in zip(ends, ends[1:], values))
+
+
+@given(nonnegative_spectra(), st.integers(min_value=2, max_value=6))
+def test_dimension_deep_window_restricts_to_shallow(h, depth):
+    deep = dimension_function(h, 2 * depth + 2)
+    assert deep.restrict(depth) == dimension_function(h, depth)
+    assert deep.restrict(depth + 2) == dimension_function(h, depth + 2)
 
 
 # ------------------------------------------------------------- (D1)-(D4)

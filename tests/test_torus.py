@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import sample_fractions, translation_multiplicity_at
-from waveset.errors import PreconditionError
+from waveset.errors import InputError, PreconditionError
 from waveset.intervals import EMPTY, iset, normalize
 from waveset.torus import (
+    DimFnWindow,
     check_S3,
     check_cover_r4,
     extract_transversal,
@@ -50,6 +51,31 @@ def test_fold_two_copies():
 def test_fold_half_cell():
     m = fold_multiplicity(iset((0, "1/2")))
     assert list(m.pieces()) == [(F(0), F(1, 2), F(1)), (F(1, 2), F(1), F(0))]
+
+
+@pytest.mark.parametrize("s, pieces", [
+    (iset((0, 10**9)), [(F(0), F(1), F(10**9))]),
+    (iset(("-1/3", F(10**9) + F(1, 2))),
+     [(F(0), F(1, 2), F(10**9 + 1)), (F(1, 2), F(2, 3), F(10**9)), (F(2, 3), F(1), F(10**9 + 1))]),
+])
+def test_fold_long_intervals(s, pieces):
+    # Whole periods fold in one step, so the length of an interval costs nothing.
+    m = fold_multiplicity(s)
+    assert list(m.pieces()) == pieces
+    assert m.integral() == s.measure()
+    assert fold_to_unit(s) == iset((0, 1))
+
+
+@pytest.mark.parametrize("breaks, values", [
+    ((F(1), F(0)), (F(1),)),
+    ((F(0), F(1, 2), F(1, 2), F(1)), (F(1), F(2), F(1))),
+    ((F(-1, 4), F(1, 2)), (F(1),)),
+    ((F(1, 2), F(5, 4)), (F(1),)),
+    ((F(0), F(1)), ()),
+])
+def test_periodic_step_rejects_bad_breaks(breaks, values):
+    with pytest.raises(InputError):
+        DimFnWindow(breaks, values, 4, True)
 
 
 def test_s3_and_r4_flags():
