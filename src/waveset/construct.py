@@ -17,7 +17,6 @@ from .intervals import EMPTY, Interval, IntervalSet, iset
 from .spectral import StepFn, pow2, psi_spectrum_from_scaling, validate_scaling_spectrum
 from .torus import (
     check_S3,
-    check_cover_r4,
     extract_transversal,
     fold_multiplicity,
     periodize_window,
@@ -88,14 +87,6 @@ def check_S2(s: IntervalSet) -> bool:
     return left and right
 
 
-def _zero_reach(s: IntervalSet) -> tuple[Fraction, Fraction]:
-    """(a, b) with (-a, 0) u (0, b) inside S; requires check_S2(S)."""
-    for p in s.parts:
-        if p.lo < 0 < p.hi:
-            return -p.lo, p.hi
-    raise AssertionError("zero reach requires the contraction property")
-
-
 def check_scaling_set_preconditions(sprime: IntervalSet) -> None:
     """Raise PreconditionError naming the first failed hypothesis (S1, r4, S2)."""
     escape = s1_witness(sprime)
@@ -113,22 +104,6 @@ def check_scaling_set_preconditions(sprime: IntervalSet) -> None:
         raise PreconditionError(
             "S2", "input does not contain a punctured neighborhood of 0",
         )
-
-
-def _transversal_inside(sprime: IntervalSet) -> IntervalSet:
-    """The tiling kernel K: the window part of S' completed to a transversal."""
-    k0 = sprime.intersect(WINDOW)
-    if check_cover_r4(k0):
-        # The window part already covers every residue, so the completion
-        # K' minus per(K0) is null and K = K0.
-        return k0
-    kprime = extract_transversal(sprime, prefer_window=True)
-    span = kprime.union(k0).span()
-    assert span is not None
-    m = max(1, math.ceil(max(abs(span.lo), abs(span.hi))) + 1)
-    k = k0.union(kprime.subtract(periodize_window(k0, m)))
-    assert check_S3(k), "transversal completion must tile with multiplicity one"
-    return k
 
 
 def _truncated_level(k: IntervalSet, n: int, depth_j: int) -> IntervalSet:
@@ -159,43 +134,24 @@ def lemma_r3_construct(
 ) -> ScalingSetResult:
     """Build a scaling set inside S' (which must satisfy S1, S2 and covering).
 
-    The exact fast path triggers when the tiling kernel K fits inside
-    [-1/2, 1/2): every periodized copy of a contracted kernel then misses the
-    window, all inner subtractions are provably empty, and the level union
-    stabilizes at a finite depth, giving the exact infinite-depth set with
-    all-zero defect bounds.  Otherwise levels 0..N are computed with inner
-    truncation at j <= n + J and the report carries geometric tail bounds.
+    The tiling kernel K is the transversal of S' that prefers representatives
+    inside [-1/2, 1/2).  The exact fast path is taken exactly when S'
+    contains [-1/2, 1/2): K is then that window, which is already a scaling
+    set, so S = [-1/2, 1/2) and W is the Shannon set, with all-zero defect
+    bounds.  Otherwise levels 0..N are computed with inner truncation at
+    j <= n + J and the report carries geometric tail bounds.
     """
     check_scaling_set_preconditions(sprime)
     if depth_n < 0 or depth_j < 0:
         raise PreconditionError("depth", "depths must be nonnegative")
-    k = _transversal_inside(sprime)
+    k = extract_transversal(sprime, prefer_window=True)
+    assert check_S3(k), "the tiling kernel must tile with multiplicity one"
+    if k == WINDOW:
+        # K has measure 1, so it lies inside the window only as the whole
+        # window, which is itself a scaling set: S = K at every depth.
+        w = k.scale(2).subtract(k)
+        return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
     k_measure = k.measure()  # equals 1 by the tiling property
-    if k.subset_mod_null(WINDOW):
-        a, b = _zero_reach(k)
-        reach = min(a, b)
-        n0 = 0
-        while pow2(-(n0 + 1)) > reach:
-            n0 += 1
-        if n0 <= depth_n:
-            parts = [k.scale(pow2(-n)) for n in range(n0 + 1)]
-            s = EMPTY
-            for p in parts:
-                s = s.union(p)
-            assert k.scale(pow2(-(n0 + 1))).subset_mod_null(s)
-            defects = DefectReport.exact(depth_n, depth_j)
-            w = s.scale(2).subtract(s)
-            return ScalingSetResult(s, w, defects, True)
-        # Kernel fits the window but the requested depth stops before the
-        # union stabilizes: levels are still exact, only the outer tail is lost.
-        s = EMPTY
-        for n in range(depth_n + 1):
-            s = s.union(k.scale(pow2(-n)))
-        outer = pow2(-depth_n) * k_measure
-        defects = DefectReport(2 * outer, outer, True, depth_n, depth_j)
-        w = s.scale(2).subtract(s)
-        return ScalingSetResult(s, w, defects, False)
-
     s = EMPTY
     for n in range(depth_n + 1):
         s = s.union(_truncated_level(k, n, depth_j))

@@ -12,6 +12,7 @@ a null-set question, and half-open intervals are closed under disjoint tiling.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,17 +22,25 @@ from typing import Iterable, Union
 from .errors import InputError
 
 RationalLike = Union[Fraction, int, str]
+RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce an int, a "p/q" or "n" string, or a Fraction to an exact rational."""
+    """Coerce an int, a "p/q" or "n" string, or a Fraction to an exact rational.
+
+    Strings are an optional sign, digits, and optionally "/" and digits;
+    anything else (exponents, decimal points, underscores) is an input error.
+    """
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
+        text = x.replace("−", "-").strip()
+        if not RATIONAL.fullmatch(text):
+            raise InputError(f"malformed rational {x!r}")
         try:
-            return Fraction(x.replace("−", "-").strip())
+            return Fraction(text)
         except ZeroDivisionError:
             raise InputError(f"malformed rational {x!r}: zero denominator") from None
         except ValueError:

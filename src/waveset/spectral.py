@@ -250,7 +250,7 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
     for a, b, den, num in _refine(g, g.stretch(HALF)):  # num is g(2x)
         if den == 0:
             continue
-        for lo, hi, _ in _unit_fragments([(Interval(a, b), ONE)]):
+        for lo, hi, _, _ in _unit_fragments([(Interval(a, b), ONE)]):
             changes.setdefault(lo, []).append((num / den, 1))
             changes.setdefault(hi, []).append((num / den, -1))
     points = sorted(changes)

@@ -145,27 +145,32 @@ class DimFnWindow:
 def _unit_fragments(pieces: Iterable[tuple[Interval, Fraction]]):
     """Reduce weighted intervals into [0, 1), at most three fragments each.
 
-    The whole periods an interval covers become one [0, 1) fragment weighted
-    by their number, so the work does not grow with the interval's length.
+    Yields (a, b, weight, shift): the residues [a, b) with ``weight`` times
+    the interval's value, and the smallest integer shift that puts them back
+    inside the interval.  The whole periods an interval covers become one
+    [0, 1) fragment weighted by their number, so the work does not grow with
+    the interval's length.  An interval's fragments come in order of their
+    shifts.
     """
     for iv, val in pieces:
         k_lo, k_hi = math.floor(iv.lo), math.floor(iv.hi)
         a, b = iv.lo - k_lo, iv.hi - k_hi
         if k_lo == k_hi:
-            yield a, b, val
+            yield a, b, val, k_lo
             continue
         if a > 0:
-            yield a, ONE, val
+            yield a, ONE, val, k_lo
             k_lo += 1
         if k_hi > k_lo:
-            yield ZERO, ONE, (k_hi - k_lo) * val
+            yield ZERO, ONE, (k_hi - k_lo) * val, k_lo
         if b > 0:
-            yield ZERO, b, val
+            yield ZERO, b, val, k_hi
 
 
 def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
     """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function."""
-    return DimFnWindow.from_atoms(sweep_weighted(_unit_fragments(pieces), ZERO, ONE))
+    fragments = ((a, b, w) for a, b, w, _ in _unit_fragments(pieces))
+    return DimFnWindow.from_atoms(sweep_weighted(fragments, ZERO, ONE))
 
 
 def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
@@ -175,7 +180,7 @@ def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
 
 def fold_to_unit(s: IntervalSet) -> IntervalSet:
     """The folded set {frac(x) : x in S} as a subset of [0, 1) (multiplicity dropped)."""
-    return normalize(Interval(a, b) for a, b, _ in _unit_fragments((p, ONE) for p in s.parts))
+    return normalize(Interval(a, b) for a, b, _, _ in _unit_fragments((p, ONE) for p in s.parts))
 
 
 def check_S3(s: IntervalSet) -> bool:
@@ -229,29 +234,27 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
             f"translates of the input do not cover the line; residues {witness} are missed",
             witness=witness,
         )
+    fragments = list(_unit_fragments((p, ONE) for p in sprime.parts))
     cuts = {ZERO, ONE}
     if prefer_window:
         cuts.add(HALF)
-    for p in sprime.parts:
-        for x in (p.lo, p.hi):
-            cuts.add(x - math.floor(x))
+    for a, b, _, _ in fragments:
+        cuts.update((a, b))
     ordered = sorted(cuts)
-    span = sprime.span()
-    assert span is not None
+    shifts: list[int | None] = [None] * (len(ordered) - 1)
+    # Parts are sorted and disjoint, so the fragments come in order of their
+    # shifts and the first one covering an atom holds its smallest shift.
+    for a, b, _, k in fragments:
+        for i in range(bisect_left(ordered, a), bisect_left(ordered, b)):
+            if shifts[i] is None:
+                shifts[i] = k
     chosen: list[Interval] = []
-    for u, v in zip(ordered, ordered[1:]):
-        k_lo = math.floor(span.lo - u)
-        k_hi = math.ceil(span.hi - v)
-        candidates = [
-            k for k in range(k_lo, k_hi + 1)
-            if sprime.contains_interval(Interval(u + k, v + k))
-        ]
-        # r4 plus refinement by all folded breakpoints guarantees a candidate.
-        assert candidates, f"no representative for atom [{u}, {v})"
-        pick = candidates[0]
+    for u, v, k in zip(ordered, ordered[1:], shifts):
+        # r4 plus refinement by all folded breakpoints guarantees a representative.
+        assert k is not None, f"no representative for atom [{u}, {v})"
         if prefer_window:
             window_k = 0 if v <= HALF else -1
-            if window_k in candidates:
-                pick = window_k
-        chosen.append(Interval(u + pick, v + pick))
+            if sprime.contains_interval(Interval(u + window_k, v + window_k)):
+                k = window_k
+        chosen.append(Interval(u + k, v + k))
     return normalize(chosen)

@@ -38,6 +38,25 @@ def floor_log2(x: Fraction) -> int:
     return j
 
 
+def smallest_shift_at(parts: list[Pair], xi: Fraction, prefer_window: bool) -> int | None:
+    """The shift k of the representative xi + k a transversal of the set keeps.
+
+    The smallest k with xi + k in the set, scanned over the set's span; with
+    ``prefer_window`` the shift into [-1/2, 1/2) wins when that point is in
+    the set.  None when no translate of xi is in the set.
+    """
+    if prefer_window:
+        window_k = 0 if xi < Fraction(1, 2) else -1
+        if contains(parts, xi + window_k):
+            return window_k
+    lo_min = min(lo for lo, _ in parts)
+    hi_max = max(hi for _, hi in parts)
+    for k in range(math.floor(lo_min - xi) - 1, math.ceil(hi_max - xi) + 2):
+        if contains(parts, xi + k):
+            return k
+    return None
+
+
 def translation_multiplicity_at(parts: list[Pair], xi: Fraction) -> int:
     lo_min = min(lo for lo, _ in parts)
     hi_max = max(hi for _, hi in parts)

@@ -24,7 +24,7 @@ from waveset.construct import (
 from waveset.errors import PreconditionError
 from waveset.intervals import iset, normalize
 from waveset.spectral import StepFn, pow2
-from waveset.torus import check_S3
+from waveset.torus import check_S3, check_cover_r4
 
 F = Fraction
 
@@ -321,3 +321,24 @@ def test_randomized_construction_containment_and_tiling():
             assert verify_wavelet_set(res.w).passed
         checked += 1
     assert checked >= 100
+
+
+def test_construct_fast_path_iff_window_inside():
+    # The kernel prefers representatives inside [-1/2, 1/2) and has measure 1,
+    # so it is the window exactly when S' contains the window, and then S and
+    # W are the Shannon pair at every depth.
+    rng = random.Random(2718)
+    window = iset(("-1/2", "1/2"))
+    routes = set()
+    for _ in range(150):
+        sprime = _random_admissible(rng).scale(F(rng.randint(4, 16), 16))
+        if not (check_S1(sprime) and check_cover_r4(sprime)):
+            continue
+        depth = rng.randint(0, 6)
+        res = lemma_r3_construct(sprime, depth, depth)
+        assert res.fast_path == window.subset_mod_null(sprime)
+        if res.fast_path:
+            assert res.s == window and res.w == SHANNON_W
+            assert res.defects.all_zero
+        routes.add(res.fast_path)
+    assert routes == {True, False}

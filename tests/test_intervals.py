@@ -91,6 +91,9 @@ def test_malformed_rational_rejected():
         rat("1/0")
     with pytest.raises(InputError):
         rat("abc")
+    for text in ("1e100000", "1.5", "1_000", "1/-2", "0x10"):
+        with pytest.raises(InputError):
+            rat(text)
     with pytest.raises(InputError):
         rat(0.5)
 

@@ -318,6 +318,22 @@ def test_cli_verify_long_interval_returns(capsys, tmp_path):
     }]
 
 
+def test_cli_construct_long_span_returns(capsys, tmp_path):
+    # Transversal shifts come in closed form, so the span's length costs nothing.
+    long = _write(tmp_path, "long.json", interval_set_to_json(iset(("-1/4", 10**9))))
+    code, rep, _ = run_cli(capsys, ["construct", "scaling-set", long,
+                                    "--depth-n", "3", "--depth-j", "3"])
+    assert code == 0
+    assert rep["data"]["s"]["intervals"] == [["-1/4", "3/4"]]
+    assert rep["data"]["fast_path"] is False
+
+
+def test_cli_exponent_rational_is_input_error(capsys, tmp_path):
+    doc = _write(tmp_path, "exp.json", {"type": "interval_set", "intervals": [["0", "1e100000"]]})
+    code, rep, _ = run_cli(capsys, ["verify", "wavelet-set", doc])
+    assert code == 2 and rep["status"] == "error"
+
+
 def test_cli_dimfun_computes_one_window(capsys, monkeypatch, tmp_path):
     from waveset import spectral
 

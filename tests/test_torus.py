@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import sample_fractions, translation_multiplicity_at
+from oracles import sample_fractions, smallest_shift_at, translation_multiplicity_at
 from waveset.errors import InputError, PreconditionError
 from waveset.intervals import EMPTY, iset, normalize
 from waveset.torus import (
@@ -111,6 +111,8 @@ def test_transversal_smallest_k():
 
 def test_transversal_window_preference():
     assert extract_transversal(iset((-1, 1)), prefer_window=True) == iset(("-1/2", "1/2"))
+    # Shifts come in closed form, so the length of the input costs nothing.
+    assert extract_transversal(iset(("-1/4", 10**9)), prefer_window=True) == iset(("-1/4", "3/4"))
 
 
 def test_transversal_of_exact_cover():
@@ -162,6 +164,18 @@ def test_transversal_window_flag_tiles_too(s):
     k = extract_transversal(s, prefer_window=True)
     assert check_S3(k)
     assert k.subset_mod_null(s)
+
+
+@given(covering_sets(), st.booleans())
+def test_transversal_shift_matches_oracle(s, prefer_window):
+    k = extract_transversal(s, prefer_window=prefer_window)
+    raw = [(p.lo, p.hi) for p in s.parts]
+    kept = [(p.lo, p.hi) for p in k.parts]
+    # Atoms: [0, 1) cut at 1/2 and at every folded breakpoint of s.
+    cuts = sorted({F(0), F(1, 2), F(1)} | {x - (x // 1) for p in s.parts for x in (p.lo, p.hi)})
+    for u, v in zip(cuts, cuts[1:]):
+        x = (u + v) / 2
+        assert smallest_shift_at(kept, x, False) == smallest_shift_at(raw, x, prefer_window)
 
 
 @given(interval_sets())
