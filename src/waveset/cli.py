@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any
 
@@ -402,7 +403,13 @@ def run(argv: list[str]) -> int:
         witness = getattr(exc, "witness", None)
         report = _report(command_label, "error",
                          [_witness(str(exc), witness if isinstance(witness, Interval) else None)])
-    print(json.dumps(report, indent=2))
+    try:
+        print(json.dumps(report, indent=2))
+        sys.stdout.flush()  # a closed reader raises here, inside the handler
+    except BrokenPipeError:
+        # The reader left early (`waveset ... | head`); point stdout at devnull so
+        # the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_CODES[report["status"]]
 
 

@@ -8,6 +8,7 @@ floating point root isolation.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,15 +21,31 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# Largest field tag d accepted: the square-free test divides by the integers up
+# to the cube root of d, about half a million divisions at this cap.
+MAX_FIELD_D = 10**18
+
+
+@functools.lru_cache(maxsize=4096)  # every QuadScalar that arithmetic produces asks again
 def _is_square_free(d: int) -> bool:
+    """Exact square-freeness of d >= 2 in O(d^(1/3)) divisions.
+
+    Dividing out every prime p with p^3 <= n (n the unfactored rest) leaves
+    n with at most two prime factors, all larger than p, so n is then
+    square-free unless it is the square of a prime.
+    """
     if d < 2:
         return False
-    i = 2
-    while i * i <= d:
-        if d % (i * i) == 0:
-            return False
-        i += 1
-    return True
+    if d > MAX_FIELD_D:
+        raise InputError(f"field tag d = {d} exceeds the cap {MAX_FIELD_D} on d")
+    n, p = d, 2
+    while p * p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1 if p == 2 else 2
+    return n == 1 or math.isqrt(n) ** 2 != n
 
 
 def rational_sqrt(x: Fraction) -> Fraction | None:
@@ -259,8 +276,6 @@ def _rinv(x: FracRows) -> FracRows:
 
 
 def _rpow(x: FracRows, j: int) -> FracRows:
-    if j < 0:
-        return _rpow(_rinv(x), -j)
     out: FracRows = ((ONE, ZERO), (ZERO, ONE))
     for _ in range(j):
         out = _rmul(out, x)
@@ -389,46 +404,88 @@ def wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
 # -------------------------------------------------------- lattice counts
 
 
-def floor_sqrt_fraction(x: Fraction) -> int:
-    """Largest integer n >= 0 with n*n <= x (x >= 0)."""
-    if x < 0:
-        raise InputError("negative argument")
-    n = math.isqrt(x.numerator // x.denominator)
-    while Fraction((n + 1) * (n + 1)) <= x:
-        n += 1
-    return n
+# Work budgets, checked before any row is enumerated.
+MAX_LATTICE_ROWS = 2**22  # chord rows of one count, or of all scales of one lce report
+MAX_SCALE = 256           # |j| of one count, and jmax - jmin of one lce report
+
+IntForm = tuple[int, int, int, int]
 
 
-def lattice_count(a: Mat2, p: Mat2, j: int) -> int:
-    """Exact number of lattice points P*z inside the dilated unit ball A^j B(0,1).
+def _integer_form(b: FracRows) -> IntForm:
+    """(a, b, c, L) with |B z|^2 <= 1 iff a z1^2 + 2b z1 z2 + c z2^2 <= L, all integers."""
+    q = _rmul(_rtrans(b), b)
+    q11, q12, q22 = q[0][0], q[0][1], q[1][1]
+    l = math.lcm(q11.denominator, q12.denominator, q22.denominator)
+    return (q11.numerator * (l // q11.denominator), q12.numerator * (l // q12.denominator),
+            q22.numerator * (l // q22.denominator), l)
 
-    Counts integer z with (A^-j P z) . (A^-j P z) <= 1 by enumerating the
-    exact bounding box of the ellipse and testing the quadratic form on each
-    candidate.
+
+def _row_reach(form: IntForm) -> int:
+    """Largest |z1| of a point in the ellipse: z1^2 <= c L / (a c - b^2)."""
+    a, b, c, l = form
+    return math.isqrt(c * l // (a * c - b * b))
+
+
+def _chord_count(form: IntForm, z1_max: int) -> int:
+    """Integer points of the ellipse, one O(1) chord per row z1.
+
+    On row z1, (c z2 + b z1)^2 <= c L - (a c - b^2) z1^2 = disc, so with
+    r = isqrt(disc) and m = -b z1 the row holds the integers z2 from
+    ceil((m - r)/c) to floor((m + r)/c); r may replace sqrt(disc) because
+    c z2 - m is an integer.  Rows z1 and -z1 hold equally many points.
+    """
+    a, b, c, l = form
+    delta, cl = a * c - b * b, c * l
+    count = 2 * (math.isqrt(cl) // c) + 1
+    for z1 in range(1, z1_max + 1):
+        r = math.isqrt(cl - delta * z1 * z1)
+        m = -b * z1
+        count += 2 * ((r - m) // c + (r + m) // c + 1)
+    return count
+
+
+def _lattice_forms(a: Mat2, p: Mat2, j_min: int, j_max: int) -> list[tuple[int, IntForm, int]]:
+    """(j, integer form of A^-j P, row reach) for j_min..j_max, within the work budgets.
+
+    B_j = A^-j P is stepped as B_j = A^-1 B_(j-1), so each scale costs one
+    2x2 product.  The rows every count will enumerate are known from the
+    forms alone, so the row budget is checked before any counting starts.
     """
     arows = a.rational_rows()
     prows = p.rational_rows()
     if arows[0][0] * arows[1][1] - arows[0][1] * arows[1][0] == 0:
         raise InputError("dilation matrix must be invertible")
-    b = _rmul(_rpow(arows, -j), prows)
-    q = _rmul(_rtrans(b), b)
-    q11, q12, q22 = q[0][0], q[0][1], q[1][1]
-    det_q = q11 * q22 - q12 * q12
-    assert det_q > 0
-    z1_max = floor_sqrt_fraction(q22 / det_q)
-    count = 0
-    for z1 in range(-z1_max, z1_max + 1):
-        slack = q22 - det_q * z1 * z1
-        if slack < 0:
-            continue
-        fs = floor_sqrt_fraction(slack)
-        center = -q12 * z1
-        z2_lo = math.floor((center - fs - 1) / q22)
-        z2_hi = math.ceil((center + fs + 1) / q22)
-        for z2 in range(z2_lo, z2_hi + 1):
-            if q11 * z1 * z1 + 2 * q12 * z1 * z2 + q22 * z2 * z2 <= 1:
-                count += 1
-    return count
+    if prows[0][0] * prows[1][1] - prows[0][1] * prows[1][0] == 0:
+        raise InputError("lattice basis must be invertible")
+    scales = f"j = {j_min}" if j_min == j_max else f"j = {j_min}..{j_max}"
+    if max(abs(j_min), abs(j_max), j_max - j_min) > MAX_SCALE:
+        raise InputError(f"lattice count at {scales} exceeds the scale budget: |j| and "
+                         f"jmax - jmin must not exceed {MAX_SCALE}")
+    a_inv = _rinv(arows)
+    b = _rmul(_rpow(a_inv, j_min) if j_min >= 0 else _rpow(arows, -j_min), prows)
+    forms = []
+    for j in range(j_min, j_max + 1):
+        if j > j_min:
+            b = _rmul(a_inv, b)
+        form = _integer_form(b)
+        forms.append((j, form, _row_reach(form)))
+    rows = sum(2 * z1_max + 1 for _, _, z1_max in forms)
+    if rows > MAX_LATTICE_ROWS:
+        raise InputError(f"lattice count at {scales} needs {rows} chord rows (2*z1_max + 1 "
+                         f"per scale), above the budget of {MAX_LATTICE_ROWS} rows")
+    return forms
+
+
+def lattice_count(a: Mat2, p: Mat2, j: int) -> int:
+    """Exact number of lattice points P*z inside the dilated unit ball A^j B(0,1).
+
+    Counts integer z with (A^-j P z) . (A^-j P z) <= 1 as a sum of exact
+    integer chords of the ellipse, one per row z1; the rows number about
+    |det A|^(j/2) / sqrt|det P| for a well-conditioned A.  Raises InputError
+    when |j| exceeds MAX_SCALE or the rows exceed MAX_LATTICE_ROWS.
+    """
+    ((_, form, z1_max),) = _lattice_forms(a, p, j, j)
+    return _chord_count(form, z1_max)
 
 
 @dataclass(frozen=True)
@@ -449,16 +506,22 @@ class LceReport:
 
 
 def lce_report(a: Mat2, p: Mat2, j_min: int, j_max: int, c: RationalLike) -> LceReport:
-    """Per-scale exact counts against the bound C * max(1, |det A|^j)."""
+    """Per-scale exact counts against the bound C * max(1, |det A|^j).
+
+    The scales share one work budget: jmax - jmin and every |j| are at most
+    MAX_SCALE, and the chord rows of all scales together at most
+    MAX_LATTICE_ROWS (InputError otherwise, before any count is made).
+    """
     if j_min > j_max:
         raise InputError("jmin must not exceed jmax")
     c = rat(c)
+    forms = _lattice_forms(a, p, j_min, j_max)
     arows = a.rational_rows()
     det = arows[0][0] * arows[1][1] - arows[0][1] * arows[1][0]
     rows = []
     witness = None
-    for j in range(j_min, j_max + 1):
-        n = lattice_count(a, p, j)
+    for j, form, z1_max in forms:
+        n = _chord_count(form, z1_max)
         base = max(ONE, abs(det) ** j)
         ratio = Fraction(n) / base
         rows.append(LceRow(j, n, base, ratio))

@@ -124,36 +124,43 @@ def sample_fractions(rng: random.Random, n: int, lo: Fraction, hi: Fraction,
     return [Fraction(rng.randint(lo_n, hi_n), denominator) for _ in range(n)]
 
 
-def brute_lattice_count(rows, j: int) -> int:
-    """Count of integer points with |A^-j z| <= 1 by scanning a generous box."""
+def brute_lattice_count(rows, j: int, p_rows=((1, 0), (0, 1))) -> int:
+    """Count of integer z with |A^-j P z| <= 1 by scanning a generous box.
+
+    P (rows ``p_rows``) is the lattice basis, the identity by default.
+    """
     a, b = rows[0]
     c, d = rows[1]
     det = a * d - b * c
     assert det != 0
     inv = ((d / det, -b / det), (-c / det, a / det))
+    p = tuple(tuple(Fraction(v) for v in row) for row in p_rows)
+    p_det = p[0][0] * p[1][1] - p[0][1] * p[1][0]
+    assert p_det != 0
+    p_inv = ((p[1][1] / p_det, -p[0][1] / p_det), (-p[1][0] / p_det, p[0][0] / p_det))
 
     def apply(m, x, y):
         return m[0][0] * x + m[0][1] * y, m[1][0] * x + m[1][1] * y
 
+    def mul(x, y):
+        return tuple(
+            tuple(x[r][0] * y[0][col] + x[r][1] * y[1][col] for col in range(2))
+            for r in range(2)
+        )
+
     def matpow(m, k):
         out = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
-        base = m
         for _ in range(abs(k)):
-            out = (
-                (out[0][0] * base[0][0] + out[0][1] * base[1][0],
-                 out[0][0] * base[0][1] + out[0][1] * base[1][1]),
-                (out[1][0] * base[0][0] + out[1][1] * base[1][0],
-                 out[1][0] * base[0][1] + out[1][1] * base[1][1]),
-            )
+            out = mul(out, m)
         return out
 
-    m = matpow(rows if j >= 0 else inv, abs(j))
-    # |z| <= operator-norm bound: columns of A^j give a crude box radius.
+    # z = P^-1 A^j w with |w| <= 1: the row sums of P^-1 A^j give a crude box radius.
+    m = mul(p_inv, matpow(rows if j >= 0 else inv, abs(j)))
     bound = math.ceil(max(
         abs(m[0][0]) + abs(m[0][1]),
         abs(m[1][0]) + abs(m[1][1]),
     )) + 1
-    minv = matpow(inv if j >= 0 else rows, abs(j))
+    minv = mul(matpow(inv if j >= 0 else rows, abs(j)), p)
     count = 0
     for x in range(-bound, bound + 1):
         for y in range(-bound, bound + 1):
@@ -161,3 +168,21 @@ def brute_lattice_count(rows, j: int) -> int:
             if u * u + v * v <= 1:
                 count += 1
     return count
+
+
+def gauss_circle_count(j: int) -> int:
+    """Integer points in the disc of radius 2^j: one column of height 2*isqrt(4^j - x^2) + 1 per x."""
+    r = 2**j
+    return sum(2 * math.isqrt(r * r - x * x) + 1 for x in range(-r, r + 1))
+
+
+def trial_division_square_free(d: int) -> bool:
+    """d >= 2 with no square factor, by trying every i with i^2 <= d."""
+    if d < 2:
+        return False
+    i = 2
+    while i * i <= d:
+        if d % (i * i) == 0:
+            return False
+        i += 1
+    return True

@@ -187,6 +187,9 @@ def test_criterion_6_lattice_counting():
         assert lattice_count(two_i, eye, 1) == 13 == brute_lattice_count(rows, 1)
         rep = lce_report(two_i, eye, 0, 4, 5)
         assert rep.all_bounded
+        start = time.perf_counter()
+        assert lattice_count(two_i, eye, 14) == 843314365
+        assert time.perf_counter() - start < 1.0
 
 
 def _random_interval_set(rng: random.Random, max_parts=5, den=32, lo=-4, hi=4):

@@ -1,16 +1,20 @@
 """Quadratic-field scalars, 2D existence decisions, lattice counting."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from oracles import brute_lattice_count
+from oracles import brute_lattice_count, gauss_circle_count, trial_division_square_free
 from waveset.errors import InputError, PreconditionError
 from waveset.msf2d import (
+    MAX_FIELD_D,
+    MAX_LATTICE_ROWS,
+    MAX_SCALE,
     Mat2,
     QuadScalar,
-    floor_sqrt_fraction,
+    _is_square_free,
     lattice_count,
     lce_report,
     quad_sqrt,
@@ -55,6 +59,22 @@ def test_quad_field_tags():
         QuadScalar(0, 1, 4)  # not square-free
     with pytest.raises(InputError):
         QuadScalar(0, 1, 2) + QuadScalar(0, 1, 3)  # mixed fields
+
+
+def test_square_free_matches_trial_division():
+    assert [d for d in range(5000) if _is_square_free(d)] == \
+        [d for d in range(5000) if trial_division_square_free(d)]
+
+
+def test_square_free_large_field_tags():
+    start = time.perf_counter()
+    assert _is_square_free(10**14 + 31)
+    assert not _is_square_free(9_999_991**2)  # the square of a prime above the cube root
+    assert not _is_square_free(2 * 999_983**2)
+    assert time.perf_counter() - start < 1.0
+    assert QuadScalar(0, 1, 10**14 + 31).d == 10**14 + 31
+    with pytest.raises(InputError, match="cap"):
+        QuadScalar(0, 1, MAX_FIELD_D + 1)
 
 
 def test_rational_sqrt():
@@ -149,12 +169,6 @@ def test_existence_invariant_under_unimodular_lattice_change():
 # ------------------------------------------------------- lattice counting
 
 
-def test_floor_sqrt_fraction():
-    assert floor_sqrt_fraction(F(0)) == 0
-    assert floor_sqrt_fraction(F(17, 4)) == 2
-    assert floor_sqrt_fraction(F(25)) == 5
-
-
 def test_counts_for_doubling_dilation():
     two_i = Mat2.from_rows([[2, 0], [0, 2]])
     assert lattice_count(two_i, I2, 0) == 5
@@ -169,6 +183,54 @@ def test_counts_match_brute_force():
         a = Mat2.from_rows([list(rows[0]), list(rows[1])])
         for j in (-1, 0, 1, 2):
             assert lattice_count(a, I2, j) == brute_lattice_count(rows, j)
+
+
+def _nonzero_rational(rng, num, den):
+    while True:
+        x = F(rng.randint(-num, num), rng.randint(1, den))
+        if x:
+            return x
+
+
+def test_counts_match_brute_force_skewed_lattice():
+    # Skewed dilations (every entry nonzero) on non-identity lattices.
+    rng = random.Random(47)
+    checked = 0
+    while checked < 40:
+        a_rows = [[_nonzero_rational(rng, 3, 2) for _ in range(2)] for _ in range(2)]
+        p_rows = [[_nonzero_rational(rng, 2, 2) for _ in range(2)] for _ in range(2)]
+        a_det = a_rows[0][0] * a_rows[1][1] - a_rows[0][1] * a_rows[1][0]
+        p_det = p_rows[0][0] * p_rows[1][1] - p_rows[0][1] * p_rows[1][0]
+        if a_det == 0 or abs(p_det) < F(1, 2):
+            continue
+        j = rng.randint(-2, 2)
+        got = lattice_count(Mat2.from_rows(a_rows), Mat2.from_rows(p_rows), j)
+        assert got == brute_lattice_count(a_rows, j, p_rows), (a_rows, p_rows, j)
+        checked += 1
+
+
+def test_counts_match_gauss_circle():
+    two_i = Mat2.from_rows([[2, 0], [0, 2]])
+    for j in range(8, 15):
+        assert lattice_count(two_i, I2, j) == gauss_circle_count(j)
+
+
+def test_count_work_budgets():
+    two_i = Mat2.from_rows([[2, 0], [0, 2]])
+    # Radius 2^21 needs 2^22 + 1 rows, one more than the budget.
+    assert 2 * 2**21 + 1 > MAX_LATTICE_ROWS
+    with pytest.raises(InputError, match="chord rows"):
+        lattice_count(two_i, I2, 21)
+    with pytest.raises(InputError, match="chord rows"):
+        lce_report(two_i, I2, 0, 40, 5)
+    for j in (MAX_SCALE + 1, -MAX_SCALE - 1):
+        with pytest.raises(InputError, match="scale budget"):
+            lattice_count(two_i, I2, j)
+    shear = Mat2.from_rows([[1, 1], [0, 1]])
+    with pytest.raises(InputError, match="scale budget"):
+        lce_report(shear, I2, -MAX_SCALE, 1, 5)
+    with pytest.raises(InputError, match="lattice basis"):
+        lattice_count(two_i, Mat2.from_rows([[1, 2], [2, 4]]), 0)
 
 
 def test_count_invariant_under_negated_dilation():

@@ -1,7 +1,11 @@
 """JSON round-trips, CLI exit codes, report determinism, figure emission."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -26,6 +30,7 @@ from waveset.spectral import StepFn, dimension_function
 from waveset.serialize import dim_fn_window_from_json, dim_fn_window_to_json
 
 F = Fraction
+SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding the waveset package
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 
@@ -202,6 +207,29 @@ def test_cli_lce(capsys, tmp_path):
     ])
     assert code == 0
     assert [row["count"] for row in rep["data"]["rows"]] == [5, 13, 49, 197, 797]
+
+
+def test_cli_lce_over_row_budget_is_input_error(capsys, tmp_path):
+    a = _write(tmp_path, "a.json", {"type": "mat2", "entries": [["2", "0"], ["0", "2"]]})
+    code, rep, _ = run_cli(capsys, [
+        "lce", "--matrix", a, "--lattice", "id", "--jmin", "0", "--jmax", "40", "--c", "5",
+    ])
+    assert code == 2 and rep["status"] == "error"
+    assert "chord rows" in rep["witnesses"][0]["reason"]
+
+
+def test_cli_closed_stdout_exits_quietly(tmp_path):
+    # The reader of stdout is gone before the report is written (`waveset ... | head`).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    try:
+        proc = subprocess.run([sys.executable, "-m", "waveset.cli", "psib", "--b", "1/4"],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert b"Traceback" not in proc.stderr and b"BrokenPipeError" not in proc.stderr
 
 
 def test_cli_psib(capsys):
