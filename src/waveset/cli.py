@@ -1,9 +1,10 @@
 """Command-line surface: exact verifications, constructions and reports.
 
 Every invocation prints exactly one JSON report document on stdout and exits
-with 0 (pass), 1 (a verification answered no), 2 (input error), or
-3 (inconclusive: a semi-decision exhausted its depth).  Output is
-byte-deterministic for identical inputs and flags.
+with 0 (pass), 1 (a verification answered no), 2 (input error),
+3 (inconclusive: a semi-decision exhausted its depth), or 4 (internal error:
+an unexpected exception, named in the report).  Output is byte-deterministic
+for identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .serialize import format_rational
 from .spectral import StepFn
 from .torus import fold_multiplicity
 
-EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3}
+EXIT_CODES = {"pass": 0, "fail": 1, "error": 2, "inconclusive": 3, "internal": 4}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -403,6 +404,12 @@ def run(argv: list[str]) -> int:
         witness = getattr(exc, "witness", None)
         report = _report(command_label, "error",
                          [_witness(str(exc), witness if isinstance(witness, Interval) else None)])
+    except BrokenPipeError:
+        raise
+    except Exception as exc:  # a fault of the program, never "answered no"
+        name = type(exc).__name__
+        report = _report(command_label, "internal", [_witness(f"{name}: {exc}")],
+                         data={"exception": name})
     try:
         print(json.dumps(report, indent=2))
         sys.stdout.flush()  # a closed reader raises here, inside the handler

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import InputError, PreconditionError
 from .intervals import EMPTY, Interval, IntervalSet, iset
 from .spectral import StepFn, pow2, psi_spectrum_from_scaling, validate_scaling_spectrum
 from .torus import (
@@ -31,6 +31,7 @@ WINDOW = iset((-HALF, HALF))
 
 DEFAULT_DEPTH_N = 40
 DEFAULT_DEPTH_J = 40
+MAX_CONSTRUCT_DEPTH = 256  # work budget on depth_n and depth_j
 
 
 @dataclass(frozen=True)
@@ -106,25 +107,41 @@ def check_scaling_set_preconditions(sprime: IntervalSet) -> None:
         )
 
 
-def _truncated_level(k: IntervalSet, n: int, depth_j: int) -> IntervalSet:
-    """Level set E_n with the inner union truncated at j <= n + depth_j.
+def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[IntervalSet]:
+    """Levels E_0, ..., E_N with the inner union truncated at j <= n + depth_j.
+
+    E_n = K_n minus R_(n+1), ..., R_(n+depth_j), with K_j = 2^-j K and R_j
+    the points of the nonzero integer translates of K_j that lie outside K_j.
+    Each R_j is built once and subtracted from every level that needs it
+    (n < j <= n + depth_j) and is not yet empty.  It is the periodization of
+    K_j clipped to [-m, m) minus K_j, for the least m >= 1 with every such
+    level inside [-m, m); there the clipped periodization is the full one.
+    Level n lies in 2^-n times the span of K, so m shrinks about
+    geometrically once j passes depth_j, and the cost of each R_j grows
+    with the span of K.
 
     The relative truncation keeps the doubling chain E_n inside 2 E_{n+1}
     termwise, so the nesting defect of the result is confined to the last
     level.
     """
-    base = k.scale(pow2(-n))
-    span = base.span()
-    if span is None:
-        return base
-    m = max(1, math.ceil(max(abs(span.lo), abs(span.hi))) + 1)
-    acc = base
-    for j in range(n + 1, n + depth_j + 1):
+    levels = [k.scale(pow2(-n)) for n in range(depth_n + 1)]
+    for j in range(1, depth_n + depth_j + 1):
+        live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j))
+                if not levels[n].is_empty]
+        if not live:
+            continue
+        spans = [levels[n].span() for n in live]
+        m = math.ceil(max(1, *(-sp.lo for sp in spans), *(sp.hi for sp in spans)))
         kj = k.scale(pow2(-j))
-        acc = acc.subtract(periodize_window(kj, m).subtract(kj))
-        if acc.is_empty:
-            break
-    return acc
+        overlap = periodize_window(kj, m).subtract(kj)
+        for n in live:
+            levels[n] = levels[n].subtract(overlap)
+    return levels
+
+
+def _truncated_level(k: IntervalSet, n: int, depth_j: int) -> IntervalSet:
+    """Level E_n of ``_truncated_levels``."""
+    return _truncated_levels(k, n, depth_j)[n]
 
 
 def lemma_r3_construct(
@@ -140,7 +157,20 @@ def lemma_r3_construct(
     set, so S = [-1/2, 1/2) and W is the Shannon set, with all-zero defect
     bounds.  Otherwise levels 0..N are computed with inner truncation at
     j <= n + J and the report carries geometric tail bounds.
+
+    Level n is K_n minus R_(n+1), ..., R_(n+J), where R_j is the part of the
+    integer translates of K_j = 2^-j K outside K_j.  Each of the N + J sets
+    R_j is built once per call, clipped to the reach of the levels it meets
+    (see ``_truncated_levels``), so the cost grows with the span of K.
+
+    Raises InputError when depth_n or depth_j exceeds MAX_CONSTRUCT_DEPTH,
+    before any other work.
     """
+    if max(depth_n, depth_j) > MAX_CONSTRUCT_DEPTH:
+        raise InputError(
+            f"construction depths are at most {MAX_CONSTRUCT_DEPTH} (work budget); "
+            f"got depth_n = {depth_n}, depth_j = {depth_j}"
+        )
     check_scaling_set_preconditions(sprime)
     if depth_n < 0 or depth_j < 0:
         raise PreconditionError("depth", "depths must be nonnegative")
@@ -153,8 +183,8 @@ def lemma_r3_construct(
         return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
     k_measure = k.measure()  # equals 1 by the tiling property
     s = EMPTY
-    for n in range(depth_n + 1):
-        s = s.union(_truncated_level(k, n, depth_j))
+    for level in _truncated_levels(k, depth_n, depth_j):
+        s = s.union(level)
     span = k.span()
     assert span is not None
     k_span = span.hi - span.lo

@@ -169,6 +169,9 @@ def emit_figure(obj: Plottable, fmt: str, out_path: str) -> int:
     else:
         raise InputError(f"unsupported figure format {fmt!r} (use csv or svg)")
     data = payload.encode("utf-8")
-    with open(out_path, "wb") as fh:
-        fh.write(data)
+    try:
+        with open(out_path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise InputError(f"cannot write {out_path}: {exc}") from None
     return len(data)

@@ -141,6 +141,8 @@ class IntervalSet:
         out: list[Interval] = []
         b = other.parts
         j = 0
+        if self.parts and b:  # skip the parts of other below self at once
+            j = max(0, bisect_right(other._los, self.parts[0].lo) - 1)
         for p in self.parts:
             lo = p.lo
             while j < len(b) and b[j].hi <= lo:

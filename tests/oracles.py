@@ -2,7 +2,10 @@
 
 Everything here works on raw endpoint pairs with plain loops and
 comparisons, deliberately avoiding the canonical set algebra and the
-summation shortcuts of the library, so agreement is meaningful.
+summation shortcuts of the library, so agreement is meaningful.  The one
+exception is ``truncated_level_by_periodization``, the construction's level
+loop in its original form, built on ``periodize_window`` (itself pinned by
+hand-checked examples in ``test_torus.py``).
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+
+from waveset.torus import periodize_window
 
 Pair = tuple[Fraction, Fraction]
 
@@ -186,3 +191,24 @@ def trial_division_square_free(d: int) -> bool:
             return False
         i += 1
     return True
+
+
+def truncated_level_by_periodization(k, n: int, depth_j: int):
+    """Level E_n of the construction by periodizing every scale afresh.
+
+    K_n = 2^-n K minus, for each j in n+1..n+depth_j, the translates of
+    K_j = 2^-j K clipped to [-m, m) minus K_j, where the half-width m is
+    one more than the largest endpoint of K_n in absolute value.
+    """
+    base = k.scale(pow2(-n))
+    span = base.span()
+    if span is None:
+        return base
+    m = max(1, math.ceil(max(abs(span.lo), abs(span.hi))) + 1)
+    acc = base
+    for j in range(n + 1, n + depth_j + 1):
+        kj = k.scale(pow2(-j))
+        acc = acc.subtract(periodize_window(kj, m).subtract(kj))
+        if acc.is_empty:
+            break
+    return acc

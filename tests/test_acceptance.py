@@ -131,6 +131,15 @@ def test_criterion_3_non_msf_mra_instance():
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0, f"took {elapsed:.3f}s"
 
+        # A kernel that is not nested: the truncated route, stable from depth 1/1.
+        start = time.perf_counter()
+        res = lemma_r3_construct(iset(("-2", "3/8"), ("5/8", "11/16")), 40, 40)
+        elapsed = time.perf_counter() - start
+        assert res.s == iset(("-13/8", "-3/2"), ("-13/16", "-3/4"),
+                             ("-1/2", "3/16"), ("1/4", "3/8"))
+        assert elapsed < 0.3, f"construction at depth 40/40 took {elapsed:.3f}s"
+        assert verify_wavelet_set(res.w).passed
+
 
 def test_criterion_4_psi_b_family():
     with criterion(4, "band-pair-family"):

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
@@ -12,8 +12,12 @@ from oracles import (
     orbit_limit_is_one,
     sample_fractions,
     translation_multiplicity_at,
+    truncated_level_by_periodization,
 )
 from waveset.construct import (
+    MAX_CONSTRUCT_DEPTH,
+    _truncated_level,
+    _truncated_levels,
     check_S1,
     check_S2,
     lemma_r3_construct,
@@ -21,10 +25,10 @@ from waveset.construct import (
     rze_pipeline,
     verify_wavelet_set,
 )
-from waveset.errors import PreconditionError
-from waveset.intervals import iset, normalize
+from waveset.errors import InputError, PreconditionError
+from waveset.intervals import EMPTY, iset, normalize
 from waveset.spectral import StepFn, pow2
-from waveset.torus import check_S3, check_cover_r4
+from waveset.torus import check_S3, check_cover_r4, extract_transversal
 
 F = Fraction
 
@@ -286,6 +290,62 @@ def test_truncated_levels_subtract_and_nest():
     assert _truncated_level(k, 0, 6).subset_mod_null(e0)
     e1 = _truncated_level(k, 1, 4)
     assert e0.subset_mod_null(e1.scale(2))
+
+
+# A tiling kernel with parts beyond 1 on one side and beyond -1 on the other.
+WIDE_KERNEL = iset(("-1/8", "5/8"), ("13/8", "15/8"))
+
+
+def _scattered_kernel(rng: random.Random):
+    """A partition of [0, 1) whose pieces move by independent integer shifts."""
+    cuts = sorted({F(rng.randint(1, 15), 16) for _ in range(rng.randint(1, 4))})
+    pts = [F(0)] + cuts + [F(1)]
+    return normalize((a + t, b + t) for a, b in zip(pts, pts[1:]) for t in [rng.randint(-4, 4)])
+
+
+@given(
+    seed=st.integers(0, 10**6),
+    kind=st.sampled_from(["admissible", "wide", "mirror", "scattered"]),
+    shift=st.integers(-3, 3),
+    depth_n=st.integers(0, 4),
+    depth_j=st.integers(0, 6),
+)
+@settings(max_examples=200, deadline=None)
+def test_truncated_levels_match_periodization(seed, kind, shift, depth_n, depth_j):
+    # Integer shifts of a kernel still tile and can move its span off 0, so
+    # overlaps a level can meet lie near either end of the span, on either
+    # side of 0, and the clipping window must reach all of them.
+    rng = random.Random(seed)
+    sprime = None
+    if kind == "admissible":
+        sprime = _random_admissible(rng)
+        assume(check_S1(sprime) and check_cover_r4(sprime))
+        k = extract_transversal(sprime, prefer_window=True)
+    elif kind == "scattered":
+        k = _scattered_kernel(rng)
+    else:
+        k = WIDE_KERNEL if kind == "wide" else WIDE_KERNEL.scale(-1)
+    k = k.translate(shift)
+    assert check_S3(k)
+    levels = [truncated_level_by_periodization(k, n, depth_j) for n in range(depth_n + 1)]
+    # One call builds every level, each overlap set shared by the levels it meets.
+    assert _truncated_levels(k, depth_n, depth_j) == levels
+    assert _truncated_level(k, depth_n, depth_j) == levels[-1]
+    if sprime is not None and shift == 0:
+        expected = EMPTY
+        for level in levels:
+            expected = expected.union(level)
+        assert lemma_r3_construct(sprime, depth_n, depth_j).s == expected
+
+
+def test_construct_depth_budget():
+    with pytest.raises(InputError, match="work budget"):
+        lemma_r3_construct(iset(("-1/2", "1/2")), MAX_CONSTRUCT_DEPTH + 1, 0)
+    with pytest.raises(InputError, match="work budget"):
+        # refused before the preconditions are even checked
+        lemma_r3_construct(iset((1, 2)), 0, MAX_CONSTRUCT_DEPTH + 1)
+    res = lemma_r3_construct(SLOW_SPRIME, 3, MAX_CONSTRUCT_DEPTH)
+    assert res.s == iset(("-1/8", "7/8"))
 
 
 # ------------------------------------------------- randomized construction

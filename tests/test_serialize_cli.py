@@ -285,6 +285,13 @@ def test_cli_plot_rejects_matrix(capsys, tmp_path):
     assert code == 2 and rep["status"] == "error"
 
 
+def test_cli_plot_unwritable_out_is_input_error(capsys, tmp_path, journe_file):
+    out = str(tmp_path / "no" / "such" / "dir" / "x.svg")
+    code, rep, _ = run_cli(capsys, ["plot", journe_file, "--format", "svg", "--out", out])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["witnesses"][0]["reason"].startswith(f"cannot write {out}")
+
+
 def test_cli_unknown_command(capsys):
     code, rep, _ = run_cli(capsys, ["frobnicate"])
     assert code == 2 and rep["status"] == "error"
@@ -378,3 +385,29 @@ def test_cli_dimfun_computes_one_window(capsys, monkeypatch, tmp_path):
     code, rep, _ = run_cli(capsys, ["dimfun", h, "--depth", "6"])
     assert code == 0 and rep["data"]["window"]["depth"] == 6
     assert calls == [14]
+
+
+@pytest.mark.parametrize("kind", ["scaling-set", "rze"])
+def test_cli_construct_over_depth_budget_is_input_error(capsys, tmp_path, shannon_g_file, kind):
+    src = _write(tmp_path, "s.json", interval_set_to_json(iset(("-1/2", "1/2"))))
+    target = [src] if kind == "scaling-set" else ["--spectrum", shannon_g_file]
+    code, rep, _ = run_cli(capsys, ["construct", kind, *target, "--depth-n", "257"])
+    assert code == 2 and rep["status"] == "error"
+    assert "256 (work budget)" in rep["witnesses"][0]["reason"]
+
+
+def test_cli_construct_at_depth_budget_runs(capsys, tmp_path):
+    src = _write(tmp_path, "s.json", interval_set_to_json(iset(("-1/2", "1/2"))))
+    code, rep, _ = run_cli(capsys, ["construct", "scaling-set", src, "--depth-j", "256"])
+    assert code == 0 and rep["data"]["fast_path"] is True
+
+
+def test_cli_unexpected_exception_exit_4(capsys, monkeypatch):
+    def broken(args):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(cli, "_cmd_psib", broken)
+    code, rep, _ = run_cli(capsys, ["psib", "--b", "1/4"])
+    assert code == 4 and rep["status"] == "internal"
+    assert rep["data"] == {"exception": "RuntimeError"}
+    assert rep["witnesses"] == [{"reason": "RuntimeError: handler fault"}]
