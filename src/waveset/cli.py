@@ -5,6 +5,9 @@ with 0 (pass), 1 (a verification answered no), 2 (input error),
 3 (inconclusive: a semi-decision exhausted its depth), or 4 (internal error:
 an unexpected exception, named in the report).  Output is byte-deterministic
 for identical inputs and flags.
+
+`dimfun --depth` is at most 1024, so its window is at most 2050 deep; deeper
+is an input error, refused before any work (the README lists every budget).
 """
 
 from __future__ import annotations

@@ -16,11 +16,11 @@ from .errors import InputError, PreconditionError
 from .intervals import EMPTY, Interval, IntervalSet, iset
 from .spectral import StepFn, pow2, psi_spectrum_from_scaling, validate_scaling_spectrum
 from .torus import (
+    _grid_sweep,
     check_S3,
     extract_transversal,
     fold_multiplicity,
     periodize_window,
-    sweep_weighted,
     uncovered_witness,
 )
 
@@ -238,14 +238,12 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     r = min(p.lo if p.lo > 0 else -p.hi for p in w.parts)
     big = max(p.hi if p.lo > 0 else -p.lo for p in w.parts)
     annulus = ((-2 * r, -r), (r, 2 * r))
-    frags: list[tuple[Fraction, Fraction, Fraction]] = []
-    j = 0
-    while big * pow2(j) > r:
-        image = w.scale(pow2(j))
-        frags.extend((p.lo, p.hi, ONE) for p in image.parts)
-        j -= 1
-    for lo, hi in annulus:
-        for a, b, v in sweep_weighted(frags, lo, hi):
+    depth = 0
+    while big * pow2(-depth) > r:  # the dilates 2^-j W, 0 <= j < depth, reach the annulus
+        depth += 1
+    terms = [(j, 0) for j in range(depth)]
+    for atoms in _grid_sweep([(p.lo, p.hi, ONE) for p in w.parts], terms, annulus):
+        for a, b, v in atoms:
             if v != 1:
                 kind = "gap" if v < 1 else "overlap"
                 return WaveletSetVerdict(

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .intervals import Interval, IntervalSet, RationalLike, iset, normalize, rat
-from .torus import DimFnWindow, _unit_fragments, fold_step, fold_to_unit, sweep_weighted
+from .torus import DimFnWindow, _grid_sweep, _unit_fragments, fold_step, fold_to_unit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -324,13 +324,10 @@ def calderon(h: StepFn) -> CalderonResult:
     r, big = _signed_reach([iv for iv, _ in h.pieces])
     j_lo = floor_log2(r / 2)
     j_hi = floor_log2(big) + 1
-    frags: list[tuple[Fraction, Fraction, Fraction]] = []
-    for j in range(j_lo, j_hi + 1):
-        term = h.stretch(pow2(-j))  # x -> h(2^j x)
-        frags.extend((iv.lo, iv.hi, v) for iv, v in term.pieces)
-    atoms: list[tuple[Interval, Fraction]] = []
-    for a, b in ANNULUS:
-        atoms.extend((Interval(x, y), v) for x, y, v in sweep_weighted(frags, a, b))
+    pieces = [(iv.lo, iv.hi, v) for iv, v in h.pieces]
+    terms = [(j, 0) for j in range(j_lo, j_hi + 1)]  # x -> h(2^j x)
+    atoms = [(Interval(x, y), v)
+             for window in _grid_sweep(pieces, terms, ANNULUS) for x, y, v in window]
     values = [v for _, v in atoms]
     return CalderonResult(
         False,
@@ -343,16 +340,23 @@ def calderon(h: StepFn) -> CalderonResult:
 
 # ------------------------------------------------- dimension function
 
+MAX_WINDOW_DEPTH = 2050  # work budget on depth_L: dimfun --depth <= 1024
+
 
 def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     """Sum of h(2^j (x + k)) over j >= 1, k in Z, exact on the depth-L window.
 
     For x in the window only finitely many (j, k) pairs contribute: level-j
     terms live within 2^-j * max-reach of the integers, hence miss the window
-    entirely once that radius drops below 2^-L.
+    entirely once that radius drops below 2^-L.  They are summed as integers
+    on the grid 1/(D 2^max(J, L)), D the lcm of the endpoint denominators of
+    h and J the deepest level.  depth_L over MAX_WINDOW_DEPTH is refused first.
     """
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
+    if depth_L > MAX_WINDOW_DEPTH:
+        raise InputError(f"window depth is at most {MAX_WINDOW_DEPTH}, so dimfun --depth is at "
+                         f"most 1024 (work budget); got window depth {depth_L}")
     neg = h.negative_witness()
     if neg is not None:
         raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
@@ -363,17 +367,15 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     reach = max(max(abs(iv.lo), abs(iv.hi)) for iv, _ in h.pieces)
     lo_supp = min(iv.lo for iv, _ in h.pieces)
     hi_supp = max(iv.hi for iv, _ in h.pieces)
-    frags: list[tuple[Fraction, Fraction, Fraction]] = []
-    j = 1
-    while pow2(-j) * reach >= wlo:
+    terms: list[tuple[int, int]] = []
+    for j in range(1, depth_L + floor_log2(reach) + 1):  # while 2^-j * reach >= 2^-L
         s = pow2(-j)
         k_lo = math.floor(s * lo_supp - whi) + 1
         k_hi = math.ceil(s * hi_supp - wlo) - 1
-        for k in range(k_lo, k_hi + 1):
-            for iv, v in h.pieces:
-                frags.append((s * iv.lo - k, s * iv.hi - k, v))
-        j += 1
-    return DimFnWindow.from_atoms(sweep_weighted(frags, wlo, whi), depth_L, True, h)
+        terms.extend((j, k) for k in range(k_lo, k_hi + 1))
+    pieces = [(iv.lo, iv.hi, v) for iv, v in h.pieces]
+    atoms, = _grid_sweep(pieces, terms, [(wlo, whi)], depth_L)
+    return DimFnWindow.from_atoms(atoms, depth_L, True, h)
 
 
 @dataclass(frozen=True)
@@ -406,6 +408,9 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int, d3_class_depth: int | None = Non
         raise InputError(
             f"dimension window depth {dim.depth_L} is insufficient; need at least {depth_L + 2}"
         )
+    if dim.source is not None and dim.depth_L < 2 * depth_L + 2 > MAX_WINDOW_DEPTH:
+        raise InputError(f"D4 needs a window {2 * depth_L + 2} deep; window depth is at most "
+                         f"{MAX_WINDOW_DEPTH} (work budget)")
     L = depth_L
     deep, dim = dim, dim.restrict(L + 2)
 

@@ -12,7 +12,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, iset, normalize, rat
@@ -25,32 +25,69 @@ ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
-def sweep_weighted(
-    fragments: Iterable[tuple[Fraction, Fraction, Fraction]],
-    lo: Fraction,
-    hi: Fraction,
-) -> list[tuple[Fraction, Fraction, Fraction]]:
+def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
     """Sum weighted half-open fragments over the window [lo, hi).
 
     Returns (atom_lo, atom_hi, total) triples covering the window completely,
-    with equal-valued adjacent atoms merged.  Exact rational arithmetic.
+    with equal-valued adjacent atoms merged.  Exact for any one exact number
+    type: the fold sweeps fractions, and the dyadic dilation sums sweep
+    integers on the grid 1/(D 2^T) of ``_grid_sweep``.
     """
-    deltas: dict[Fraction, Fraction] = {}
+    zero = lo - lo  # 0 in the caller's number type, also where no fragment reaches
+    deltas: dict = {}
     for flo, fhi, val in fragments:
         a, b = max(flo, lo), min(fhi, hi)
         if a < b:
-            deltas[a] = deltas.get(a, ZERO) + val
-            deltas[b] = deltas.get(b, ZERO) - val
+            deltas[a] = deltas.get(a, zero) + val
+            deltas[b] = deltas.get(b, zero) - val
     cuts = sorted(set(deltas) | {lo, hi})
-    out: list[tuple[Fraction, Fraction, Fraction]] = []
-    level = ZERO
+    out: list[tuple] = []
+    level = zero
     for a, b in zip(cuts, cuts[1:]):
-        level += deltas.get(a, ZERO)
+        level += deltas.get(a, zero)
         if out and out[-1][2] == level and out[-1][1] == a:
             out[-1] = (out[-1][0], b, level)
         else:
             out.append((a, b, level))
     return out
+
+
+MAX_GRID_BITS = 8192  # work budget on the bit length of D and of V in _grid_sweep
+
+
+def _grid_sweep(pieces: Sequence[tuple], terms: Sequence[tuple[int, int]],
+                windows: Iterable[tuple], depth: int = 0) -> Iterator[list[tuple]]:
+    """Sweep the fragments 2^-j [lo, hi) - k, weighted by v, over each window.
+
+    One fragment per (j, k) in ``terms`` and (lo, hi, v) in ``pieces``.  All
+    endpoints lie on the grid 1/(D 2^T), D the lcm of the endpoint
+    denominators and T the larger of ``depth`` and the deepest j, and all
+    values are integers over V, the lcm of the value denominators.  Every
+    grid number carries the bits of D, so from about 10^4 bits (many distinct
+    prime denominators) fractions are faster: D or V over MAX_GRID_BITS bits
+    is an InputError.  Each break and distinct value becomes a fraction once.
+    """
+    d = math.lcm(*(x.denominator for lo, hi, _ in pieces for x in (lo, hi)))
+    vden = math.lcm(*(v.denominator for _, _, v in pieces))
+    if max(d, vden).bit_length() > MAX_GRID_BITS:
+        raise InputError(f"the lcm of the endpoint denominators and that of the value "
+                         f"denominators have at most {MAX_GRID_BITS} bits each (work budget); "
+                         f"got {d.bit_length()} and {vden.bit_length()}")
+    t = max([depth, *(j for j, _ in terms)])
+    scale = d << t
+    grid = [(lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator),
+             v.numerator * (vden // v.denominator)) for lo, hi, v in pieces]
+    frags: list[tuple[int, int, int]] = []
+    for j, k in terms:
+        s, off = t - j, k * scale
+        frags.extend(((a << s) - off, (b << s) - off, w) for a, b, w in grid)
+    for lo, hi in windows:
+        glo, ghi = lo * scale, hi * scale
+        assert glo.denominator == ghi.denominator == 1, "window endpoints must lie on the grid"
+        atoms = sweep_weighted(frags, glo.numerator, ghi.numerator)
+        breaks = [lo, *(Fraction(b, scale) for _, b, _ in atoms[:-1]), hi]
+        value = {w: Fraction(w, vden) for _, _, w in atoms}
+        yield [(x, y, value[w]) for x, y, (_, _, w) in zip(breaks, breaks[1:], atoms)]
 
 
 @dataclass(frozen=True)

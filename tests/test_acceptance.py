@@ -109,6 +109,18 @@ def test_criterion_2_journe_verification():
         assert elapsed < 5.0, f"took {elapsed:.3f}s"
 
 
+def test_criterion_2_journe_deep_window():
+    with criterion(2, "journe-deep-window"):
+        h = StepFn.indicator(JOURNE)
+        start = time.perf_counter()
+        dim = dimension_function(h, 1602)
+        elapsed = time.perf_counter() - start
+        assert dim.window() == (pow2(-1602), 1 - pow2(-1602))
+        assert set(dim.values) == {0, 1, 2}
+        assert dim.restrict(20) == dimension_function(h, 20)
+        assert elapsed < 0.6, f"depth-1602 window took {elapsed:.3f}s"
+
+
 def test_criterion_3_non_msf_mra_instance():
     with criterion(3, "three-level-spectrum-pipeline"):
         g = StepFn.build([

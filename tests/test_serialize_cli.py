@@ -32,6 +32,8 @@ from waveset.serialize import dim_fn_window_from_json, dim_fn_window_to_json
 F = Fraction
 SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding the waveset package
 
+SHANNON_PSI = StepFn.build([((-1, F(-1, 2)), 1), ((F(1, 2), 1), 1)])
+
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=64)
 
 
@@ -400,6 +402,27 @@ def test_cli_construct_at_depth_budget_runs(capsys, tmp_path):
     src = _write(tmp_path, "s.json", interval_set_to_json(iset(("-1/2", "1/2"))))
     code, rep, _ = run_cli(capsys, ["construct", "scaling-set", src, "--depth-j", "256"])
     assert code == 0 and rep["data"]["fast_path"] is True
+
+
+def test_cli_dimfun_over_window_budget_is_input_error(capsys, monkeypatch, tmp_path):
+    from waveset import spectral
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the budget is checked before any sum is built")
+
+    monkeypatch.setattr(spectral, "_grid_sweep", no_sums)
+    h = _write(tmp_path, "h.json", step_fn_to_json(SHANNON_PSI))
+    code, rep, out = run_cli(capsys, ["dimfun", h, "--depth", "1025"])
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
+    reason = rep["witnesses"][0]["reason"]
+    assert "at most 2050" in reason and "1024 (work budget)" in reason
+
+
+def test_cli_dimfun_at_window_budget_runs(capsys, tmp_path):
+    h = _write(tmp_path, "h.json", step_fn_to_json(SHANNON_PSI))
+    code, rep, _ = run_cli(capsys, ["dimfun", h, "--depth", "1024"])
+    assert code == 0 and rep["data"]["window"]["depth"] == 1024
+    assert rep["data"]["mra"]["status"] == "is_mra"
 
 
 def test_cli_unexpected_exception_exit_4(capsys, monkeypatch):

@@ -4,13 +4,21 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import calderon_sum_at, dim_sum_at, sample_fractions, tq_sum_at
+from oracles import (
+    calderon_sum_at,
+    dilation_multiplicity_at,
+    dim_sum_at,
+    sample_fractions,
+    tq_sum_at,
+)
+from waveset.construct import verify_wavelet_set
 from waveset.errors import InconsistentSpectrumError, InputError
-from waveset.intervals import iset
+from waveset.intervals import EMPTY, Interval, iset, normalize
 from waveset.spectral import (
+    MAX_WINDOW_DEPTH,
     DimFnWindow,
     StepFn,
     calderon,
@@ -25,6 +33,7 @@ from waveset.spectral import (
     tq_check,
     validate_scaling_spectrum,
 )
+from waveset.torus import fold_multiplicity, fold_step
 
 F = Fraction
 
@@ -248,6 +257,194 @@ def test_dimension_deep_window_restricts_to_shallow(h, depth):
     deep = dimension_function(h, 2 * depth + 2)
     assert deep.restrict(depth) == dimension_function(h, depth)
     assert deep.restrict(depth + 2) == dimension_function(h, depth + 2)
+
+
+def test_dimension_window_depth_budget():
+    with pytest.raises(InputError, match="at most 2050"):
+        dimension_function(SHANNON_PSI, MAX_WINDOW_DEPTH + 1)
+
+
+def test_conditions_refuse_deep_d4_window_over_budget():
+    dim = dimension_function(SHANNON_PSI, 1027)  # deep enough for D1-D3 at L = 1025
+    with pytest.raises(InputError, match="D4 needs a window 2052 deep.*at most 2050"):
+        check_D1_D4(dim, 1025)
+
+
+# ---------------------------------------------------- the integer grid
+
+GRID_DENOMINATORS = (3, 7, 48, 1616)
+
+
+@st.composite
+def grid_spectra(draw):
+    """Nonnegative step spectra with mixed denominators, reaching up to 2^6.
+
+    Endpoints have denominators 3, 7, 48 and 1616 (so the grid lcm is large)
+    and lie within a reach of 1/2 to 64 (so pieces cross integers); values
+    have denominators up to 7.
+    """
+    reach = draw(st.sampled_from([F(1, 2), F(3, 4), 1, 3, 8, 64]))
+    ends = sorted(draw(st.lists(
+        st.sampled_from(GRID_DENOMINATORS).flatmap(lambda d: st.builds(
+            lambda n: F(n, d), st.integers(min_value=-int(reach * d), max_value=int(reach * d)))),
+        min_size=2, max_size=9, unique=True)))
+    values = draw(st.lists(
+        st.builds(F, st.integers(min_value=0, max_value=5), st.sampled_from([1, 2, 3, 7])),
+        min_size=len(ends), max_size=len(ends)))
+    values[0] = values[0] or F(1)  # never the zero spectrum
+    return StepFn.build(((a, b), v) for a, b, v in zip(ends, ends[1:], values))
+
+
+def _spread(items, n=12):
+    """At most about n items, evenly spaced, always with the first and the last."""
+    return items[::max(1, len(items) // n)] + items[-1:]
+
+
+@settings(max_examples=50, deadline=None)
+@given(grid_spectra(), st.integers(min_value=2, max_value=24), st.randoms(use_true_random=False))
+def test_grid_dimension_function_matches_oracle(h, depth, rng):
+    dim = dimension_function(h, depth)
+    assert dim.window() == (pow2(-depth), 1 - pow2(-depth))
+    pieces = pieces_of(h)
+    for a, b, v in _spread(list(dim.pieces()), 8):
+        assert dim_sum_at(pieces, (a + b) / 2) == v
+    for xi in sample_fractions(rng, 8, *dim.window()):
+        assert dim_sum_at(pieces, xi) == dim.value_at(xi)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_spectra(), st.randoms(use_true_random=False))
+def test_grid_calderon_matches_oracle(h, rng):
+    away = StepFn(tuple((iv, v) for iv, v in h.pieces if not iv.lo <= 0 <= iv.hi))
+    assert calderon(h).diverges == (away != h)
+    res = calderon(away)
+    assert not res.diverges
+    for lo, hi in ((-2, -1), (1, 2)):  # the atoms of each half tile it in order
+        half = [iv for iv, _ in res.atoms if lo <= iv.lo < hi]
+        assert half[0].lo == lo and half[-1].hi == hi
+        assert all(a.hi == b.lo for a, b in zip(half, half[1:]))
+    pieces = pieces_of(away)
+    for iv, v in _spread(list(res.atoms)):
+        assert calderon_sum_at(pieces, (iv.lo + iv.hi) / 2) == v
+    for lo, hi in ((-2, -1), (1, 2)):
+        for xi in sample_fractions(rng, 6, F(lo), F(hi)):
+            value = next(v for iv, v in res.atoms if iv.lo <= xi < iv.hi)
+            assert calderon_sum_at(pieces, xi) == value
+
+
+@st.composite
+def translation_tiles(draw):
+    """Wavelet sets 2S minus S, some with one part moved by an integer.
+
+    S is [-3/8, 3/8) with the cells of [3/8, 1/2) and of (-1/2, -3/8], cut
+    at mixed denominators, every other one moved by -1 or +1: nested,
+    containing a neighborhood of 0 and tiling by translation, so S is a
+    scaling set.  Moving a part of W by an integer keeps the translation
+    tiling unless it lands on another part, and usually spoils the dilation
+    tiling.
+    """
+    pairs = [(F(-3, 8), F(3, 8))]
+    for side in (1, -1):
+        inner = draw(st.lists(st.sampled_from((7, 48, 1616)).flatmap(lambda d: st.builds(
+            lambda n: F(n, d), st.integers(min_value=3 * d // 8 + 1, max_value=(d - 1) // 2))),
+            max_size=4))
+        pts = [F(3, 8)] + sorted(set(inner)) + [F(1, 2)]
+        for i, (a, b) in enumerate(zip(pts, pts[1:])):
+            lo, hi = (a, b) if side == 1 else (-b, -a)
+            if i % 2:
+                lo, hi = lo - side, hi - side
+            pairs.append((lo, hi))
+    s = normalize(pairs)
+    w = s.scale(2).subtract(s)
+    if not draw(st.booleans()):
+        return w
+    moved = draw(st.integers(min_value=0, max_value=len(w.parts) - 1))
+    k = draw(st.sampled_from([-2, -1, 1, 2]))
+    return normalize(Interval(p.lo + k, p.hi + k) if i == moved else p
+                     for i, p in enumerate(w.parts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(translation_tiles(), st.randoms(use_true_random=False))
+def test_grid_dilation_check_matches_oracle(w, rng):
+    verdict = verify_wavelet_set(w)
+    if not fold_multiplicity(w).is_constant(1):
+        assert "translation" in verdict.reason
+        return
+    parts = [(p.lo, p.hi) for p in w.parts]
+    if any(lo <= 0 <= hi for lo, hi in parts):
+        assert "dilation overlap near 0" in verdict.reason
+        return
+    r = min(lo if lo > 0 else -hi for lo, hi in parts)
+    samples = sample_fractions(rng, 12, r, 2 * r) + sample_fractions(rng, 12, -2 * r, -r)
+    if verdict.passed:
+        assert all(dilation_multiplicity_at(parts, xi) == 1 for xi in samples)
+        return
+    assert verdict.reason.startswith("dilation")
+    value = int(verdict.reason.split("multiplicity ")[1].split(" ")[0])
+    mid = (verdict.witness.lo + verdict.witness.hi) / 2
+    assert value != 1 and dilation_multiplicity_at(parts, mid) == value
+    assert r <= abs(verdict.witness.lo) <= 2 * r and r <= abs(verdict.witness.hi) <= 2 * r
+
+
+def _primes_above(n, start):
+    out, c = [], start
+    while len(out) < n:
+        c += 1
+        if all(c % p for p in range(2, int(c ** 0.5) + 1)):
+            out.append(c)
+    return out
+
+
+def _prime_cut_tile(n):
+    """W = [0, 1) cut at n points with distinct prime denominators, cell i moved by i + 1."""
+    cuts = [F(p * i // (n + 1), p) for i, p in enumerate(_primes_above(n, 2 * n + 4096), 1)]
+    pts = [F(0)] + cuts + [F(1)]
+    return normalize((a + i, b + i) for i, (a, b) in enumerate(zip(pts, pts[1:]), 1))
+
+
+def test_grid_agrees_with_oracle_on_many_prime_denominators():
+    w = _prime_cut_tile(24)
+    h = StepFn.indicator(w.scale(F(1, 8)))
+    pieces = pieces_of(h)
+    dim = dimension_function(h, 6)
+    for a, b, v in _spread(list(dim.pieces())):
+        assert dim_sum_at(pieces, (a + b) / 2) == v
+    for iv, v in _spread(list(calderon(h).atoms)):
+        assert calderon_sum_at(pieces, (iv.lo + iv.hi) / 2) == v
+    verdict = verify_wavelet_set(w)
+    parts = [(p.lo, p.hi) for p in w.parts]
+    assert verdict.reason.startswith("dilation")
+    assert dilation_multiplicity_at(parts, (verdict.witness.lo + verdict.witness.hi) / 2) != 1
+
+
+def test_grid_bit_budget():
+    """An lcm of endpoint denominators over 8192 bits is refused before any fragment."""
+    w = _prime_cut_tile(700)
+    h = StepFn.indicator(w)
+    for run in (lambda: dimension_function(h, 4), lambda: calderon(h),
+                lambda: verify_wavelet_set(w)):
+        with pytest.raises(InputError, match="at most 8192 bits each"):
+            run()
+    v = StepFn.build(((i, i + 1), F(1, p)) for i, p in enumerate(_primes_above(700, 4096), 1))
+    with pytest.raises(InputError, match="at most 8192 bits each"):
+        calderon(v)
+
+
+def test_sums_return_fractions_only():
+    """Breaks, values and levels leave the integer grid as fractions, empty inputs too."""
+    def all_fractions(xs):
+        return all(type(x) is Fraction for x in xs)
+
+    for h in (StepFn(), SHANNON_PSI, JOURNE_H, psi_b_spectrum("1/4").square()):
+        for dim in (dimension_function(h, 6), fold_step(h.pieces)):
+            assert all_fractions(dim.breaks) and all_fractions(dim.values)
+        res = calderon(h)
+        assert all_fractions([x for iv, v in res.atoms for x in (iv.lo, iv.hi, v)])
+        assert all_fractions([res.min_value, res.max_value])
+    for s in (EMPTY, iset(("1/4", "1/2")), JOURNE):
+        dim = fold_multiplicity(s)
+        assert all_fractions(dim.breaks) and all_fractions(dim.values)
 
 
 # ------------------------------------------------------------- (D1)-(D4)
