@@ -16,7 +16,6 @@ from .construct import (
     check_S2,
     check_scaling_set_preconditions,
     lemma_r3_construct,
-    prop_r5,
     rze_pipeline,
     verify_wavelet_set,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .intervals import EMPTY, Interval, IntervalSet, iset
+from .intervals import Interval, IntervalSet, iset, normalize
 from .spectral import StepFn, pow2, psi_spectrum_from_scaling, validate_scaling_spectrum
 from .torus import (
     _grid_sweep,
@@ -139,11 +139,6 @@ def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[Interv
     return levels
 
 
-def _truncated_level(k: IntervalSet, n: int, depth_j: int) -> IntervalSet:
-    """Level E_n of ``_truncated_levels``."""
-    return _truncated_levels(k, n, depth_j)[n]
-
-
 def lemma_r3_construct(
     sprime: IntervalSet,
     depth_n: int = DEFAULT_DEPTH_N,
@@ -182,9 +177,7 @@ def lemma_r3_construct(
         w = k.scale(2).subtract(k)
         return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
     k_measure = k.measure()  # equals 1 by the tiling property
-    s = EMPTY
-    for level in _truncated_levels(k, depth_n, depth_j):
-        s = s.union(level)
+    s = normalize(p for level in _truncated_levels(k, depth_n, depth_j) for p in level.parts)
     span = k.span()
     assert span is not None
     k_span = span.hi - span.lo
@@ -252,17 +245,6 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     return WaveletSetVerdict(True)
 
 
-def prop_r5(
-    supp_phi: IntervalSet,
-    depth_n: int = DEFAULT_DEPTH_N,
-    depth_j: int = DEFAULT_DEPTH_J,
-) -> ScalingSetResult:
-    """Scaling set inside the support of a scaling function's spectrum."""
-    result = lemma_r3_construct(supp_phi, depth_n, depth_j)
-    assert result.s.subset_mod_null(supp_phi), "construction must stay inside its input"
-    return result
-
-
 # ------------------------------------------------------------- pipeline
 
 
@@ -298,7 +280,9 @@ def rze_pipeline(
             f"not a scaling spectrum: ({verdict.condition}) fails, {verdict.detail}",
             witness=verdict.witness,
         )
-    result = prop_r5(g.support(), depth_n, depth_j)
+    supp_phi = g.support()
+    result = lemma_r3_construct(supp_phi, depth_n, depth_j)
+    assert result.s.subset_mod_null(supp_phi), "construction must stay inside its input"
     h = psi_spectrum_from_scaling(g)
     supp_psi = h.support()
     leftover = result.w.subtract(supp_psi)

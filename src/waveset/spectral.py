@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError
 from .intervals import Interval, IntervalSet, RationalLike, iset, normalize, rat
-from .torus import DimFnWindow, _grid_sweep, _unit_fragments, fold_step, fold_to_unit
+from .torus import DimFnWindow, _grid_sweep, _unit_fragments, fold_step, sweep_weighted
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -119,11 +119,8 @@ class StepFn:
 
     # ------------------------------------------------------- transforms
 
-    def map_values(self, fn: Callable[[Fraction], Fraction]) -> "StepFn":
-        return StepFn.build((iv, fn(v)) for iv, v in self.pieces)
-
     def square(self) -> "StepFn":
-        return self.map_values(lambda v: v * v)
+        return StepFn.build((iv, v * v) for iv, v in self.pieces)
 
     def stretch(self, s: RationalLike) -> "StepFn":
         """x -> f(x / s): the graph stretched horizontally by s (s != 0)."""
@@ -143,27 +140,14 @@ class StepFn:
         t = rat(t)
         return StepFn(tuple((Interval(iv.lo + t, iv.hi + t), v) for iv, v in self.pieces))
 
-    def restrict(self, dom: IntervalSet) -> "StepFn":
-        out = []
-        for iv, v in self.pieces:
-            clipped = iset((iv.lo, iv.hi)).intersect(dom)
-            out.extend((p, v) for p in clipped.parts)
-        return StepFn.build(out)
-
     def combine(self, other: "StepFn", op: Callable[[Fraction, Fraction], Fraction]) -> "StepFn":
         """Pointwise binary operation via common refinement (op(0, 0) must be 0)."""
         return StepFn.build(
             (Interval(a, b), op(x, y)) for a, b, x, y in _refine(self, other)
         )
 
-    def __add__(self, other: "StepFn") -> "StepFn":
-        return self.combine(other, lambda x, y: x + y)
-
     def __sub__(self, other: "StepFn") -> "StepFn":
         return self.combine(other, lambda x, y: x - y)
-
-    def __mul__(self, other: "StepFn") -> "StepFn":
-        return self.combine(other, lambda x, y: x * y)
 
 
 def _refine(f: StepFn, g: StepFn) -> Iterable[tuple[Fraction, Fraction, Fraction, Fraction]]:
@@ -365,13 +349,13 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
         return DimFnWindow((wlo, whi), (ZERO,), depth_L, False, h)
 
     reach = max(max(abs(iv.lo), abs(iv.hi)) for iv, _ in h.pieces)
-    lo_supp = min(iv.lo for iv, _ in h.pieces)
-    hi_supp = max(iv.hi for iv, _ in h.pieces)
+    p, q = min(iv.lo for iv, _ in h.pieces).as_integer_ratio()
+    r, u = max(iv.hi for iv, _ in h.pieces).as_integer_ratio()
     terms: list[tuple[int, int]] = []
     for j in range(1, depth_L + floor_log2(reach) + 1):  # while 2^-j * reach >= 2^-L
-        s = pow2(-j)
-        k_lo = math.floor(s * lo_supp - whi) + 1
-        k_hi = math.ceil(s * hi_supp - wlo) - 1
+        # k_lo = floor(2^-j p/q - whi) + 1 and k_hi = ceil(2^-j r/u - wlo) - 1, in integers
+        k_lo = ((p << depth_L) + (q << j)) // (q << (j + depth_L))
+        k_hi = -(((u << j) - (r << depth_L)) // (u << (j + depth_L))) - 1
         terms.extend((j, k) for k in range(k_lo, k_hi + 1))
     pieces = [(iv.lo, iv.hi, v) for iv, v in h.pieces]
     atoms, = _grid_sweep(pieces, terms, [(wlo, whi)], depth_L)
@@ -394,14 +378,15 @@ class DimConditionsReport:
     depth_L: int
 
 
-def check_D1_D4(dim: DimFnWindow, depth_L: int, d3_class_depth: int | None = None) -> DimConditionsReport:
+def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
     """Check the four dimension-function conditions at depth L.
 
     Integrality and the doubling identity are exact pass/fail decisions on
     the window.  The two limit conditions are semi-decided: a violation found
     at the declared depth is a certified FAIL, otherwise the status is
     "no violation found" (they are limit statements and cannot be decided by
-    any finite computation).  D1-D3 look at the depth-(L + 2) part of the
+    any finite computation).  D3 explores residue classes mod 2^l up to the
+    class depth l = min(L, 8).  D1-D3 look at the depth-(L + 2) part of the
     input; D4 reads the input itself when it is at least 2L + 2 deep.
     """
     if dim.depth_L < depth_L + 2:
@@ -437,12 +422,12 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int, d3_class_depth: int | None = Non
             d2 = CheckOutcome("fail", Interval(a, b), f"{lhs} != {rhs}")
             break
 
-    d3 = _check_d3(dim, L, d3_class_depth if d3_class_depth is not None else min(L, 8))
+    d3 = _check_d3(dim, L)
     d4 = _check_d4(deep, L)
     return DimConditionsReport(d1, d2, d3, d4, L)
 
 
-def _check_d3(dim: DimFnWindow, L: int, class_depth: int) -> CheckOutcome:
+def _check_d3(dim: DimFnWindow, L: int) -> CheckOutcome:
     """Semi-decide the covering condition via residue classes mod powers of 2.
 
     The contraction-invariant set is over-approximated by the certified zero
@@ -451,22 +436,23 @@ def _check_d3(dim: DimFnWindow, L: int, class_depth: int) -> CheckOutcome:
     the (1-periodic) function.  Contractions by 2^-j depend on k only through
     k mod 2^j, so ruling out every residue class certifies that the covering
     sum is 0; where the window value is >= 1 that is a certified violation.
+    An atom lies in (0, 1) and a residue r mod 2^l in [0, 2^l), so the image
+    (atom + r) / 2^l lies in [0, 1): a certified zero iff one part holds it.
     """
     zeros = dim.zero_set()
     if zeros.is_empty:
         return CheckOutcome("no_violation", note=f"no certified zeros in the window at depth {L}")
+    class_depth = min(L, 8)
     for a, b, v in dim.pieces():
         if v < 1:
             continue
-        atom = iset((a, b))
-        survivors = [ZERO]  # residues mod 2^level
+        survivors = [0]  # residues mod 2^level
         for level in range(1, class_depth + 1):
-            mod = pow2(level - 1)
+            mod, s = 1 << (level - 1), pow2(-level)
             nxt = []
             for res in survivors:
                 for res2 in (res, res + mod):
-                    image = fold_to_unit(atom.translate(res2).scale(pow2(-level)))
-                    if not image.subset_mod_null(zeros):
+                    if not zeros.contains_interval(Interval((a + res2) * s, (b + res2) * s)):
                         nxt.append(res2)
             survivors = nxt
             if not survivors:
@@ -560,7 +546,9 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
     Defined for real-valued spectra with support bounded away from 0 and odd
     integer shifts a; even shifts reduce to odd ones by a dilation change of
     variable and are rejected.  Only finitely many m contribute: both factors
-    are nonzero only while 2^m |a| is at most twice the support reach.
+    are nonzero only while 2^m |a| is at most twice the support reach.  Term m
+    is P_m(2^m x) with P_m(y) = psi(y) psi(y + 2^m a): the cells of every P_m,
+    dilated by 2^-m, are summed in one sweep.
     """
     if not isinstance(alpha, int):
         raise InputError("alpha must be an integer")
@@ -571,13 +559,16 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
     if _touches_zero([iv for iv, _ in psi.pieces]):
         raise InputError("support must be bounded away from 0")
     _, big = _signed_reach([iv for iv, _ in psi.pieces])
-    total = StepFn()
+    fragments = []
     m = 0
     while pow2(m) * abs(alpha) <= 2 * big:
-        contracted = psi.stretch(pow2(-m))       # x -> psi(2^m x)
-        shifted = contracted.shift(-alpha)       # x -> psi(2^m (x + alpha))
-        total = total + contracted * shifted
+        s = pow2(-m)
+        for c, d, x, y in _refine(psi, psi.shift(-alpha / s)):  # y = psi(c + 2^m alpha)
+            if x and y:
+                fragments.append((s * c, s * d, x * y))
         m += 1
+    atoms = sweep_weighted(fragments, -big, big)  # the sum vanishes outside [-big, big)
+    total = StepFn.build((Interval(a, b), v) for a, b, v in atoms if v)
     if total.is_zero:
         return TqResult(True, fn=total)
     return TqResult(False, total.pieces[0][0], total)

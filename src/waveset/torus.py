@@ -215,11 +215,6 @@ def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
     return fold_step((p, ONE) for p in s.parts)
 
 
-def fold_to_unit(s: IntervalSet) -> IntervalSet:
-    """The folded set {frac(x) : x in S} as a subset of [0, 1) (multiplicity dropped)."""
-    return normalize(Interval(a, b) for a, b, _, _ in _unit_fragments((p, ONE) for p in s.parts))
-
-
 def check_S3(s: IntervalSet) -> bool:
     """True iff the integer translates of S tile the line with multiplicity one."""
     return fold_multiplicity(s).is_constant(1)
@@ -262,15 +257,9 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
     well defined).
 
     Raises PreconditionError naming an uncovered sub-interval of [0, 1) when
-    the translates of S' fail to cover the line.
+    the translates of S' fail to cover the line: the first maximal run of
+    atoms that no fragment covers, as ``uncovered_witness`` names it.
     """
-    witness = uncovered_witness(sprime)
-    if witness is not None:
-        raise PreconditionError(
-            "r4",
-            f"translates of the input do not cover the line; residues {witness} are missed",
-            witness=witness,
-        )
     fragments = list(_unit_fragments((p, ONE) for p in sprime.parts))
     cuts = {ZERO, ONE}
     if prefer_window:
@@ -285,10 +274,18 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
         for i in range(bisect_left(ordered, a), bisect_left(ordered, b)):
             if shifts[i] is None:
                 shifts[i] = k
+    if None in shifts:
+        i = j = shifts.index(None)
+        while j < len(shifts) and shifts[j] is None:
+            j += 1
+        witness = Interval(ordered[i], ordered[j])
+        raise PreconditionError(
+            "r4",
+            f"translates of the input do not cover the line; residues {witness} are missed",
+            witness=witness,
+        )
     chosen: list[Interval] = []
     for u, v, k in zip(ordered, ordered[1:], shifts):
-        # r4 plus refinement by all folded breakpoints guarantees a representative.
-        assert k is not None, f"no representative for atom [{u}, {v})"
         if prefer_window:
             window_k = 0 if v <= HALF else -1
             if sprime.contains_interval(Interval(u + window_k, v + window_k)):

@@ -111,6 +111,42 @@ def tq_sum_at(pieces, alpha: int, xi: Fraction, m_max: int = 64) -> Fraction:
     return total
 
 
+def d3_probe(breaks, values, depth_L: int):
+    """(status, witness pair or None, note) of the D3 residue-class probe.
+
+    Reads the depth-(L + 2) window as plain lists.  An atom [a, b) with value
+    >= 1 is ruled out once, at some level l <= min(L, 8), every residue r in
+    [0, 2^l) whose class mod 2^(l-1) survived has its image
+    [(a + r) / 2^l, (b + r) / 2^l) covered by zero pieces, found by walking
+    from piece to piece.
+    """
+    zeros = [(a, b) for a, b, v in zip(breaks, breaks[1:], values) if v == 0]
+    if not zeros:
+        return "no_violation", None, f"no certified zeros in the window at depth {depth_L}"
+
+    def covered(lo, hi):
+        x = lo
+        while x < hi:
+            nxt = [b for a, b in zeros if a <= x < b]
+            if not nxt:
+                return False
+            x = nxt[0]
+        return True
+
+    class_depth = min(depth_L, 8)
+    for a, b, v in zip(breaks, breaks[1:], values):
+        if v < 1:
+            continue
+        alive = {0}
+        for level in range(1, class_depth + 1):
+            alive = {r for r in range(2**level) if r % 2 ** (level - 1) in alive
+                     and not covered((a + r) / 2**level, (b + r) / 2**level)}
+            if not alive:
+                return "fail", (a, b), (f"covering sum is 0 while the value is {v} (all residue "
+                                        f"classes ruled out at class depth {level})")
+    return "no_violation", None, f"no violation found at class depth {class_depth}"
+
+
 def orbit_limit_is_one(parts: list[Pair], xi: Fraction, depth: int = 64) -> bool:
     """Whether the indicator along the contraction orbit of xi settles at 1."""
     return all(contains(parts, xi * pow2(-j)) for j in range(depth - 8, depth + 1))

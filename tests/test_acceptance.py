@@ -101,7 +101,7 @@ def test_criterion_2_journe_verification():
             (a, b) for a, b, v in dim.pieces() if v == 2
         )
         assert attained_two.measure() > 0
-        report = check_D1_D4(dimension_function(h, 22), 20, d3_class_depth=4)
+        report = check_D1_D4(dimension_function(h, 22), 20)
         assert report.d1.status == "pass"
         assert report.d2.status == "pass"
         assert mra_check(h, 20).status == "not_mra"

@@ -16,12 +16,10 @@ from oracles import (
 )
 from waveset.construct import (
     MAX_CONSTRUCT_DEPTH,
-    _truncated_level,
     _truncated_levels,
     check_S1,
     check_S2,
     lemma_r3_construct,
-    prop_r5,
     rze_pipeline,
     verify_wavelet_set,
 )
@@ -215,20 +213,20 @@ def test_verify_empty_fails():
 
 
 def test_prop_r5_fundamental():
-    res = prop_r5(iset(("-1/2", "1/2")), 10, 10)
+    res = lemma_r3_construct(iset(("-1/2", "1/2")), 10, 10)
     assert res.s == iset(("-1/2", "1/2"))
 
 
 def test_prop_r5_wide_support():
     supp = iset(("-5/8", "5/8"))
-    res = prop_r5(supp, 10, 10)
+    res = lemma_r3_construct(supp, 10, 10)
     assert res.s.subset_mod_null(supp)
     assert verify_wavelet_set(res.w).passed
 
 
 def test_prop_r5_rejects_bad_support():
     with pytest.raises(PreconditionError):
-        prop_r5(iset((1, 2)))
+        lemma_r3_construct(iset((1, 2)))
 
 
 # ----------------------------------------------------------- rze pipeline
@@ -275,20 +273,18 @@ def test_rze_slow_path_spectrum():
 def test_truncated_levels_subtract_and_nest():
     # A three-piece tiling kernel whose halved copies genuinely collide with
     # their integer translates, so inner truncation really removes mass.
-    from waveset.construct import _truncated_level
-
     k = iset(("-1/8", "5/8"), ("13/8", "15/8"))
     assert check_S3(k)
-    e0_raw = _truncated_level(k, 0, 0)
-    e0 = _truncated_level(k, 0, 4)
+    e0_raw = _truncated_levels(k, 0, 0)[0]
+    e0 = _truncated_levels(k, 0, 4)[0]
     assert e0_raw == k
     chipped = k.subtract(e0)
     assert chipped.measure() > 0
     assert iset(("29/16", "15/8")).subset_mod_null(chipped)
     # Deeper inner truncation only shrinks a level, and the doubling chain
     # survives truncation: E_0 sits inside 2 E_1 at matching depths.
-    assert _truncated_level(k, 0, 6).subset_mod_null(e0)
-    e1 = _truncated_level(k, 1, 4)
+    assert _truncated_levels(k, 0, 6)[0].subset_mod_null(e0)
+    e1 = _truncated_levels(k, 1, 4)[1]
     assert e0.subset_mod_null(e1.scale(2))
 
 
@@ -330,7 +326,7 @@ def test_truncated_levels_match_periodization(seed, kind, shift, depth_n, depth_
     levels = [truncated_level_by_periodization(k, n, depth_j) for n in range(depth_n + 1)]
     # One call builds every level, each overlap set shared by the levels it meets.
     assert _truncated_levels(k, depth_n, depth_j) == levels
-    assert _truncated_level(k, depth_n, depth_j) == levels[-1]
+    assert _truncated_levels(k, depth_n, depth_j)[depth_n] == levels[-1]
     if sprime is not None and shift == 0:
         expected = EMPTY
         for level in levels:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     calderon_sum_at,
+    d3_probe,
     dilation_multiplicity_at,
     dim_sum_at,
     sample_fractions,
@@ -72,7 +73,6 @@ def test_step_fn_arithmetic():
     f = StepFn.build([((0, 2), 2)])
     g = StepFn.build([((1, 3), 1)])
     assert pieces_of(f - g) == [(F(0), F(1), F(2)), (F(1), F(2), F(1)), (F(2), F(3), F(-1))]
-    assert pieces_of(f * g) == [(F(1), F(2), F(2))]
     assert (f - f).is_zero
     assert f.stretch(2).integral() == 2 * f.integral()
     assert f.shift(5).value_at(6) == 2
@@ -485,6 +485,46 @@ def test_conditions_d3_certified_fail():
     assert rep.d3.witness is not None
 
 
+D3_VALUES = (F(0), F(0), F(1), F(2))
+
+
+def _d3_window(depth, den, cuts, values):
+    """The depth-(L + 2) window cut at cuts / den, with one value per piece."""
+    wlo, whi = pow2(-depth - 2), 1 - pow2(-depth - 2)
+    breaks = [wlo] + [F(c, den) for c in sorted(cuts) if wlo < F(c, den) < whi] + [whi]
+    return DimFnWindow(tuple(breaks), tuple(values[:len(breaks) - 1]), depth + 2, True)
+
+
+def _d3_against_oracle(dim, depth):
+    d3 = check_D1_D4(dim, depth).d3
+    status, witness, note = d3_probe(dim.breaks, dim.values, depth)
+    assert (d3.status, d3.note) == (status, note)
+    assert (None if d3.witness is None else (d3.witness.lo, d3.witness.hi)) == witness
+    return d3.status
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.sampled_from([8, 16, 24, 40, 64]),
+       st.lists(st.integers(min_value=1, max_value=63), max_size=10, unique=True),
+       st.lists(st.sampled_from(D3_VALUES), min_size=11, max_size=11))
+def test_d3_matches_plain_loop_oracle(depth, den, cuts, values):
+    _d3_against_oracle(_d3_window(depth, den, [c for c in cuts if c < den], values), depth)
+
+
+def test_d3_oracle_sees_both_outcomes():
+    # Random windows of values 0, 1, 2 reach certified fails and survivors alike.
+    rng = random.Random(88)
+    seen = set()
+    for _ in range(300):
+        depth, den = rng.randint(2, 10), rng.choice([8, 16, 24, 40, 64])
+        cuts = rng.sample(range(1, den), rng.randint(0, 7))
+        values = [rng.choice(D3_VALUES) for _ in range(8)]
+        seen.add(_d3_against_oracle(_d3_window(depth, den, cuts, values), depth))
+    for depth in (2, 5, 8, 20):
+        _d3_against_oracle(dimension_function(JOURNE_H, depth + 2), depth)
+    assert seen == {"fail", "no_violation"}
+
+
 def test_conditions_d4_certified_fail():
     # One-sided spectrum: the dimension function vanishes on (0, eps), so
     # every deep contraction lands on a certified zero.
@@ -543,6 +583,40 @@ def test_tq_psi_quarter_nonzero():
     pieces = pieces_of(psi)
     mid = (res.witness.lo + res.witness.hi) / 2
     assert tq_sum_at(pieces, 1, mid) != 0
+
+
+@st.composite
+def signed_spectra(draw):
+    """Real-valued step spectra on [-3, -1/8) u [1/8, 3), signed values, possibly zero."""
+    pieces = []
+    for sign in (1, -1):
+        ends = sorted(draw(st.lists(
+            st.sampled_from([2, 3, 4, 7, 16]).flatmap(lambda d: st.builds(
+                lambda n: F(n, d), st.integers(min_value=max(1, d // 8), max_value=3 * d))),
+            max_size=5, unique=True)))
+        for a, b in zip(ends, ends[1:]):
+            v = draw(st.builds(F, st.integers(min_value=-3, max_value=3),
+                               st.integers(min_value=1, max_value=3)))
+            pieces.append(((a, b) if sign == 1 else (-b, -a), v))
+    return StepFn.build(pieces)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_spectra(), st.sampled_from([1, 3, 5, 7]), st.sampled_from([1, -1]),
+       st.randoms(use_true_random=False))
+def test_tq_matches_oracle(psi, alpha, sign, rng):
+    alpha *= sign
+    res = tq_check(psi, alpha)
+    assert res.zero == res.fn.is_zero
+    pieces = pieces_of(psi)
+    # Every point here is at least 1/9973 from 0, where terms with 2^m > 3 * 9973 vanish.
+    for iv, v in res.fn.pieces:
+        assert tq_sum_at(pieces, alpha, (iv.lo + iv.hi) / 2, 16) == v
+    if not res.zero:
+        assert res.witness == res.fn.pieces[0][0]
+    for m in range(5):  # term m lives in 2^-m [-3, 3]
+        for xi in sample_fractions(rng, 6, -3 * pow2(-m), 3 * pow2(-m)):
+            assert tq_sum_at(pieces, alpha, xi, 16) == res.fn.value_at(xi)
 
 
 def test_tq_far_alpha_trivially_zero():

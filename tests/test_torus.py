@@ -16,7 +16,6 @@ from waveset.torus import (
     check_cover_r4,
     extract_transversal,
     fold_multiplicity,
-    fold_to_unit,
     periodize_window,
     uncovered_witness,
 )
@@ -63,7 +62,6 @@ def test_fold_long_intervals(s, pieces):
     m = fold_multiplicity(s)
     assert list(m.pieces()) == pieces
     assert m.integral() == s.measure()
-    assert fold_to_unit(s) == iset((0, 1))
 
 
 @pytest.mark.parametrize("breaks, values", [
@@ -130,8 +128,31 @@ def test_transversal_uncovered_error():
     assert w is not None and F(1, 3) <= w.lo < w.hi <= 1
 
 
-def test_fold_to_unit():
-    assert fold_to_unit(iset(("-1/4", "1/4"))) == iset((0, "1/4"), ("3/4", 1))
+def test_transversal_r4_witness_is_uncovered_witness():
+    # The transversal's own atom loop names the first maximal uncovered run,
+    # which is the witness of the fold, with and without the cut at 1/2.
+    rng = random.Random(20261018)
+    failures = 0
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            den = rng.choice([2, 3, 4, 5, 8, 12])
+            a = F(rng.randint(-3 * den, 3 * den), den)
+            parts.append((a, a + F(rng.randint(1, den), den)))
+        s = normalize(parts)
+        expected = uncovered_witness(s)
+        for prefer_window in (False, True):
+            if expected is None:
+                extract_transversal(s, prefer_window=prefer_window)
+                continue
+            failures += 1
+            with pytest.raises(PreconditionError) as err:
+                extract_transversal(s, prefer_window=prefer_window)
+            assert err.value.condition == "r4"
+            assert err.value.witness == expected
+            assert str(err.value) == (f"translates of the input do not cover the line; "
+                                      f"residues {expected} are missed")
+    assert failures > 200
 
 
 @given(interval_sets())
