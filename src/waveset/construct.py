@@ -13,14 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, iset, normalize
+from .intervals import Interval, IntervalSet, _merge, _subtract, iset
 from .spectral import StepFn, pow2, psi_spectrum_from_scaling, validate_scaling_spectrum
 from .torus import (
     _grid_sweep,
+    _on_grid,
     check_S3,
     extract_transversal,
     fold_multiplicity,
-    periodize_window,
     uncovered_witness,
 )
 
@@ -107,6 +107,41 @@ def check_scaling_set_preconditions(sprime: IntervalSet) -> None:
         )
 
 
+def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[list[tuple]]]:
+    """The levels of ``_truncated_levels`` as (lo, hi) integer pairs over ``scale``.
+
+    Returns (scale, levels), scale = D 2^T with D the lcm of the endpoint
+    denominators of K (within the ``_on_grid`` budget) and T = depth_n +
+    depth_j.  Every endpoint met is 2^-j x + i for an endpoint x of K, an
+    integer i and j <= T, so all of them are integers over scale.
+    """
+    t = depth_n + depth_j
+    (d, ends), = _on_grid(kernel=[x for p in k.parts for x in (p.lo, p.hi)])
+    scale = d << t
+    kernel = [(a << t, b << t) for a, b in zip(ends[::2], ends[1::2])]  # K_j: exact >> j
+    levels = [[(a >> n, b >> n) for a, b in kernel] for n in range(depth_n + 1)]
+    for j in range(1, t + 1):
+        live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j)) if levels[n]]
+        if not live:
+            continue
+        reach = max(max(-levels[n][0][0], levels[n][-1][1]) for n in live)
+        m = max(1, -(-reach // scale)) * scale  # the clipping window is [-m, m)
+        kj = [(a >> j, b >> j) for a, b in kernel]
+        # the integer translates of K_j that meet [-m, m), clipped to it
+        copies = [(max(a + i, -m), min(b + i, m))
+                  for a, b in kj
+                  for i in range(((-m - b) // scale + 1) * scale, m - a, scale)]
+        copies.sort()
+        overlap = _subtract(_merge(copies), kj)
+        for n in live:
+            levels[n] = _subtract(levels[n], overlap)
+    return scale, levels
+
+
+def _from_grid(pairs: list[tuple], scale: int) -> IntervalSet:
+    return IntervalSet(tuple(Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in pairs))
+
+
 def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[IntervalSet]:
     """Levels E_0, ..., E_N with the inner union truncated at j <= n + depth_j.
 
@@ -120,23 +155,16 @@ def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[Interv
     geometrically once j passes depth_j, and the cost of each R_j grows
     with the span of K.
 
+    All of it runs on integer pairs on one grid (``_grid_levels``), and each
+    endpoint becomes a fraction once, here.  A kernel whose lcm of endpoint
+    denominators exceeds MAX_GRID_BITS bits is an InputError.
+
     The relative truncation keeps the doubling chain E_n inside 2 E_{n+1}
     termwise, so the nesting defect of the result is confined to the last
     level.
     """
-    levels = [k.scale(pow2(-n)) for n in range(depth_n + 1)]
-    for j in range(1, depth_n + depth_j + 1):
-        live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j))
-                if not levels[n].is_empty]
-        if not live:
-            continue
-        spans = [levels[n].span() for n in live]
-        m = math.ceil(max(1, *(-sp.lo for sp in spans), *(sp.hi for sp in spans)))
-        kj = k.scale(pow2(-j))
-        overlap = periodize_window(kj, m).subtract(kj)
-        for n in live:
-            levels[n] = levels[n].subtract(overlap)
-    return levels
+    scale, levels = _grid_levels(k, depth_n, depth_j)
+    return [_from_grid(level, scale) for level in levels]
 
 
 def lemma_r3_construct(
@@ -156,10 +184,14 @@ def lemma_r3_construct(
     Level n is K_n minus R_(n+1), ..., R_(n+J), where R_j is the part of the
     integer translates of K_j = 2^-j K outside K_j.  Each of the N + J sets
     R_j is built once per call, clipped to the reach of the levels it meets
-    (see ``_truncated_levels``), so the cost grows with the span of K.
+    (see ``_truncated_levels``), so the cost grows with the span of K.  The
+    levels, every R_j, S and W = 2S minus S are integer pairs on the grid
+    1/(D 2^(N+J)) of ``_grid_levels``, and each endpoint of S and W becomes
+    a fraction once.
 
     Raises InputError when depth_n or depth_j exceeds MAX_CONSTRUCT_DEPTH,
-    before any other work.
+    before any other work, and on the truncated route when the lcm D of the
+    endpoint denominators of K exceeds MAX_GRID_BITS bits.
     """
     if max(depth_n, depth_j) > MAX_CONSTRUCT_DEPTH:
         raise InputError(
@@ -177,7 +209,9 @@ def lemma_r3_construct(
         w = k.scale(2).subtract(k)
         return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
     k_measure = k.measure()  # equals 1 by the tiling property
-    s = normalize(p for level in _truncated_levels(k, depth_n, depth_j) for p in level.parts)
+    scale, levels = _grid_levels(k, depth_n, depth_j)
+    s_grid = _merge(sorted(p for level in levels for p in level))
+    s = _from_grid(s_grid, scale)
     span = k.span()
     assert span is not None
     k_span = span.hi - span.lo
@@ -187,7 +221,7 @@ def lemma_r3_construct(
         copies = 2 * math.floor(pow2(-n) * k_span)  # nonzero shifts that can meet level n
         inner += (copies + 1) * k_measure * pow2(-(n + depth_j))
     defects = DefectReport(2 * outer, outer + inner, True, depth_n, depth_j)
-    w = s.scale(2).subtract(s)
+    w = _from_grid(_subtract([(a << 1, b << 1) for a, b in s_grid], s_grid), scale)
     return ScalingSetResult(s, w, defects, False)
 
 

@@ -17,7 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Union
+from operator import itemgetter
+from typing import Iterable, Sequence, Union
 
 from .errors import InputError
 
@@ -100,17 +101,17 @@ class IntervalSet:
 
     def contains_point(self, x: RationalLike) -> bool:
         x = rat(x)
-        idx = bisect_right(self._los, x) - 1
+        idx = bisect_right(self._pairs, x, key=itemgetter(0)) - 1
         return idx >= 0 and self.parts[idx].hi > x
 
     def contains_interval(self, iv: Interval) -> bool:
         """True iff [iv.lo, iv.hi) lies inside a single part."""
-        idx = bisect_right(self._los, iv.lo) - 1
+        idx = bisect_right(self._pairs, iv.lo, key=itemgetter(0)) - 1
         return idx >= 0 and self.parts[idx].hi >= iv.hi
 
     @cached_property
-    def _los(self) -> list[Fraction]:
-        return [p.lo for p in self.parts]
+    def _pairs(self) -> list[tuple[Fraction, Fraction]]:
+        return [(p.lo, p.hi) for p in self.parts]
 
     def __str__(self) -> str:
         if not self.parts:
@@ -138,25 +139,8 @@ class IntervalSet:
         return normalize(out)
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        b = other.parts
-        j = 0
-        if self.parts and b:  # skip the parts of other below self at once
-            j = max(0, bisect_right(other._los, self.parts[0].lo) - 1)
-        for p in self.parts:
-            lo = p.lo
-            while j < len(b) and b[j].hi <= lo:
-                j += 1
-            jj = j
-            while jj < len(b) and b[jj].lo < p.hi and lo < p.hi:
-                if b[jj].lo > lo:
-                    out.append(Interval(lo, b[jj].lo))
-                if b[jj].hi > lo:
-                    lo = b[jj].hi
-                jj += 1
-            if lo < p.hi:
-                out.append(Interval(lo, p.hi))
-        return normalize(out)
+        # pieces of one part are split by parts of other, so they never touch
+        return IntervalSet(tuple(Interval(lo, hi) for lo, hi in _subtract(self._pairs, other._pairs)))
 
     __or__ = union
     __and__ = intersect
@@ -206,20 +190,50 @@ def normalize(raw: Iterable[Interval | tuple[RationalLike, RationalLike]]) -> In
             if lo < hi:
                 items.append((lo, hi))
     items.sort()
-    merged: list[Interval] = []
-    cur: tuple[Fraction, Fraction] | None = None
-    for lo, hi in items:
-        if cur is None:
-            cur = (lo, hi)
-        elif lo <= cur[1]:
-            if hi > cur[1]:
-                cur = (cur[0], hi)
+    return IntervalSet(tuple(Interval(lo, hi) for lo, hi in _merge(items)))
+
+
+def _merge(pairs: Iterable[tuple]) -> list[tuple]:
+    """Merge (lo, hi) pairs sorted by lo, each with lo < hi: touching or
+    overlapping pairs become one, so the result is sorted and strictly separated.
+
+    Exact for any one exact number type: sets merge fractions, and the
+    truncated construction merges integers on its grid.
+    """
+    out: list[tuple] = []
+    for lo, hi in pairs:
+        if out and lo <= out[-1][1]:
+            if hi > out[-1][1]:
+                out[-1] = (out[-1][0], hi)
         else:
-            merged.append(Interval(*cur))
-            cur = (lo, hi)
-    if cur is not None:
-        merged.append(Interval(*cur))
-    return IntervalSet(tuple(merged))
+            out.append((lo, hi))
+    return out
+
+
+def _subtract(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
+    """The pairs of a minus those of b, both sorted and strictly separated.
+
+    The result is sorted and strictly separated too.  Number-type generic,
+    like ``_merge``.
+    """
+    out: list[tuple] = []
+    j, nb = 0, len(b)
+    if a and b:  # skip the pairs of b below a at once
+        j = max(0, bisect_right(b, a[0][0], key=itemgetter(0)) - 1)
+    for lo, hi in a:
+        while j < nb and b[j][1] <= lo:
+            j += 1
+        jj = j
+        while jj < nb and lo < hi and b[jj][0] < hi:
+            blo, bhi = b[jj]
+            if blo > lo:
+                out.append((lo, blo))
+            if bhi > lo:
+                lo = bhi
+            jj += 1
+        if lo < hi:
+            out.append((lo, hi))
+    return out
 
 
 def iset(*pairs: tuple[RationalLike, RationalLike]) -> IntervalSet:

@@ -667,8 +667,8 @@ def psi_b_report(b: RationalLike) -> PsiBReport:
     row = _psi_b_row(b)
     notes: list[str] = []
     if b == 0:
-        cal = calderon(psi.square())
-        report = OrthonormalityReport(False, psi.square().integral(), cal, (), (),
+        h = psi.square()
+        report = OrthonormalityReport(False, h.integral(), calderon(h), (), (),
                                       ("orthogonality sums skipped: support touches 0",))
         notes.append("support touches 0: dilation sum diverges, so not a Parseval wavelet")
     else:

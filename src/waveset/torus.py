@@ -52,7 +52,24 @@ def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
     return out
 
 
-MAX_GRID_BITS = 8192  # work budget on the bit length of D and of V in _grid_sweep
+MAX_GRID_BITS = 8192  # work budget on the bit length of each lcm D of _on_grid
+
+
+def _on_grid(**groups: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
+    """Each named group of fractions as integers over D, its denominators' lcm.
+
+    Returns (D, numerators) per group, in order.  Every grid number carries
+    the bits of D, so from about 10^4 bits (many distinct prime denominators)
+    fractions are faster: a D over MAX_GRID_BITS bits is an InputError,
+    raised before any numerator is formed.
+    """
+    dens = [math.lcm(*(x.denominator for x in xs)) for xs in groups.values()]
+    if max(dens).bit_length() > MAX_GRID_BITS:
+        raise InputError(f"the lcms of the {' and '.join(groups)} denominators have at most "
+                         f"{MAX_GRID_BITS} bits each (work budget); got "
+                         + " and ".join(str(d.bit_length()) for d in dens))
+    return [(d, [x.numerator * (d // x.denominator) for x in xs])
+            for d, xs in zip(dens, groups.values())]
 
 
 def _grid_sweep(pieces: Sequence[tuple], terms: Sequence[tuple[int, int]],
@@ -62,21 +79,15 @@ def _grid_sweep(pieces: Sequence[tuple], terms: Sequence[tuple[int, int]],
     One fragment per (j, k) in ``terms`` and (lo, hi, v) in ``pieces``.  All
     endpoints lie on the grid 1/(D 2^T), D the lcm of the endpoint
     denominators and T the larger of ``depth`` and the deepest j, and all
-    values are integers over V, the lcm of the value denominators.  Every
-    grid number carries the bits of D, so from about 10^4 bits (many distinct
-    prime denominators) fractions are faster: D or V over MAX_GRID_BITS bits
-    is an InputError.  Each break and distinct value becomes a fraction once.
+    values are integers over V, the lcm of the value denominators (both
+    within the ``_on_grid`` budget).  Each break and distinct value becomes
+    a fraction once.
     """
-    d = math.lcm(*(x.denominator for lo, hi, _ in pieces for x in (lo, hi)))
-    vden = math.lcm(*(v.denominator for _, _, v in pieces))
-    if max(d, vden).bit_length() > MAX_GRID_BITS:
-        raise InputError(f"the lcm of the endpoint denominators and that of the value "
-                         f"denominators have at most {MAX_GRID_BITS} bits each (work budget); "
-                         f"got {d.bit_length()} and {vden.bit_length()}")
+    (d, ends), (vden, vals) = _on_grid(endpoint=[x for lo, hi, _ in pieces for x in (lo, hi)],
+                                       value=[v for _, _, v in pieces])
     t = max([depth, *(j for j, _ in terms)])
     scale = d << t
-    grid = [(lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator),
-             v.numerator * (vden // v.denominator)) for lo, hi, v in pieces]
+    grid = list(zip(ends[::2], ends[1::2], vals))
     frags: list[tuple[int, int, int]] = []
     for j, k in terms:
         s, off = t - j, k * scale

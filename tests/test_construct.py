@@ -1,5 +1,6 @@
 """Scaling-set construction, defect accounting, and tiling verification."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -332,6 +333,34 @@ def test_truncated_levels_match_periodization(seed, kind, shift, depth_n, depth_
         for level in levels:
             expected = expected.union(level)
         assert lemma_r3_construct(sprime, depth_n, depth_j).s == expected
+
+
+FOUR_DIGIT_PRIMES = [p for p in range(1000, 10000)
+                     if all(p % q for q in range(2, math.isqrt(p) + 1))]
+
+
+def _prime_cut_kernel(rng: random.Random):
+    """A partition of [0, 1) cut at distinct 4-digit prime denominators,
+    its pieces moved by independent integer shifts."""
+    cuts = sorted(F(rng.randint(1, p - 1), p) for p in rng.sample(FOUR_DIGIT_PRIMES, rng.randint(1, 4)))
+    pts = [F(0)] + cuts + [F(1)]
+    return normalize((a + t, b + t) for a, b in zip(pts, pts[1:]) for t in [rng.randint(-4, 4)])
+
+
+def test_truncated_levels_match_oracle_deep_far_and_prime_cut():
+    # The integer-grid levels against the fraction oracle at depths up to 12,
+    # on kernels whose lcm of denominators has several large prime factors,
+    # and on a kernel moved 50 units off 0, where the clipping window is wide.
+    rng = random.Random(2024)
+    for i in range(24):
+        if i % 2:
+            k = _prime_cut_kernel(rng)
+        else:
+            k = WIDE_KERNEL.translate(rng.choice([-50, 50]))
+        assert check_S3(k)
+        depth_n, depth_j = (12, 12) if i < 2 else (rng.randint(0, 12), rng.randint(0, 12))
+        levels = [truncated_level_by_periodization(k, n, depth_j) for n in range(depth_n + 1)]
+        assert _truncated_levels(k, depth_n, depth_j) == levels
 
 
 def test_construct_depth_budget():

@@ -404,6 +404,35 @@ def test_cli_construct_at_depth_budget_runs(capsys, tmp_path):
     assert code == 0 and rep["data"]["fast_path"] is True
 
 
+def _primes_above(n, start):
+    out, c = [], start
+    while len(out) < n:
+        c += 1
+        if all(c % p for p in range(2, int(c ** 0.5) + 1)):
+            out.append(c)
+    return out
+
+
+@pytest.mark.parametrize("kind", ["scaling-set", "rze"])
+def test_cli_construct_over_grid_budget_is_input_error(capsys, tmp_path, kind):
+    # An exact scaling set cut at 700 distinct 5-digit prime denominators
+    # (about 9,700 bits of lcm) whose kernel leaves [-1/2, 1/2), so the
+    # truncated route meets the grid budget.
+    n = 700
+    ps = _primes_above(n, 16 * n)
+    lo, hi = F(3, 8), F(1, 2)
+    cuts = [F(round((lo + (hi - lo) * F(2 * i + 1, 2 * n)) * p), p) for i, p in enumerate(ps)]
+    pts = [lo] + cuts + [hi]
+    s = normalize([(-hi, lo)] + [(a - i % 2, b - i % 2) for i, (a, b) in enumerate(zip(pts, pts[1:]))])
+    if kind == "scaling-set":
+        target = [_write(tmp_path, "s.json", interval_set_to_json(s))]
+    else:
+        target = ["--spectrum", _write(tmp_path, "g.json", step_fn_to_json(StepFn.indicator(s)))]
+    code, rep, out = run_cli(capsys, ["construct", kind, *target])
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
+    assert "at most 8192 bits each (work budget)" in rep["witnesses"][0]["reason"]
+
+
 def test_cli_dimfun_over_window_budget_is_input_error(capsys, monkeypatch, tmp_path):
     from waveset import spectral
 
