@@ -14,7 +14,6 @@ from .construct import (
     WaveletSetVerdict,
     check_S1,
     check_S2,
-    check_scaling_set_preconditions,
     lemma_r3_construct,
     rze_pipeline,
     verify_wavelet_set,

@@ -14,15 +14,9 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, _merge, _subtract, iset
-from .spectral import StepFn, pow2, psi_spectrum_from_scaling, validate_scaling_spectrum
-from .torus import (
-    _grid_sweep,
-    _on_grid,
-    check_S3,
-    extract_transversal,
-    fold_multiplicity,
-    uncovered_witness,
-)
+from .spectral import (StepFn, _annulus_sums, pow2, psi_spectrum_from_scaling,
+                       validate_scaling_spectrum)
+from .torus import _on_grid, check_S3, extract_transversal, fold_multiplicity
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -32,6 +26,7 @@ WINDOW = iset((-HALF, HALF))
 DEFAULT_DEPTH_N = 40
 DEFAULT_DEPTH_J = 40
 MAX_CONSTRUCT_DEPTH = 256  # work budget on depth_n and depth_j
+MAX_CONSTRUCT_TRANSLATES = 2**22  # work budget on the kernel translates of a truncated run
 
 
 @dataclass(frozen=True)
@@ -67,7 +62,7 @@ class ScalingSetResult:
 
 def check_S1(s: IntervalSet) -> bool:
     """Nesting under doubling: S inside 2S modulo null sets."""
-    return s.subset_mod_null(s.scale(2))
+    return s1_witness(s) is None
 
 
 def s1_witness(s: IntervalSet) -> Interval | None:
@@ -86,25 +81,6 @@ def check_S2(s: IntervalSet) -> bool:
     left = any(p.lo < 0 <= p.hi for p in s.parts)
     right = any(p.lo <= 0 < p.hi for p in s.parts)
     return left and right
-
-
-def check_scaling_set_preconditions(sprime: IntervalSet) -> None:
-    """Raise PreconditionError naming the first failed hypothesis (S1, r4, S2)."""
-    escape = s1_witness(sprime)
-    if escape is not None:
-        raise PreconditionError(
-            "S1", f"input is not nested under doubling: {escape} escapes", witness=escape,
-        )
-    witness = uncovered_witness(sprime)
-    if witness is not None:
-        raise PreconditionError(
-            "r4", f"translates do not cover the line; residues {witness} are missed",
-            witness=witness,
-        )
-    if not check_S2(sprime):
-        raise PreconditionError(
-            "S2", "input does not contain a punctured neighborhood of 0",
-        )
 
 
 def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[list[tuple]]]:
@@ -189,37 +165,60 @@ def lemma_r3_construct(
     1/(D 2^(N+J)) of ``_grid_levels``, and each endpoint of S and W becomes
     a fraction once.
 
-    Raises InputError when depth_n or depth_j exceeds MAX_CONSTRUCT_DEPTH,
-    before any other work, and on the truncated route when the lcm D of the
-    endpoint denominators of K exceeds MAX_GRID_BITS bits.
+    Checks run in this order, and the first failure is raised: the depth
+    budget (InputError), S1 on S' (PreconditionError "S1" naming the part of
+    S' outside 2S'), covering (PreconditionError "r4" naming the missed
+    residues, raised by the transversal extraction itself), S2, then
+    nonnegative depths.  On the truncated route two more budgets follow, both
+    InputError: the translates of K that the levels need, bounded from the
+    span of K before any is made, must stay within MAX_CONSTRUCT_TRANSLATES,
+    and the lcm D of the endpoint denominators of K within MAX_GRID_BITS bits.
     """
     if max(depth_n, depth_j) > MAX_CONSTRUCT_DEPTH:
         raise InputError(
             f"construction depths are at most {MAX_CONSTRUCT_DEPTH} (work budget); "
             f"got depth_n = {depth_n}, depth_j = {depth_j}"
         )
-    check_scaling_set_preconditions(sprime)
+    escape = s1_witness(sprime)
+    if escape is not None:
+        raise PreconditionError(
+            "S1", f"input is not nested under doubling: {escape} escapes", witness=escape,
+        )
+    k = extract_transversal(sprime, prefer_window=True)
+    if not check_S2(sprime):
+        raise PreconditionError("S2", "input does not contain a punctured neighborhood of 0")
     if depth_n < 0 or depth_j < 0:
         raise PreconditionError("depth", "depths must be nonnegative")
-    k = extract_transversal(sprime, prefer_window=True)
     assert check_S3(k), "the tiling kernel must tile with multiplicity one"
     if k == WINDOW:
         # K has measure 1, so it lies inside the window only as the whole
         # window, which is itself a scaling set: S = K at every depth.
         w = k.scale(2).subtract(k)
         return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
-    k_measure = k.measure()  # equals 1 by the tiling property
+    span = k.span()
+    assert span is not None
+    # Level n lies inside 2^-n [-reach, reach], so at scale j the clipping
+    # window of _grid_levels is at most [-m, m), m = max(1, ceil(2^-n0 reach))
+    # with n0 its shallowest live level, and each part of K_j, shorter than
+    # 1, has at most 2 m + 1 integer translates that meet it.
+    reach = max(-span.lo, span.hi)
+    translates = len(k.parts) * sum(2 * max(1, math.ceil(reach * pow2(-max(0, j - depth_j)))) + 1
+                                    for j in range(1, depth_n + depth_j + 1))
+    if translates > MAX_CONSTRUCT_TRANSLATES:
+        raise InputError(
+            f"the truncated construction makes at most {MAX_CONSTRUCT_TRANSLATES} kernel "
+            f"translates (work budget); a kernel of {len(k.parts)} parts reaching {reach} "
+            f"needs up to {translates} at depth_n = {depth_n}, depth_j = {depth_j}"
+        )
     scale, levels = _grid_levels(k, depth_n, depth_j)
     s_grid = _merge(sorted(p for level in levels for p in level))
     s = _from_grid(s_grid, scale)
-    span = k.span()
-    assert span is not None
     k_span = span.hi - span.lo
-    outer = pow2(-depth_n) * k_measure
+    outer = pow2(-depth_n)  # times |K| = 1, by the tiling property
     inner = ZERO
     for n in range(depth_n + 1):
         copies = 2 * math.floor(pow2(-n) * k_span)  # nonzero shifts that can meet level n
-        inner += (copies + 1) * k_measure * pow2(-(n + depth_j))
+        inner += (copies + 1) * pow2(-(n + depth_j))
     defects = DefectReport(2 * outer, outer + inner, True, depth_n, depth_j)
     w = _from_grid(_subtract([(a << 1, b << 1) for a, b in s_grid], s_grid), scale)
     return ScalingSetResult(s, w, defects, False)
@@ -243,7 +242,8 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     bounded away from 0; the dyadic dilation multiplicity is invariant under
     doubling of the argument, hence its values on one annulus [c, 2c) u
     [-2c, -c) decide all of R minus {0}, and only finitely many dilates meet
-    that annulus.
+    that annulus.  The annulus is the one at c = r, the least distance of
+    W from 0, and the sums are Calderon's (``spectral._annulus_sums``).
     """
     if w.is_empty:
         return WaveletSetVerdict(False, "translation gap: empty set", Interval(ZERO, ONE))
@@ -263,13 +263,7 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
                 witness,
             )
     r = min(p.lo if p.lo > 0 else -p.hi for p in w.parts)
-    big = max(p.hi if p.lo > 0 else -p.lo for p in w.parts)
-    annulus = ((-2 * r, -r), (r, 2 * r))
-    depth = 0
-    while big * pow2(-depth) > r:  # the dilates 2^-j W, 0 <= j < depth, reach the annulus
-        depth += 1
-    terms = [(j, 0) for j in range(depth)]
-    for atoms in _grid_sweep([(p.lo, p.hi, ONE) for p in w.parts], terms, annulus):
+    for atoms in _annulus_sums([(p, ONE) for p in w.parts], r):
         for a, b, v in atoms:
             if v != 1:
                 kind = "gap" if v < 1 else "overlap"

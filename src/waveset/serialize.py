@@ -204,6 +204,6 @@ def load_typed(obj: Any):
         "mat2": mat2_from_json,
         "dim_fn_window": dim_fn_window_from_json,
     }
-    if tag not in loaders:
+    if not isinstance(tag, str) or tag not in loaders:
         raise InputError(f"unsupported document type {tag!r}")
     return loaders[tag](obj)

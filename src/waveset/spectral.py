@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .intervals import Interval, IntervalSet, RationalLike, iset, normalize, rat
@@ -178,6 +178,21 @@ def _signed_reach(parts: Sequence[Interval]) -> tuple[Fraction, Fraction]:
     return r, big
 
 
+def _annulus_sums(pieces: Sequence[tuple[Interval, Fraction]],
+                  c: Fraction) -> Iterator[list[tuple]]:
+    """Sum f(2^j x) over j in Z on [-2c, -c), then on [c, 2c), one half at a time.
+
+    f has the given (interval, value) pieces, all bounded away from 0, and
+    c lies on the grid of their endpoints.  With the pieces inside
+    [-R, -r] u [r, R], the dilates meeting the annulus have
+    floor_log2(r/2c) <= j <= floor_log2(R/c) + 1; the sweep clips the
+    fragments of any of them that miss it.
+    """
+    r, big = _signed_reach([iv for iv, _ in pieces])
+    terms = [(j, 0) for j in range(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)]
+    return _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], terms, ((-2 * c, -c), (c, 2 * c)))
+
+
 def _touches_zero(parts: Sequence[Interval]) -> bool:
     return any(p.lo <= 0 <= p.hi for p in parts)
 
@@ -305,13 +320,7 @@ def calderon(h: StepFn) -> CalderonResult:
     if touching:
         return CalderonResult(True, divergence_witness=touching[0])
 
-    r, big = _signed_reach([iv for iv, _ in h.pieces])
-    j_lo = floor_log2(r / 2)
-    j_hi = floor_log2(big) + 1
-    pieces = [(iv.lo, iv.hi, v) for iv, v in h.pieces]
-    terms = [(j, 0) for j in range(j_lo, j_hi + 1)]  # x -> h(2^j x)
-    atoms = [(Interval(x, y), v)
-             for window in _grid_sweep(pieces, terms, ANNULUS) for x, y, v in window]
+    atoms = [(Interval(x, y), v) for window in _annulus_sums(h.pieces, ONE) for x, y, v in window]
     values = [v for _, v in atoms]
     return CalderonResult(
         False,

@@ -148,9 +148,6 @@ class DimFnWindow:
     def integral(self) -> Fraction:
         return sum((v * (b - a) for a, b, v in self.pieces()), ZERO)
 
-    def min_value(self) -> Fraction:
-        return min(self.values)
-
     def is_constant(self, c) -> bool:
         c = rat(c)
         return all(v == c for v in self.values)
@@ -233,7 +230,7 @@ def check_S3(s: IntervalSet) -> bool:
 
 def check_cover_r4(s: IntervalSet) -> bool:
     """True iff the integer translates of S cover the line (multiplicity >= 1)."""
-    return fold_multiplicity(s).min_value() >= 1
+    return uncovered_witness(s) is None
 
 
 def uncovered_witness(s: IntervalSet) -> Interval | None:
@@ -292,7 +289,7 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
         witness = Interval(ordered[i], ordered[j])
         raise PreconditionError(
             "r4",
-            f"translates of the input do not cover the line; residues {witness} are missed",
+            f"translates do not cover the line; residues {witness} are missed",
             witness=witness,
         )
     chosen: list[Interval] = []

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,12 +23,13 @@ from waveset.construct import (
     check_S2,
     lemma_r3_construct,
     rze_pipeline,
+    s1_witness,
     verify_wavelet_set,
 )
 from waveset.errors import InputError, PreconditionError
 from waveset.intervals import EMPTY, iset, normalize
 from waveset.spectral import StepFn, pow2
-from waveset.torus import check_S3, check_cover_r4, extract_transversal
+from waveset.torus import check_S3, check_cover_r4, extract_transversal, uncovered_witness
 
 F = Fraction
 
@@ -371,6 +373,81 @@ def test_construct_depth_budget():
         lemma_r3_construct(iset((1, 2)), 0, MAX_CONSTRUCT_DEPTH + 1)
     res = lemma_r3_construct(SLOW_SPRIME, 3, MAX_CONSTRUCT_DEPTH)
     assert res.s == iset(("-1/8", "7/8"))
+
+
+def test_construct_span_budget():
+    # Translates bounded from the kernel's span: [-10^4, 1/4) needs up to
+    # 1,640,284 at 40/40, [-10^5, 1/4) up to 16,400,276, over 2^22.
+    with pytest.raises(InputError, match="kernel translates \\(work budget\\).* 16400276 "):
+        lemma_r3_construct(iset((-10**5, "1/4")))
+    res = lemma_r3_construct(iset((-2, "3/8"), ("5/8", "11/16")), 256, 256)  # bound 4,096
+    assert res.s == iset(("-13/8", "-3/2"), ("-13/16", "-3/4"), ("-1/2", "3/16"), ("1/4", "3/8"))
+
+
+def test_construct_span_bound_covers_the_translates(monkeypatch):
+    # The bound is never below the translates the levels really make: with
+    # the budget one below that count every truncated run is refused.
+    from waveset import construct
+
+    rng = random.Random(1019)
+    sets = [iset((-L, "1/4")) for L in (2, 7, 30)] + [SLOW_SPRIME.translate(-5)]
+    sets += [_random_admissible(rng).scale(F(rng.randint(4, 16), 16)) for _ in range(60)]
+    checked = 0
+    for sprime in sets:
+        if not (check_S1(sprime) and check_cover_r4(sprime) and check_S2(sprime)):
+            continue
+        depth_n, depth_j = rng.randint(0, 8), rng.randint(0, 8)
+        lengths = []
+
+        def counting_merge(pairs, real=construct._merge):
+            pairs = list(pairs)
+            lengths.append(len(pairs))
+            return real(pairs)
+
+        with monkeypatch.context() as m:
+            m.setattr(construct, "_merge", counting_merge)
+            res = lemma_r3_construct(sprime, depth_n, depth_j)
+        if res.fast_path:
+            continue
+        made = sum(lengths[:-1])  # the last merge is of S, after the levels
+        with monkeypatch.context() as m:
+            m.setattr(construct, "MAX_CONSTRUCT_TRANSLATES", made - 1)
+            with pytest.raises(InputError, match="kernel translates"):
+                lemma_r3_construct(sprime, depth_n, depth_j)
+        checked += 1
+    assert checked >= 10
+
+
+def test_construct_raises_first_failed_precondition():
+    # S1, then covering (r4), then S2: the first that fails is raised, S1
+    # naming the part outside the double and r4 the uncovered witness of the
+    # fold, with the construction's wording.
+    rng = random.Random(20261019)
+    seen = Counter()
+    for _ in range(400):
+        parts = []
+        for _ in range(rng.randint(0, 4)):
+            den = rng.choice([2, 3, 4, 5, 8, 12])
+            a = F(rng.randint(-3 * den, 3 * den), den)
+            parts.append((a, a + F(rng.randint(1, 3 * den), den)))
+        s = normalize(parts)
+        escape, missed = s1_witness(s), uncovered_witness(s)
+        expected = ("S1" if escape is not None else "r4" if missed is not None
+                    else None if check_S2(s) else "S2")
+        seen[expected] += 1
+        depth_n, depth_j = rng.randint(0, 3), rng.randint(0, 3)
+        if expected is None:
+            lemma_r3_construct(s, depth_n, depth_j)
+            continue
+        with pytest.raises(PreconditionError) as err:
+            lemma_r3_construct(s, depth_n, depth_j)
+        assert err.value.condition == expected
+        if expected == "S1":
+            assert err.value.witness == escape
+        if expected == "r4":
+            assert err.value.witness == missed
+            assert str(err.value) == f"translates do not cover the line; residues {missed} are missed"
+    assert min(seen[c] for c in ("S1", "r4", "S2", None)) >= 5, seen
 
 
 # ------------------------------------------------- randomized construction

@@ -287,6 +287,14 @@ def test_cli_plot_rejects_matrix(capsys, tmp_path):
     assert code == 2 and rep["status"] == "error"
 
 
+@pytest.mark.parametrize("tag", [[], {}, [1, 2, 3]])
+def test_cli_plot_unhashable_type_tag_is_input_error(capsys, tmp_path, tag):
+    doc = _write(tmp_path, "d.json", {"type": tag, "intervals": []})
+    code, rep, _ = run_cli(capsys, ["plot", doc, "--format", "csv", "--out", str(tmp_path / "x")])
+    assert code == 2 and rep["status"] == "error"
+    assert rep["witnesses"][0]["reason"] == f"unsupported document type {tag!r}"
+
+
 def test_cli_plot_unwritable_out_is_input_error(capsys, tmp_path, journe_file):
     out = str(tmp_path / "no" / "such" / "dir" / "x.svg")
     code, rep, _ = run_cli(capsys, ["plot", journe_file, "--format", "svg", "--out", out])
@@ -431,6 +439,38 @@ def test_cli_construct_over_grid_budget_is_input_error(capsys, tmp_path, kind):
     code, rep, out = run_cli(capsys, ["construct", kind, *target])
     assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
     assert "at most 8192 bits each (work budget)" in rep["witnesses"][0]["reason"]
+
+
+def _far_scaling_set(m):
+    """An exact scaling set reaching -2^m, so its kernel spans about 2^m.
+
+    [-1/2, 1/2) with the residues [3/8, 1/2) 2^-i, i <= m, moved down by
+    2^(m-i): half of each moved piece is the next one, and half of the last
+    lies in [-1/2, -3/8), so the set stays nested under doubling.
+    """
+    moved = [(F(3, 8) / 2**i, F(1, 2) / 2**i) for i in range(m + 1)]
+    far = [(lo - 2**(m - i), hi - 2**(m - i)) for i, (lo, hi) in enumerate(moved)]
+    return iset(("-1/2", "1/2")).subtract(normalize(moved)).union(normalize(far))
+
+
+@pytest.mark.parametrize("kind", ["scaling-set", "rze"])
+def test_cli_construct_over_span_budget_is_input_error(capsys, monkeypatch, tmp_path, kind):
+    # The kernel spans 2^17, so its translates are bounded from the span and
+    # refused before any level is built.
+    from waveset import construct
+
+    def no_levels(*args):
+        raise AssertionError("the levels were built")
+
+    monkeypatch.setattr(construct, "_grid_levels", no_levels)
+    s = _far_scaling_set(17)
+    if kind == "scaling-set":
+        target = [_write(tmp_path, "s.json", interval_set_to_json(s))]
+    else:
+        target = ["--spectrum", _write(tmp_path, "g.json", step_fn_to_json(StepFn.indicator(s)))]
+    code, rep, out = run_cli(capsys, ["construct", kind, *target, "--depth-n", "2"])
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
+    assert "at most 4194304 kernel translates (work budget)" in rep["witnesses"][0]["reason"]
 
 
 def test_cli_dimfun_over_window_budget_is_input_error(capsys, monkeypatch, tmp_path):

@@ -150,7 +150,7 @@ def test_transversal_r4_witness_is_uncovered_witness():
                 extract_transversal(s, prefer_window=prefer_window)
             assert err.value.condition == "r4"
             assert err.value.witness == expected
-            assert str(err.value) == (f"translates of the input do not cover the line; "
+            assert str(err.value) == (f"translates do not cover the line; "
                                       f"residues {expected} are missed")
     assert failures > 200
 
