@@ -6,8 +6,8 @@ with 0 (pass), 1 (a verification answered no), 2 (input error),
 an unexpected exception, named in the report).  Output is byte-deterministic
 for identical inputs and flags.
 
-`dimfun --depth` is at most 1024, so its window is at most 2050 deep; deeper
-is an input error, refused before any work (the README lists every budget).
+`dimfun --depth` is 2 to 1024, so its window is at most 2050 deep; any other
+depth is an input error, refused before any work (the README lists every budget).
 """
 
 from __future__ import annotations
@@ -165,6 +165,8 @@ def _outcome_json(o: spectral.CheckOutcome) -> dict:
 def _cmd_dimfun(args) -> dict:
     h = _load_step_fn(args.file)
     depth = args.depth
+    if depth < 2:
+        raise InputError(f"dimfun --depth is at least 2; got {depth}")
     # One window deep enough for D4; the shallower ones are exact restrictions of it.
     deep = spectral.dimension_function(h, 2 * depth + 2)
     window = deep.restrict(depth)

@@ -16,7 +16,7 @@ from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, _merge, _subtract, iset
 from .spectral import (StepFn, _annulus_sums, pow2, psi_spectrum_from_scaling,
                        validate_scaling_spectrum)
-from .torus import _on_grid, check_S3, extract_transversal, fold_multiplicity
+from .torus import _on_grid, extract_transversal, fold_multiplicity
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -26,7 +26,6 @@ WINDOW = iset((-HALF, HALF))
 DEFAULT_DEPTH_N = 40
 DEFAULT_DEPTH_J = 40
 MAX_CONSTRUCT_DEPTH = 256  # work budget on depth_n and depth_j
-MAX_CONSTRUCT_TRANSLATES = 2**22  # work budget on the kernel translates of a truncated run
 
 
 @dataclass(frozen=True)
@@ -90,23 +89,34 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
     denominators of K (within the ``_on_grid`` budget) and T = depth_n +
     depth_j.  Every endpoint met is 2^-j x + i for an endpoint x of K, an
     integer i and j <= T, so all of them are integers over scale.
+
+    R_j is built only on the unit cells that its live levels meet, merged
+    into runs.  K lies in [-r, r], so the levels n >= near = ceil(log2 r) lie
+    in [-1, 1), one run; a shallower level lies in the parts of K_n, each at
+    most 1 long, so it meets at most 2 |K| cells, |K| the parts of K.  With
+    at most near such levels, R_j takes O(|K|^2 log r) translates.
     """
     t = depth_n + depth_j
     (d, ends), = _on_grid(kernel=[x for p in k.parts for x in (p.lo, p.hi)])
     scale = d << t
     kernel = [(a << t, b << t) for a, b in zip(ends[::2], ends[1::2])]  # K_j: exact >> j
     levels = [[(a >> n, b >> n) for a, b in kernel] for n in range(depth_n + 1)]
+    reach = -(-max(-kernel[0][0], kernel[-1][1]) // scale)  # r, in whole units
+    near = (reach - 1).bit_length()
     for j in range(1, t + 1):
         live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j)) if levels[n]]
         if not live:
             continue
-        reach = max(max(-levels[n][0][0], levels[n][-1][1]) for n in live)
-        m = max(1, -(-reach // scale)) * scale  # the clipping window is [-m, m)
+        cells = [(a // scale * scale, -(-b // scale) * scale)
+                 for n in live if n < near for a, b in levels[n]]
+        if live[-1] >= near:
+            cells.append((-scale, scale))
         kj = [(a >> j, b >> j) for a, b in kernel]
-        # the integer translates of K_j that meet [-m, m), clipped to it
-        copies = [(max(a + i, -m), min(b + i, m))
+        # the integer translates of K_j that meet each run, clipped to it
+        copies = [(max(a + i, lo), min(b + i, hi))
+                  for lo, hi in _merge(sorted(cells))
                   for a, b in kj
-                  for i in range(((-m - b) // scale + 1) * scale, m - a, scale)]
+                  for i in range(((lo - b) // scale + 1) * scale, hi - a, scale)]
         copies.sort()
         overlap = _subtract(_merge(copies), kj)
         for n in live:
@@ -125,11 +135,8 @@ def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[Interv
     the points of the nonzero integer translates of K_j that lie outside K_j.
     Each R_j is built once and subtracted from every level that needs it
     (n < j <= n + depth_j) and is not yet empty.  It is the periodization of
-    K_j clipped to [-m, m) minus K_j, for the least m >= 1 with every such
-    level inside [-m, m); there the clipped periodization is the full one.
-    Level n lies in 2^-n times the span of K, so m shrinks about
-    geometrically once j passes depth_j, and the cost of each R_j grows
-    with the span of K.
+    K_j clipped to the unit cells that those levels meet, minus K_j; there
+    the clipped periodization is the full one.
 
     All of it runs on integer pairs on one grid (``_grid_levels``), and each
     endpoint becomes a fraction once, here.  A kernel whose lcm of endpoint
@@ -159,20 +166,19 @@ def lemma_r3_construct(
 
     Level n is K_n minus R_(n+1), ..., R_(n+J), where R_j is the part of the
     integer translates of K_j = 2^-j K outside K_j.  Each of the N + J sets
-    R_j is built once per call, clipped to the reach of the levels it meets
-    (see ``_truncated_levels``), so the cost grows with the span of K.  The
-    levels, every R_j, S and W = 2S minus S are integer pairs on the grid
-    1/(D 2^(N+J)) of ``_grid_levels``, and each endpoint of S and W becomes
-    a fraction once.
+    R_j is built once per call, only on the unit cells of the levels it
+    meets, so its cost grows with the log of the span of K (``_grid_levels``
+    bounds it).  The levels, every R_j, S and W = 2S minus S are integer
+    pairs on its grid 1/(D 2^(N+J)), and each endpoint of S and W becomes a
+    fraction once.
 
     Checks run in this order, and the first failure is raised: the depth
     budget (InputError), S1 on S' (PreconditionError "S1" naming the part of
     S' outside 2S'), covering (PreconditionError "r4" naming the missed
     residues, raised by the transversal extraction itself), S2, then
-    nonnegative depths.  On the truncated route two more budgets follow, both
-    InputError: the translates of K that the levels need, bounded from the
-    span of K before any is made, must stay within MAX_CONSTRUCT_TRANSLATES,
-    and the lcm D of the endpoint denominators of K within MAX_GRID_BITS bits.
+    nonnegative depths.  On the truncated route one more budget follows: the
+    lcm D of the endpoint denominators of K has at most MAX_GRID_BITS bits
+    (InputError).
     """
     if max(depth_n, depth_j) > MAX_CONSTRUCT_DEPTH:
         raise InputError(
@@ -189,30 +195,15 @@ def lemma_r3_construct(
         raise PreconditionError("S2", "input does not contain a punctured neighborhood of 0")
     if depth_n < 0 or depth_j < 0:
         raise PreconditionError("depth", "depths must be nonnegative")
-    assert check_S3(k), "the tiling kernel must tile with multiplicity one"
     if k == WINDOW:
         # K has measure 1, so it lies inside the window only as the whole
         # window, which is itself a scaling set: S = K at every depth.
         w = k.scale(2).subtract(k)
         return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
-    span = k.span()
-    assert span is not None
-    # Level n lies inside 2^-n [-reach, reach], so at scale j the clipping
-    # window of _grid_levels is at most [-m, m), m = max(1, ceil(2^-n0 reach))
-    # with n0 its shallowest live level, and each part of K_j, shorter than
-    # 1, has at most 2 m + 1 integer translates that meet it.
-    reach = max(-span.lo, span.hi)
-    translates = len(k.parts) * sum(2 * max(1, math.ceil(reach * pow2(-max(0, j - depth_j)))) + 1
-                                    for j in range(1, depth_n + depth_j + 1))
-    if translates > MAX_CONSTRUCT_TRANSLATES:
-        raise InputError(
-            f"the truncated construction makes at most {MAX_CONSTRUCT_TRANSLATES} kernel "
-            f"translates (work budget); a kernel of {len(k.parts)} parts reaching {reach} "
-            f"needs up to {translates} at depth_n = {depth_n}, depth_j = {depth_j}"
-        )
     scale, levels = _grid_levels(k, depth_n, depth_j)
     s_grid = _merge(sorted(p for level in levels for p in level))
     s = _from_grid(s_grid, scale)
+    span = k.span()
     k_span = span.hi - span.lo
     outer = pow2(-depth_n)  # times |K| = 1, by the tiling property
     inner = ZERO

@@ -352,15 +352,20 @@ def _prime_cut_kernel(rng: random.Random):
 def test_truncated_levels_match_oracle_deep_far_and_prime_cut():
     # The integer-grid levels against the fraction oracle at depths up to 12,
     # on kernels whose lcm of denominators has several large prime factors,
-    # and on a kernel moved 50 units off 0, where the clipping window is wide.
+    # on a kernel moved 50 units off 0, and on the kernel of [-1000, 1/4),
+    # whose two parts lie about 10^3 cells apart, so each overlap set is cut
+    # on two runs of cells.
     rng = random.Random(2024)
+    cases = []
     for i in range(24):
         if i % 2:
             k = _prime_cut_kernel(rng)
         else:
             k = WIDE_KERNEL.translate(rng.choice([-50, 50]))
+        cases.append((k, *((12, 12) if i < 2 else (rng.randint(0, 12), rng.randint(0, 12)))))
+    cases.append((extract_transversal(iset((-1000, "1/4")), prefer_window=True), 4, 4))
+    for k, depth_n, depth_j in cases:
         assert check_S3(k)
-        depth_n, depth_j = (12, 12) if i < 2 else (rng.randint(0, 12), rng.randint(0, 12))
         levels = [truncated_level_by_periodization(k, n, depth_j) for n in range(depth_n + 1)]
         assert _truncated_levels(k, depth_n, depth_j) == levels
 
@@ -375,28 +380,25 @@ def test_construct_depth_budget():
     assert res.s == iset(("-1/8", "7/8"))
 
 
-def test_construct_span_budget():
-    # Translates bounded from the kernel's span: [-10^4, 1/4) needs up to
-    # 1,640,284 at 40/40, [-10^5, 1/4) up to 16,400,276, over 2^22.
-    with pytest.raises(InputError, match="kernel translates \\(work budget\\).* 16400276 "):
-        lemma_r3_construct(iset((-10**5, "1/4")))
-    res = lemma_r3_construct(iset((-2, "3/8"), ("5/8", "11/16")), 256, 256)  # bound 4,096
+def test_construct_far_kernel_is_answered():
+    # Each overlap set is cut only on the cells its levels meet, so a kernel
+    # reaching 10^5 from 0 is built like a near one.
+    sprime = iset((-10**5, "1/4"))
+    res = lemma_r3_construct(sprime, 40, 40)
+    assert check_S1(res.s) and check_S2(res.s) and check_S3(res.s)
+    assert res.s.subset_mod_null(sprime)
+    assert verify_wavelet_set(res.w).passed
+    res = lemma_r3_construct(iset((-2, "3/8"), ("5/8", "11/16")), 256, 256)
     assert res.s == iset(("-13/8", "-3/2"), ("-13/16", "-3/4"), ("-1/2", "3/16"), ("1/4", "3/8"))
 
 
-def test_construct_span_bound_covers_the_translates(monkeypatch):
-    # The bound is never below the translates the levels really make: with
-    # the budget one below that count every truncated run is refused.
+def test_construct_translates_do_not_grow_with_span(monkeypatch):
+    # The pairs passed to _merge (translates, cells and the parts of S) count
+    # the work: a kernel 10^12 from 0 takes at most twice that of one 100 away.
     from waveset import construct
 
-    rng = random.Random(1019)
-    sets = [iset((-L, "1/4")) for L in (2, 7, 30)] + [SLOW_SPRIME.translate(-5)]
-    sets += [_random_admissible(rng).scale(F(rng.randint(4, 16), 16)) for _ in range(60)]
-    checked = 0
-    for sprime in sets:
-        if not (check_S1(sprime) and check_cover_r4(sprime) and check_S2(sprime)):
-            continue
-        depth_n, depth_j = rng.randint(0, 8), rng.randint(0, 8)
+    made = []
+    for reach in (100, 10**12):
         lengths = []
 
         def counting_merge(pairs, real=construct._merge):
@@ -406,16 +408,9 @@ def test_construct_span_bound_covers_the_translates(monkeypatch):
 
         with monkeypatch.context() as m:
             m.setattr(construct, "_merge", counting_merge)
-            res = lemma_r3_construct(sprime, depth_n, depth_j)
-        if res.fast_path:
-            continue
-        made = sum(lengths[:-1])  # the last merge is of S, after the levels
-        with monkeypatch.context() as m:
-            m.setattr(construct, "MAX_CONSTRUCT_TRANSLATES", made - 1)
-            with pytest.raises(InputError, match="kernel translates"):
-                lemma_r3_construct(sprime, depth_n, depth_j)
-        checked += 1
-    assert checked >= 10
+            lemma_r3_construct(iset((-reach, "1/4")), 8, 8)
+        made.append(sum(lengths))
+    assert made[1] <= 2 * made[0]
 
 
 def test_construct_raises_first_failed_precondition():

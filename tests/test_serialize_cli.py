@@ -454,23 +454,21 @@ def _far_scaling_set(m):
 
 
 @pytest.mark.parametrize("kind", ["scaling-set", "rze"])
-def test_cli_construct_over_span_budget_is_input_error(capsys, monkeypatch, tmp_path, kind):
-    # The kernel spans 2^17, so its translates are bounded from the span and
-    # refused before any level is built.
-    from waveset import construct
-
-    def no_levels(*args):
-        raise AssertionError("the levels were built")
-
-    monkeypatch.setattr(construct, "_grid_levels", no_levels)
+def test_cli_construct_far_kernel_is_answered(capsys, tmp_path, kind):
+    # The kernel spans 2^17, and its overlap sets are cut only where the
+    # levels lie, so the construction is answered and its W verifies.
     s = _far_scaling_set(17)
     if kind == "scaling-set":
         target = [_write(tmp_path, "s.json", interval_set_to_json(s))]
     else:
         target = ["--spectrum", _write(tmp_path, "g.json", step_fn_to_json(StepFn.indicator(s)))]
-    code, rep, out = run_cli(capsys, ["construct", kind, *target, "--depth-n", "2"])
-    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
-    assert "at most 4194304 kernel translates (work budget)" in rep["witnesses"][0]["reason"]
+    code, rep, _ = run_cli(capsys, ["construct", kind, *target, "--depth-n", "2"])
+    assert code == 0 and rep["status"] == "pass"
+    if kind == "rze":
+        assert rep["data"]["contained"] is True
+    w = _write(tmp_path, "w.json", rep["data"]["w"])
+    code, rep, _ = run_cli(capsys, ["verify", "wavelet-set", w])
+    assert code == 0 and rep["status"] == "pass"
 
 
 def test_cli_dimfun_over_window_budget_is_input_error(capsys, monkeypatch, tmp_path):
@@ -485,6 +483,20 @@ def test_cli_dimfun_over_window_budget_is_input_error(capsys, monkeypatch, tmp_p
     assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
     reason = rep["witnesses"][0]["reason"]
     assert "at most 2050" in reason and "1024 (work budget)" in reason
+
+
+@pytest.mark.parametrize("depth", ["-1", "0", "1"])
+def test_cli_dimfun_under_depth_floor_is_input_error(capsys, monkeypatch, tmp_path, depth):
+    from waveset import spectral
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the floor is checked before any sum is built")
+
+    monkeypatch.setattr(spectral, "_grid_sweep", no_sums)
+    h = _write(tmp_path, "h.json", step_fn_to_json(SHANNON_PSI))
+    code, rep, out = run_cli(capsys, ["dimfun", h, "--depth", depth])
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
+    assert rep["witnesses"][0]["reason"] == f"dimfun --depth is at least 2; got {depth}"
 
 
 def test_cli_dimfun_at_window_budget_runs(capsys, tmp_path):
