@@ -16,7 +16,7 @@ from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, _merge, _subtract, iset
 from .spectral import (StepFn, _annulus_sums, pow2, psi_spectrum_from_scaling,
                        validate_scaling_spectrum)
-from .torus import _on_grid, extract_transversal, fold_multiplicity
+from .torus import _from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -65,8 +65,10 @@ def check_S1(s: IntervalSet) -> bool:
 
 
 def s1_witness(s: IntervalSet) -> Interval | None:
-    left_over = s.subtract(s.scale(2))
-    return left_over.parts[0] if left_over.parts else None
+    """The first part of S minus 2S, or None; ``_subtract`` on the grid of S."""
+    d, pairs = _pairs_on_grid(s)
+    left_over = _subtract(pairs, [(a << 1, b << 1) for a, b in pairs])
+    return _from_grid(left_over[:1], d).parts[0] if left_over else None
 
 
 def check_S2(s: IntervalSet) -> bool:
@@ -97,9 +99,9 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
     at most near such levels, R_j takes O(|K|^2 log r) translates.
     """
     t = depth_n + depth_j
-    (d, ends), = _on_grid(kernel=[x for p in k.parts for x in (p.lo, p.hi)])
+    d, pairs = _pairs_on_grid(k)
     scale = d << t
-    kernel = [(a << t, b << t) for a, b in zip(ends[::2], ends[1::2])]  # K_j: exact >> j
+    kernel = [(a << t, b << t) for a, b in pairs]  # K_j: exact >> j
     levels = [[(a >> n, b >> n) for a, b in kernel] for n in range(depth_n + 1)]
     reach = -(-max(-kernel[0][0], kernel[-1][1]) // scale)  # r, in whole units
     near = (reach - 1).bit_length()
@@ -122,10 +124,6 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
         for n in live:
             levels[n] = _subtract(levels[n], overlap)
     return scale, levels
-
-
-def _from_grid(pairs: list[tuple], scale: int) -> IntervalSet:
-    return IntervalSet(tuple(Interval(Fraction(a, scale), Fraction(b, scale)) for a, b in pairs))
 
 
 def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[IntervalSet]:
@@ -169,16 +167,17 @@ def lemma_r3_construct(
     R_j is built once per call, only on the unit cells of the levels it
     meets, so its cost grows with the log of the span of K (``_grid_levels``
     bounds it).  The levels, every R_j, S and W = 2S minus S are integer
-    pairs on its grid 1/(D 2^(N+J)), and each endpoint of S and W becomes a
-    fraction once.
+    pairs on its grid 1/(D 2^(N+J)), and S1 and the transversal compare
+    integers on the grid of S', so every endpoint of the operation becomes
+    a fraction once.
 
     Checks run in this order, and the first failure is raised: the depth
     budget (InputError), S1 on S' (PreconditionError "S1" naming the part of
     S' outside 2S'), covering (PreconditionError "r4" naming the missed
     residues, raised by the transversal extraction itself), S2, then
-    nonnegative depths.  On the truncated route one more budget follows: the
-    lcm D of the endpoint denominators of K has at most MAX_GRID_BITS bits
-    (InputError).
+    nonnegative depths.  S1 and the transversal first bound the lcm of the
+    endpoint denominators of S' (with 2) by MAX_GRID_BITS bits (InputError),
+    on the fast path too; the lcm of K divides it.
     """
     if max(depth_n, depth_j) > MAX_CONSTRUCT_DEPTH:
         raise InputError(

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
 from .intervals import Interval, IntervalSet, RationalLike, iset, normalize, rat
-from .torus import DimFnWindow, _grid_sweep, _unit_fragments, fold_step, sweep_weighted
+from .torus import DimFnWindow, _grid_sweep, _on_grid, _unit_fragments, fold_step, sweep_weighted
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -245,22 +245,22 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
         return SpectrumVerdict(False, "F1", sticking_out.parts[0],
                                "support is not nested under doubling")
     # ... and the forced filter modulus g(2x)/g(x) is consistent mod 1.
-    changes: dict[Fraction, list[tuple[Fraction, int]]] = {}
-    for a, b, den, num in _refine(g, g.stretch(HALF)):  # num is g(2x)
-        if den == 0:
-            continue
-        for lo, hi, _, _ in _unit_fragments([(Interval(a, b), ONE)]):
-            changes.setdefault(lo, []).append((num / den, 1))
-            changes.setdefault(hi, []).append((num / den, -1))
+    cells = [(a, b, num / den) for a, b, den, num in _refine(g, g.stretch(HALF)) if den]
+    (d, ends), = _on_grid(endpoint=[x for a, b, _ in cells for x in (a, b)])
+    changes: dict[int, list[tuple[Fraction, int]]] = {}
+    for lo, hi, (_, _, ratio) in zip(ends[::2], ends[1::2], cells):  # ratio is g(2x)/g(x)
+        for a, b, _, _ in _unit_fragments([(lo, hi, 1)], d):
+            changes.setdefault(a, []).append((ratio, 1))
+            changes.setdefault(b, []).append((ratio, -1))
     points = sorted(changes)
     covering: dict[Fraction, int] = {}  # ratio -> fragments covering the current cell
     for a, b in zip(points, points[1:]):
-        for ratio, d in changes[a]:
-            covering[ratio] = covering.get(ratio, 0) + d
+        for ratio, step in changes[a]:
+            covering[ratio] = covering.get(ratio, 0) + step
             if covering[ratio] == 0:
                 del covering[ratio]
         if len(covering) > 1:
-            return SpectrumVerdict(False, "F1", Interval(a, b),
+            return SpectrumVerdict(False, "F1", Interval(Fraction(a, d), Fraction(b, d)),
                                    "filter ratio is not 1-periodic on the support")
     return SpectrumVerdict(True)
 
@@ -368,7 +368,8 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
         terms.extend((j, k) for k in range(k_lo, k_hi + 1))
     pieces = [(iv.lo, iv.hi, v) for iv, v in h.pieces]
     atoms, = _grid_sweep(pieces, terms, [(wlo, whi)], depth_L)
-    return DimFnWindow.from_atoms(atoms, depth_L, True, h)
+    breaks = (atoms[0][0], *(b for _, b, _ in atoms))
+    return DimFnWindow(breaks, tuple(v for _, _, v in atoms), depth_L, True, h)
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, iset, normalize, rat
+from .intervals import Interval, IntervalSet, _merge, iset, normalize, rat
 
 if TYPE_CHECKING:
     from .spectral import StepFn
@@ -30,8 +30,8 @@ def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
 
     Returns (atom_lo, atom_hi, total) triples covering the window completely,
     with equal-valued adjacent atoms merged.  Exact for any one exact number
-    type: the fold sweeps fractions, and the dyadic dilation sums sweep
-    integers on the grid 1/(D 2^T) of ``_grid_sweep``.
+    type: ``tq_check`` sweeps fractions, the unit fold and the dyadic
+    dilation sums integers on their grids (``_on_grid``, ``_grid_sweep``).
     """
     zero = lo - lo  # 0 in the caller's number type, also where no fragment reaches
     deltas: dict = {}
@@ -59,9 +59,9 @@ def _on_grid(**groups: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
     """Each named group of fractions as integers over D, its denominators' lcm.
 
     Returns (D, numerators) per group, in order.  Every grid number carries
-    the bits of D, so from about 10^4 bits (many distinct prime denominators)
-    fractions are faster: a D over MAX_GRID_BITS bits is an InputError,
-    raised before any numerator is formed.
+    the bits of D: on distinct prime denominators the unit fold beats
+    fractions at 5*10^3 bits and is up to 1.6 times slower at 10^4 and 2.7
+    at 2.1*10^4.  A D over MAX_GRID_BITS bits is an InputError, raised first.
     """
     dens = [math.lcm(*(x.denominator for x in xs)) for xs in groups.values()]
     if max(dens).bit_length() > MAX_GRID_BITS:
@@ -127,17 +127,6 @@ class DimFnWindow:
         if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
             raise InputError("window breakpoints must be strictly increasing")
 
-    @classmethod
-    def from_atoms(
-        cls,
-        atoms: Sequence[tuple[Fraction, Fraction, Fraction]],
-        depth_L: int = 0,
-        boundary_note: bool = False,
-        source: StepFn | None = None,
-    ) -> "DimFnWindow":
-        breaks = (atoms[0][0],) + tuple(b for _, b, _ in atoms)
-        return cls(breaks, tuple(v for _, _, v in atoms), depth_L, boundary_note, source)
-
     def window(self) -> tuple[Fraction, Fraction]:
         return self.breaks[0], self.breaks[-1]
 
@@ -187,35 +176,55 @@ class DimFnWindow:
                            depth_L, self.boundary_note, self.source)
 
 
-def _unit_fragments(pieces: Iterable[tuple[Interval, Fraction]]):
-    """Reduce weighted intervals into [0, 1), at most three fragments each.
+def _unit_fragments(pieces: Iterable[tuple[int, int, object]], d: int):
+    """Reduce weighted intervals [lo/d, hi/d) into [0, 1), all integers over d.
 
-    Yields (a, b, weight, shift): the residues [a, b) with ``weight`` times
-    the interval's value, and the smallest integer shift that puts them back
-    inside the interval.  The whole periods an interval covers become one
-    [0, 1) fragment weighted by their number, so the work does not grow with
-    the interval's length.  An interval's fragments come in order of their
-    shifts.
+    Yields (a, b, weight, shift), 0 <= a < b <= d, at most three per interval:
+    the residues [a/d, b/d) with ``weight`` times the interval's value, and
+    the least shift that puts them back inside it.  Whole periods become one
+    [0, d) fragment weighted by their number, so the work does not grow with
+    the length; fragments come in order of shifts, and callers make each
+    endpoint of their result a fraction once.
     """
-    for iv, val in pieces:
-        k_lo, k_hi = math.floor(iv.lo), math.floor(iv.hi)
-        a, b = iv.lo - k_lo, iv.hi - k_hi
+    for lo, hi, val in pieces:
+        k_lo, a = divmod(lo, d)
+        k_hi, b = divmod(hi, d)
         if k_lo == k_hi:
             yield a, b, val, k_lo
             continue
         if a > 0:
-            yield a, ONE, val, k_lo
+            yield a, d, val, k_lo
             k_lo += 1
         if k_hi > k_lo:
-            yield ZERO, ONE, (k_hi - k_lo) * val, k_lo
+            yield 0, d, (k_hi - k_lo) * val, k_lo
         if b > 0:
-            yield ZERO, b, val, k_hi
+            yield 0, b, val, k_hi
+
+
+def _pairs_on_grid(s: IntervalSet, *extra: Fraction) -> tuple[int, list[tuple[int, int]]]:
+    """(D, the parts of S as integer pairs over D) for ``_on_grid``'s D of S and ``extra``."""
+    (d, ends), = _on_grid(endpoint=[x for p in s.parts for x in (p.lo, p.hi)] + list(extra))
+    return d, list(zip(ends[::2], ends[1::2]))
+
+
+def _from_grid(pairs: Iterable[tuple[int, int]], d: int) -> IntervalSet:
+    """Sorted, strictly separated integer pairs over d as a set, each endpoint a fraction once."""
+    return IntervalSet(tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b in pairs))
 
 
 def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
-    """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function."""
-    fragments = ((a, b, w) for a, b, w, _ in _unit_fragments(pieces))
-    return DimFnWindow.from_atoms(sweep_weighted(fragments, ZERO, ONE))
+    """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function.
+
+    Sums integers on the grid of ``_on_grid`` (endpoints over D, values over
+    V, both in its budget); each break and value becomes a fraction once.
+    """
+    pieces = list(pieces)
+    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in pieces for x in (iv.lo, iv.hi)],
+                                       value=[v for _, v in pieces])
+    fragments = _unit_fragments(zip(ends[::2], ends[1::2], vals), d)
+    atoms = sweep_weighted(((a, b, w) for a, b, w, _ in fragments), 0, d)
+    return DimFnWindow(tuple(Fraction(a, d) for a, _, _ in atoms) + (ONE,),
+                       tuple(Fraction(w, vden) for _, _, w in atoms), 0, False)
 
 
 def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
@@ -264,39 +273,40 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
     one exists (atoms are additionally cut at 1/2 so the preference is
     well defined).
 
+    Cuts and the shift scan are integer bisections on the grid of S' (with
+    1/2 on it, ``_pairs_on_grid``); each endpoint of the result becomes a
+    fraction once.
+
     Raises PreconditionError naming an uncovered sub-interval of [0, 1) when
     the translates of S' fail to cover the line: the first maximal run of
     atoms that no fragment covers, as ``uncovered_witness`` names it.
     """
-    fragments = list(_unit_fragments((p, ONE) for p in sprime.parts))
-    cuts = {ZERO, ONE}
-    if prefer_window:
-        cuts.add(HALF)
+    d, pairs = _pairs_on_grid(sprime, *((HALF,) if prefer_window else ()))
+    fragments = list(_unit_fragments(((lo, hi, 1) for lo, hi in pairs), d))
+    cuts = {0, d, d // 2} if prefer_window else {0, d}
     for a, b, _, _ in fragments:
         cuts.update((a, b))
     ordered = sorted(cuts)
     shifts: list[int | None] = [None] * (len(ordered) - 1)
+    window = [0 if 2 * v <= d else -1 for v in ordered[1:]]  # the shift into [-1/2, 1/2)
     # Parts are sorted and disjoint, so the fragments come in order of their
-    # shifts and the first one covering an atom holds its smallest shift.
-    for a, b, _, k in fragments:
+    # shifts and the first one covering an atom holds its smallest shift.  A
+    # fragment of weight w (each part weighs 1) holds the shifts k, ..., k + w - 1.
+    for a, b, w, k in fragments:
         for i in range(bisect_left(ordered, a), bisect_left(ordered, b)):
-            if shifts[i] is None:
+            if prefer_window and k <= window[i] < k + w:
+                shifts[i] = window[i]
+            elif shifts[i] is None:
                 shifts[i] = k
     if None in shifts:
         i = j = shifts.index(None)
         while j < len(shifts) and shifts[j] is None:
             j += 1
-        witness = Interval(ordered[i], ordered[j])
+        witness = Interval(Fraction(ordered[i], d), Fraction(ordered[j], d))
         raise PreconditionError(
             "r4",
             f"translates do not cover the line; residues {witness} are missed",
             witness=witness,
         )
-    chosen: list[Interval] = []
-    for u, v, k in zip(ordered, ordered[1:], shifts):
-        if prefer_window:
-            window_k = 0 if v <= HALF else -1
-            if sprime.contains_interval(Interval(u + window_k, v + window_k)):
-                k = window_k
-        chosen.append(Interval(u + k, v + k))
-    return normalize(chosen)
+    chosen = sorted((u + k * d, v + k * d) for u, v, k in zip(ordered, ordered[1:], shifts))
+    return _from_grid(_merge(chosen), d)

@@ -248,3 +248,145 @@ def truncated_level_by_periodization(k, n: int, depth_j: int):
         if acc.is_empty:
             break
     return acc
+
+
+# ------------------------------------------------- the unit fold on fractions
+#
+# Plain-loop references for the integer-grid fold, transversal, S1 and
+# scaling-spectrum checks: every endpoint stays a Fraction, atoms are found
+# by linear scans, and nothing of ``waveset.torus`` is used.
+
+
+def fraction_unit_fragments(pieces):
+    """(a, b, weight, shift) per weighted (lo, hi, v), with 0 <= a < b <= 1.
+
+    The residues of [lo, hi) in [0, 1) and the least shift k with residue + k
+    inside [lo, hi); the whole periods become one [0, 1) fragment weighted
+    by their number (so it stands for the shifts k, ..., k + number - 1).
+    """
+    for lo, hi, val in pieces:
+        k_lo, k_hi = math.floor(lo), math.floor(hi)
+        a, b = lo - k_lo, hi - k_hi
+        if k_lo == k_hi:
+            yield a, b, val, k_lo
+            continue
+        if a > 0:
+            yield a, Fraction(1), val, k_lo
+            k_lo += 1
+        if k_hi > k_lo:
+            yield Fraction(0), Fraction(1), (k_hi - k_lo) * val, k_lo
+        if b > 0:
+            yield Fraction(0), b, val, k_hi
+
+
+def fraction_fold(pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Atoms (a, b, value) of sum(f(x + k), k in Z) on [0, 1), equal neighbours merged."""
+    frags = list(fraction_unit_fragments(pieces))
+    cuts = sorted({Fraction(0), Fraction(1)} | {x for a, b, _, _ in frags for x in (a, b)})
+    atoms: list[tuple[Fraction, Fraction, Fraction]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        level = sum((w for fa, fb, w, _ in frags if fa <= a and b <= fb), Fraction(0))
+        if atoms and atoms[-1][2] == level:
+            atoms[-1] = (atoms[-1][0], b, level)
+        else:
+            atoms.append((a, b, level))
+    return atoms
+
+
+def merge_pairs(pairs: list[Pair]) -> list[Pair]:
+    out: list[Pair] = []
+    for lo, hi in sorted(pairs):
+        if out and lo <= out[-1][1]:
+            out[-1] = (out[-1][0], max(hi, out[-1][1]))
+        else:
+            out.append((lo, hi))
+    return out
+
+
+def first_difference(a: list[Pair], b: list[Pair]) -> Pair | None:
+    """The first maximal piece of the sorted, separated pairs a outside those of b."""
+    for lo, hi in a:
+        cur = lo
+        for blo, bhi in b:
+            if bhi <= cur or blo >= hi:
+                continue
+            if blo > cur:
+                return cur, blo
+            cur = bhi
+            if cur >= hi:
+                break
+        if cur < hi:
+            return cur, hi
+    return None
+
+
+def fraction_transversal(parts: list[Pair], prefer_window: bool):
+    """(kept pairs, None), or (None, missed residues) when S' does not cover.
+
+    [0, 1) is cut at the residues of every endpoint (and at 1/2 with
+    ``prefer_window``); each atom keeps its least shift into the set, or
+    the shift into [-1/2, 1/2) when the set holds that copy.  The missed
+    residues are the first maximal run of atoms no translate covers.
+    """
+    frags = list(fraction_unit_fragments((lo, hi, 1) for lo, hi in parts))
+    cuts = {Fraction(0), Fraction(1)} | {x for a, b, _, _ in frags for x in (a, b)}
+    if prefer_window:
+        cuts.add(Fraction(1, 2))
+    ordered = sorted(cuts)
+    shifts = [min((k for a, b, _, k in frags if a <= u and v <= b), default=None)
+              for u, v in zip(ordered, ordered[1:])]
+    if None in shifts:
+        i = j = shifts.index(None)
+        while j < len(shifts) and shifts[j] is None:
+            j += 1
+        return None, (ordered[i], ordered[j])
+    chosen = []
+    for u, v, k in zip(ordered, ordered[1:], shifts):
+        if prefer_window:
+            window_k = 0 if v <= Fraction(1, 2) else -1
+            if any(lo <= u + window_k and v + window_k <= hi for lo, hi in parts):
+                k = window_k
+        chosen.append((u + k, v + k))
+    return merge_pairs(chosen), None
+
+
+def fraction_s1_witness(parts: list[Pair]) -> Pair | None:
+    """The first maximal piece of S outside 2S."""
+    return first_difference(parts, [(2 * lo, 2 * hi) for lo, hi in parts])
+
+
+def fraction_scaling_spectrum_verdict(pieces):
+    """(condition, witness pair, detail) of the first failed (F3), (F2), (F1)
+    check of a nonnegative step function given as sorted, disjoint
+    (lo, hi, value) pieces, or None when all pass."""
+    atoms = fraction_fold(pieces)
+    bad = [(a, b) for a, b, v in atoms if v != 1]
+    if bad:
+        lo, hi = bad[0]
+        for a, b in bad[1:]:
+            if a != hi:
+                break
+            hi = b
+        return "F3", (lo, hi), "periodization is not identically 1"
+    left_ok = any(v == 1 and lo < 0 <= hi for lo, hi, v in pieces)
+    right_ok = any(v == 1 and lo <= 0 < hi for lo, hi, v in pieces)
+    if not (left_ok and right_ok):
+        eps = min((abs(x) for lo, hi, _ in pieces for x in (lo, hi) if x != 0), default=Fraction(1))
+        witness = (Fraction(0), eps) if not right_ok else (-eps, Fraction(0))
+        return "F2", witness, "value is not 1 on a punctured neighborhood of 0"
+    supp = merge_pairs([(lo, hi) for lo, hi, _ in pieces])
+    out = first_difference([(lo / 2, hi / 2) for lo, hi in supp], supp)
+    if out is not None:
+        return "F1", out, "support is not nested under doubling"
+    cuts = sorted({x for lo, hi, _ in pieces for x in (lo, hi, lo / 2, hi / 2)})
+    fragments = []  # (a, b, ratio) per residue fragment of a cell where g is nonzero
+    for a, b in zip(cuts, cuts[1:]):
+        den, num = value_at(pieces, (a + b) / 2), value_at(pieces, a + b)  # g(x), g(2x)
+        if den:
+            fragments.extend((fa, fb, num / den) for fa, fb, _, _ in
+                             fraction_unit_fragments([(a, b, 1)]))
+    points = sorted({x for fa, fb, _ in fragments for x in (fa, fb)})
+    for a, b in zip(points, points[1:]):
+        if len({r for fa, fb, r in fragments if fa <= a and b <= fb}) > 1:
+            return "F1", (a, b), "filter ratio is not 1-periodic on the support"
+    return None

@@ -515,3 +515,30 @@ def test_cli_unexpected_exception_exit_4(capsys, monkeypatch):
     assert code == 4 and rep["status"] == "internal"
     assert rep["data"] == {"exception": "RuntimeError"}
     assert rep["witnesses"] == [{"reason": "RuntimeError: handler fault"}]
+
+
+def _garnished_window(n):
+    """[-1/2, 1/2) and n parts in [1/2, 1), cut at 2n distinct primes above 4096.
+
+    Nested under doubling, covering and with 0 inside, so the construction
+    takes its fast path; the lcm of its denominators has about 10^4 bits at
+    n = 400.
+    """
+    ps = _primes_above(2 * n, 4096)
+    parts = [(F(1, 2) + F(i, 2 * n) + F(1, 4 * n * p), F(1, 2) + F(2 * i + 1, 4 * n) + F(1, 4 * n * q))
+             for i, (p, q) in enumerate(zip(ps[::2], ps[1::2]))]
+    return iset(("-1/2", "1/2")).union(normalize(parts))
+
+
+@pytest.mark.parametrize("argv", [["verify", "scaling-set"], ["verify", "spectrum"],
+                                  ["construct", "scaling-set"]])
+def test_cli_fold_over_grid_budget_is_input_error(capsys, tmp_path, argv):
+    # The unit fold, S1 and the transversal run on the grid of the input's
+    # endpoints, so these commands come under the grid budget too.
+    s = _garnished_window(400)
+    doc = step_fn_to_json(StepFn.indicator(s)) if argv[1] == "spectrum" else interval_set_to_json(s)
+    code = cli.run([*argv, _write(tmp_path, "in.json", doc)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1 and not err
+    assert "at most 8192 bits each (work budget); got 10283" in rep["witnesses"][0]["reason"]
