@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, _merge, _subtract, iset
+from .intervals import Interval, IntervalSet, _beside_zero, _merge, _subtract, iset
 from .spectral import (StepFn, _annulus_sums, pow2, psi_spectrum_from_scaling,
                        validate_scaling_spectrum)
-from .torus import _from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity
+from .torus import (_from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity,
+                    s1_witness)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -64,24 +65,15 @@ def check_S1(s: IntervalSet) -> bool:
     return s1_witness(s) is None
 
 
-def s1_witness(s: IntervalSet) -> Interval | None:
-    """The first part of S minus 2S, or None; ``_subtract`` on the grid of S."""
-    d, pairs = _pairs_on_grid(s)
-    left_over = _subtract(pairs, [(a << 1, b << 1) for a, b in pairs])
-    return _from_grid(left_over[:1], d).parts[0] if left_over else None
-
-
 def check_S2(s: IntervalSet) -> bool:
     """Dyadic contraction limit 1: S contains a punctured neighborhood of 0.
 
     For a finite union of intervals the contraction orbit of a.e. point
     eventually lands in, or eventually avoids, the pieces adjacent to 0, so
     this is equivalent to containing (-a, 0) u (0, b) modulo null sets and is
-    decided by inspecting the parts next to 0.
+    decided by one bisection of the parts at 0.
     """
-    left = any(p.lo < 0 <= p.hi for p in s.parts)
-    right = any(p.lo <= 0 < p.hi for p in s.parts)
-    return left and right
+    return all(_beside_zero(s.parts))
 
 
 def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[list[tuple]]]:

@@ -13,11 +13,11 @@ a null-set question, and half-open intervals are closed under disjoint tiling.
 from __future__ import annotations
 
 import re
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -234,6 +234,17 @@ def _subtract(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
         if lo < hi:
             out.append((lo, hi))
     return out
+
+
+def _beside_zero(parts: Sequence[Interval]) -> tuple[bool, bool]:
+    """Whether sorted, disjoint parts hold some (-e, 0), and some (0, e), by one
+    bisection: only the first part reaching 0, or the next one, can hold either.
+    """
+    i = bisect_left(parts, 0, key=attrgetter("hi"))
+    left = i < len(parts) and parts[i].lo < 0
+    if i < len(parts) and parts[i].hi == 0:
+        i += 1
+    return left, i < len(parts) and parts[i].lo <= 0
 
 
 def iset(*pairs: tuple[RationalLike, RationalLike]) -> IntervalSet:

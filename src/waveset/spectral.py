@@ -17,8 +17,9 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .intervals import Interval, IntervalSet, RationalLike, iset, normalize, rat
-from .torus import DimFnWindow, _grid_sweep, _on_grid, _unit_fragments, fold_step, sweep_weighted
+from .intervals import Interval, IntervalSet, RationalLike, _beside_zero, iset, normalize, rat
+from .torus import (DimFnWindow, _grid_sweep, _on_grid, _unit_fragments, fold_step, s1_witness,
+                    sweep_weighted)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -189,12 +190,9 @@ def _annulus_sums(pieces: Sequence[tuple[Interval, Fraction]],
     fragments of any of them that miss it.
     """
     r, big = _signed_reach([iv for iv, _ in pieces])
-    terms = [(j, 0) for j in range(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)]
-    return _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], terms, ((-2 * c, -c), (c, 2 * c)))
-
-
-def _touches_zero(parts: Sequence[Interval]) -> bool:
-    return any(p.lo <= 0 <= p.hi for p in parts)
+    levels = range(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)
+    return _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], levels, False,
+                       ((-2 * c, -c), (c, 2 * c)))
 
 
 # ----------------------------------------------------------- (F1)-(F3)
@@ -228,8 +226,7 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
                                "periodization is not identically 1")
 
     # (F2)
-    left_ok = any(v == 1 and iv.lo < 0 <= iv.hi for iv, v in g.pieces)
-    right_ok = any(v == 1 and iv.lo <= 0 < iv.hi for iv, v in g.pieces)
+    left_ok, right_ok = _beside_zero([iv for iv, v in g.pieces if v == 1])
     if not (left_ok and right_ok):
         eps = min((abs(x) for iv, _ in g.pieces for x in (iv.lo, iv.hi) if x != 0),
                   default=ONE)
@@ -237,12 +234,10 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
         return SpectrumVerdict(False, "F2", witness,
                                "value is not 1 on a punctured neighborhood of 0")
 
-    # (F1): support of g(2 .) inside support of g ...
-    supp = g.support()
-    half = supp.scale(HALF)
-    sticking_out = half.subtract(supp)
-    if not sticking_out.is_empty:
-        return SpectrumVerdict(False, "F1", sticking_out.parts[0],
+    # (F1): support of g(2 .) inside support of g: supp/2 minus supp is (supp minus 2 supp)/2 ...
+    escape = s1_witness(g.support())
+    if escape is not None:
+        return SpectrumVerdict(False, "F1", Interval(escape.lo * HALF, escape.hi * HALF),
                                "support is not nested under doubling")
     # ... and the forced filter modulus g(2x)/g(x) is consistent mod 1.
     cells = [(a, b, num / den) for a, b, den, num in _refine(g, g.stretch(HALF)) if den]
@@ -339,11 +334,11 @@ MAX_WINDOW_DEPTH = 2050  # work budget on depth_L: dimfun --depth <= 1024
 def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     """Sum of h(2^j (x + k)) over j >= 1, k in Z, exact on the depth-L window.
 
-    For x in the window only finitely many (j, k) pairs contribute: level-j
-    terms live within 2^-j * max-reach of the integers, hence miss the window
-    entirely once that radius drops below 2^-L.  They are summed as integers
-    on the grid 1/(D 2^max(J, L)), D the lcm of the endpoint denominators of
-    h and J the deepest level.  depth_L over MAX_WINDOW_DEPTH is refused first.
+    Level-j terms live within 2^-j * max-reach of the integers, hence miss
+    the window once that radius drops below 2^-L, at j > J.  Levels 1..J are
+    one periodic ``_grid_sweep``, which folds all translates k at once, so
+    the work follows J (L plus the log of the reach), not the reach.
+    depth_L over MAX_WINDOW_DEPTH is refused first.
     """
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
@@ -353,23 +348,12 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     neg = h.negative_witness()
     if neg is not None:
         raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
-    wlo, whi = pow2(-depth_L), 1 - pow2(-depth_L)
-    if h.is_zero:
-        return DimFnWindow((wlo, whi), (ZERO,), depth_L, False, h)
-
-    reach = max(max(abs(iv.lo), abs(iv.hi)) for iv, _ in h.pieces)
-    p, q = min(iv.lo for iv, _ in h.pieces).as_integer_ratio()
-    r, u = max(iv.hi for iv, _ in h.pieces).as_integer_ratio()
-    terms: list[tuple[int, int]] = []
-    for j in range(1, depth_L + floor_log2(reach) + 1):  # while 2^-j * reach >= 2^-L
-        # k_lo = floor(2^-j p/q - whi) + 1 and k_hi = ceil(2^-j r/u - wlo) - 1, in integers
-        k_lo = ((p << depth_L) + (q << j)) // (q << (j + depth_L))
-        k_hi = -(((u << j) - (r << depth_L)) // (u << (j + depth_L))) - 1
-        terms.extend((j, k) for k in range(k_lo, k_hi + 1))
-    pieces = [(iv.lo, iv.hi, v) for iv, v in h.pieces]
-    atoms, = _grid_sweep(pieces, terms, [(wlo, whi)], depth_L)
+    reach = max((max(abs(iv.lo), abs(iv.hi)) for iv, _ in h.pieces), default=ONE)
+    levels = range(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
+    atoms, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in h.pieces], levels, True,
+                         [(pow2(-depth_L), 1 - pow2(-depth_L))], depth_L)
     breaks = (atoms[0][0], *(b for _, b, _ in atoms))
-    return DimFnWindow(breaks, tuple(v for _, _, v in atoms), depth_L, True, h)
+    return DimFnWindow(breaks, tuple(v for _, _, v in atoms), depth_L, not h.is_zero, h)
 
 
 @dataclass(frozen=True)
@@ -566,7 +550,7 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
         raise InputError("alpha must be odd; even shifts reduce to odd ones by dilation")
     if psi.is_zero:
         return TqResult(True)
-    if _touches_zero([iv for iv, _ in psi.pieces]):
+    if any(_beside_zero([iv for iv, _ in psi.pieces])):
         raise InputError("support must be bounded away from 0")
     _, big = _signed_reach([iv for iv, _ in psi.pieces])
     fragments = []
@@ -594,24 +578,31 @@ class OrthonormalityReport:
     notes: tuple[str, ...] = ()
 
 
+MAX_SHIFTS = 2048  # work budget on the odd shifts of one orthonormality check
+
+
 def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
     """Certify orthonormality of a real-valued step-function wavelet spectrum.
 
     Passes iff the Calderon sum of psi^2 is identically 1, every
     translation-orthogonality sum vanishes (odd shifts up to twice the
     support reach; negative shifts are equivalent by reflection), and the
-    squared norm is exactly 1.
+    squared norm is exactly 1.  More than MAX_SHIFTS shifts, so a reach of
+    4097/2 or more, is an InputError, raised before any sum.
     """
     if psi.is_zero:
         return OrthonormalityReport(False, ZERO, calderon(psi), (), (),
                                     ("spectrum is identically zero",))
-    if _touches_zero([iv for iv, _ in psi.pieces]):
+    if any(_beside_zero([iv for iv, _ in psi.pieces])):
         raise InputError("support must be bounded away from 0")
+    _, big = _signed_reach([iv for iv, _ in psi.pieces])
+    alphas = range(1, math.floor(2 * big) + 1, 2)
+    if len(alphas) > MAX_SHIFTS:
+        raise InputError(f"orthonormality checks at most {MAX_SHIFTS} odd shifts (work budget); "
+                         f"the support reach {big} needs {len(alphas)}")
     sq = psi.square()
     norm_sq = sq.integral()
     cal = calderon(sq)
-    _, big = _signed_reach([iv for iv, _ in psi.pieces])
-    alphas = tuple(range(1, math.floor(2 * big) + 1, 2))
     failures = []
     for a in alphas:
         res = tq_check(psi, a)
@@ -619,7 +610,7 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
             failures.append((a, res.witness))
     passed = (not cal.diverges) and cal.is_one and not failures and norm_sq == 1
     notes = ("shifts -a are equivalent to +a by reflection of the sum",)
-    return OrthonormalityReport(passed, norm_sq, cal, tuple(failures), alphas, notes)
+    return OrthonormalityReport(passed, norm_sq, cal, tuple(failures), tuple(alphas), notes)
 
 
 # ------------------------------------------------- band-pair family psi_b

@@ -3,7 +3,7 @@
 Folds interval sets onto the unit torus [0, 1), counts translation
 multiplicities exactly, and extracts deterministic transversals (subsets whose
 integer translates tile the line with multiplicity one).  Fold results and
-dimension-function windows share one exact periodic-step type.
+dimension-function windows share one grid sweep and one periodic-step type.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, _merge, iset, normalize, rat
+from .intervals import Interval, IntervalSet, _merge, _subtract, iset, normalize, rat
 
 if TYPE_CHECKING:
     from .spectral import StepFn
@@ -30,8 +30,9 @@ def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
 
     Returns (atom_lo, atom_hi, total) triples covering the window completely,
     with equal-valued adjacent atoms merged.  Exact for any one exact number
-    type: ``tq_check`` sweeps fractions, the unit fold and the dyadic
-    dilation sums integers on their grids (``_on_grid``, ``_grid_sweep``).
+    type: ``tq_check`` sweeps fractions, and ``_grid_sweep``, the one routine
+    of the unit fold, the dimension function and the Calderon sums, sweeps
+    integers on its grid.
     """
     zero = lo - lo  # 0 in the caller's number type, also where no fragment reaches
     deltas: dict = {}
@@ -72,26 +73,27 @@ def _on_grid(**groups: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
             for d, xs in zip(dens, groups.values())]
 
 
-def _grid_sweep(pieces: Sequence[tuple], terms: Sequence[tuple[int, int]],
+def _grid_sweep(pieces: Sequence[tuple], levels: Sequence[int], periodic: bool,
                 windows: Iterable[tuple], depth: int = 0) -> Iterator[list[tuple]]:
-    """Sweep the fragments 2^-j [lo, hi) - k, weighted by v, over each window.
+    """Sweep the fragments 2^-j [lo, hi), weighted by v, over each window.
 
-    One fragment per (j, k) in ``terms`` and (lo, hi, v) in ``pieces``.  All
-    endpoints lie on the grid 1/(D 2^T), D the lcm of the endpoint
-    denominators and T the larger of ``depth`` and the deepest j, and all
-    values are integers over V, the lcm of the value denominators (both
-    within the ``_on_grid`` budget).  Each break and distinct value becomes
-    a fraction once.
+    One fragment per j in ``levels`` and (lo, hi, v) in ``pieces``; a
+    ``periodic`` sum counts all their integer translates by folding them into
+    [0, 1) with ``_unit_fragments`` (windows inside [0, 1]), so its cost
+    follows the levels, not the reach.  All endpoints lie on the grid
+    1/(D 2^T), D the lcm of the endpoint denominators and T the larger of
+    ``depth`` and the deepest j, and all values are integers over V, the lcm
+    of the value denominators (both within the ``_on_grid`` budget).  Each
+    break and distinct value becomes a fraction once.
     """
     (d, ends), (vden, vals) = _on_grid(endpoint=[x for lo, hi, _ in pieces for x in (lo, hi)],
                                        value=[v for _, _, v in pieces])
-    t = max([depth, *(j for j, _ in terms)])
+    t = max([depth, *levels])
     scale = d << t
     grid = list(zip(ends[::2], ends[1::2], vals))
-    frags: list[tuple[int, int, int]] = []
-    for j, k in terms:
-        s, off = t - j, k * scale
-        frags.extend(((a << s) - off, (b << s) - off, w) for a, b, w in grid)
+    frags = [(a << (t - j), b << (t - j), w) for j in levels for a, b, w in grid]
+    if periodic:
+        frags = [(a, b, w) for a, b, w, _ in _unit_fragments(frags, scale)]
     for lo, hi in windows:
         glo, ghi = lo * scale, hi * scale
         assert glo.denominator == ghi.denominator == 1, "window endpoints must lie on the grid"
@@ -212,19 +214,21 @@ def _from_grid(pairs: Iterable[tuple[int, int]], d: int) -> IntervalSet:
     return IntervalSet(tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b in pairs))
 
 
+def s1_witness(s: IntervalSet) -> Interval | None:
+    """The first part of S minus 2S, or None; ``_subtract`` on the grid of S."""
+    d, pairs = _pairs_on_grid(s)
+    left_over = _subtract(pairs, [(a << 1, b << 1) for a, b in pairs])
+    return _from_grid(left_over[:1], d).parts[0] if left_over else None
+
+
 def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
     """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function.
 
-    Sums integers on the grid of ``_on_grid`` (endpoints over D, values over
-    V, both in its budget); each break and value becomes a fraction once.
+    The periodic ``_grid_sweep`` at level 0 over [0, 1): integers on the grid
+    of ``_on_grid`` (endpoints over D, values over V, both in its budget).
     """
-    pieces = list(pieces)
-    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in pieces for x in (iv.lo, iv.hi)],
-                                       value=[v for _, v in pieces])
-    fragments = _unit_fragments(zip(ends[::2], ends[1::2], vals), d)
-    atoms = sweep_weighted(((a, b, w) for a, b, w, _ in fragments), 0, d)
-    return DimFnWindow(tuple(Fraction(a, d) for a, _, _ in atoms) + (ONE,),
-                       tuple(Fraction(w, vden) for _, _, w in atoms), 0, False)
+    atoms, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], [0], True, [(ZERO, ONE)])
+    return DimFnWindow((ZERO, *(b for _, b, _ in atoms)), tuple(v for _, _, v in atoms), 0, False)
 
 
 def fold_multiplicity(s: IntervalSet) -> DimFnWindow:

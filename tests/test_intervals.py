@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from waveset.errors import InputError
-from waveset.intervals import EMPTY, Interval, IntervalSet, iset, normalize, rat
+from waveset.intervals import EMPTY, Interval, IntervalSet, _beside_zero, iset, normalize, rat
 
 F = Fraction
 
@@ -156,3 +156,14 @@ def test_translate_commutes_with_ops(a, b, t):
 @given(interval_sets(), interval_sets())
 def test_equality_iff_null_difference(a, b):
     assert (a == b) == (a.sym_diff_measure(b) == 0)
+
+
+@given(st.lists(rationals, max_size=9), st.booleans(), st.integers(0, 3))
+def test_beside_zero_is_the_scan(ends, at_zero, skip):
+    # Sorted, disjoint parts that may touch (the pieces of a step function):
+    # the bisection answers as the scan does.
+    ends = sorted(set(ends) | ({F(0)} if at_zero else set()))
+    parts = [Interval(a, b) for i, (a, b) in enumerate(zip(ends, ends[1:])) if i % 4 != skip]
+    left = any(p.lo < 0 <= p.hi for p in parts)
+    right = any(p.lo <= 0 < p.hi for p in parts)
+    assert _beside_zero(parts) == (left, right)

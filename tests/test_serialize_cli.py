@@ -485,6 +485,25 @@ def test_cli_dimfun_over_window_budget_is_input_error(capsys, monkeypatch, tmp_p
     assert "at most 2050" in reason and "1024 (work budget)" in reason
 
 
+def test_cli_far_spectrum_dimfun_answered_orthonormal_refused(capsys, monkeypatch, tmp_path):
+    from waveset import spectral
+
+    h = _write(tmp_path, "far.json", step_fn_to_json(StepFn.build([((1, 10**9), 1)])))
+    code, rep, _ = run_cli(capsys, ["dimfun", h, "--depth", "20"])
+    assert code == 1 and rep["data"]["mra"]["status"] == "not_mra"
+
+    def no_sums(*args):
+        raise AssertionError("the shift budget is checked before any sum")
+
+    monkeypatch.setattr(spectral, "tq_check", no_sums)
+    monkeypatch.setattr(spectral, "calderon", no_sums)
+    code, rep, out = run_cli(capsys, ["orthonormal", h])
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
+    assert rep["witnesses"][0]["reason"] == ("orthonormality checks at most 2048 odd shifts "
+                                             "(work budget); the support reach 1000000000 "
+                                             "needs 1000000000")
+
+
 @pytest.mark.parametrize("depth", ["-1", "0", "1"])
 def test_cli_dimfun_under_depth_floor_is_input_error(capsys, monkeypatch, tmp_path, depth):
     from waveset import spectral

@@ -1,5 +1,6 @@
 """Spectrum validation, Calderon sums, dimension windows, orthogonality sums."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from waveset.spectral import (
     calderon,
     check_D1_D4,
     dimension_function,
+    floor_log2,
     mra_check,
     orthonormality_check,
     pow2,
@@ -257,6 +259,58 @@ def test_dimension_deep_window_restricts_to_shallow(h, depth):
     deep = dimension_function(h, 2 * depth + 2)
     assert deep.restrict(depth) == dimension_function(h, depth)
     assert deep.restrict(depth + 2) == dimension_function(h, depth + 2)
+
+
+def _ray_dimension_at(reach, xi):
+    """Closed form of the dimension function of 1 on [1, reach) at xi in (0, 1).
+
+    Level j counts the integers k with 2^-j <= xi + k < 2^-j reach; none
+    once 2^-j reach <= xi.
+    """
+    total, j = 0, 1
+    while pow2(-j) * reach > xi:
+        total += math.ceil(pow2(-j) * reach - xi) - math.ceil(pow2(-j) - xi)
+        j += 1
+    return total
+
+
+def test_dimension_far_spectrum_is_answered():
+    # Every translate of a level folds into [0, 1) at once, so a spectrum
+    # reaching 10^9 is summed like a near one.
+    rng = random.Random(1009)
+    for reach in (10**9, 10**4):
+        h = StepFn.build([((1, reach), 1)])
+        dim = dimension_function(h, 20)
+        assert dim.window() == (pow2(-20), 1 - pow2(-20))
+        points = [(a + b) / 2 for a, b, _ in _spread(list(dim.pieces()), 6)]
+        points += sample_fractions(rng, 6, *dim.window())
+        for xi in points:
+            assert dim.value_at(xi) == _ray_dimension_at(reach, xi)
+            if reach == 10**4:
+                assert dim.value_at(xi) == dim_sum_at(pieces_of(h), xi)
+
+
+def test_dimension_fragments_do_not_grow_with_reach(monkeypatch):
+    # Each level gives a piece at most three folded fragments (the cut ends
+    # and the whole periods), so the work follows the levels, about L plus
+    # log2 of the reach: 26 levels at 10^2 and 49 at 10^9 at L = 20.
+    from waveset import torus
+
+    made = []
+    for reach in (10**2, 10**9):
+        lengths = []
+
+        def counting_sweep(fragments, lo, hi, real=torus.sweep_weighted):
+            fragments = list(fragments)
+            lengths.append(len(fragments))
+            return real(fragments, lo, hi)
+
+        with monkeypatch.context() as m:
+            m.setattr(torus, "sweep_weighted", counting_sweep)
+            dimension_function(StepFn.build([((1, reach), 1)]), 20)
+        assert sum(lengths) <= 3 * (20 + floor_log2(F(reach)))
+        made.append(sum(lengths))
+    assert made[1] <= 3 * made[0]
 
 
 def test_dimension_window_depth_budget():
@@ -643,6 +697,24 @@ def test_orthonormality_shannon_passes():
 
 def test_orthonormality_journe_indicator_passes():
     assert orthonormality_check(StepFn.indicator(JOURNE)).passed
+
+
+def test_orthonormality_shift_budget(monkeypatch):
+    # The odd shifts up to twice the reach are counted before any sum.
+    from waveset import spectral
+
+    def no_sums(*args):
+        raise AssertionError("the budget is checked before any sum")
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "tq_check", no_sums)
+        m.setattr(spectral, "calderon", no_sums)
+        with pytest.raises(InputError, match="at most 2048 odd shifts .work budget.; "
+                                             "the support reach 2049 needs 2049"):
+            orthonormality_check(StepFn.build([((1, 2049), 1)]))
+    monkeypatch.setattr(spectral, "tq_check", lambda psi, a: spectral.TqResult(True))
+    rep = orthonormality_check(StepFn.build([((-2048, -1), 1), ((1, 2048), 1)]))
+    assert rep.alphas_checked == tuple(range(1, 4096, 2))
 
 
 def test_orthonormality_psi_quarter_fails():
