@@ -17,7 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .intervals import Interval, IntervalSet, RationalLike, _beside_zero, iset, normalize, rat
+from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _merge, iset,
+                        normalize, rat)
 from .torus import (DimFnWindow, _grid_sweep, _on_grid, _unit_fragments, fold_step, s1_witness,
                     sweep_weighted)
 
@@ -179,6 +180,17 @@ def _signed_reach(parts: Sequence[Interval]) -> tuple[Fraction, Fraction]:
     return r, big
 
 
+MAX_LEVELS = 4096  # work budget on the levels j of one dilation sum
+
+
+def _levels(lo: int, hi: int) -> range:
+    """Levels lo..hi - 1 of a dilation sum, whose grid numbers carry about as many bits."""
+    if hi - lo > MAX_LEVELS:
+        raise InputError(f"a dilation sum has at most {MAX_LEVELS} levels (work budget); "
+                         f"got {hi - lo}")
+    return range(lo, hi)
+
+
 def _annulus_sums(pieces: Sequence[tuple[Interval, Fraction]],
                   c: Fraction) -> Iterator[list[tuple]]:
     """Sum f(2^j x) over j in Z on [-2c, -c), then on [c, 2c), one half at a time.
@@ -186,11 +198,11 @@ def _annulus_sums(pieces: Sequence[tuple[Interval, Fraction]],
     f has the given (interval, value) pieces, all bounded away from 0, and
     c lies on the grid of their endpoints.  With the pieces inside
     [-R, -r] u [r, R], the dilates meeting the annulus have
-    floor_log2(r/2c) <= j <= floor_log2(R/c) + 1; the sweep clips the
-    fragments of any of them that miss it.
+    floor_log2(r/2c) <= j <= floor_log2(R/c) + 1, at most MAX_LEVELS of
+    them; the sweep clips the fragments of any of them that miss it.
     """
     r, big = _signed_reach([iv for iv, _ in pieces])
-    levels = range(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)
+    levels = _levels(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)
     return _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], levels, False,
                        ((-2 * c, -c), (c, 2 * c)))
 
@@ -338,7 +350,7 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     the window once that radius drops below 2^-L, at j > J.  Levels 1..J are
     one periodic ``_grid_sweep``, which folds all translates k at once, so
     the work follows J (L plus the log of the reach), not the reach.
-    depth_L over MAX_WINDOW_DEPTH is refused first.
+    depth_L over MAX_WINDOW_DEPTH is refused first, J over MAX_LEVELS next.
     """
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
@@ -349,7 +361,7 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     if neg is not None:
         raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
     reach = max((max(abs(iv.lo), abs(iv.hi)) for iv, _ in h.pieces), default=ONE)
-    levels = range(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
+    levels = _levels(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
     atoms, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in h.pieces], levels, True,
                          [(pow2(-depth_L), 1 - pow2(-depth_L))], depth_L)
     breaks = (atoms[0][0], *(b for _, b, _ in atoms))
@@ -392,6 +404,8 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
                          f"{MAX_WINDOW_DEPTH} (work budget)")
     L = depth_L
     deep, dim = dim, dim.restrict(L + 2)
+    if L < 2:
+        raise InputError(f"the conditions are checked at a depth of at least 2; got {L}")
 
     # (D1): nonnegative-integer values.
     d1 = CheckOutcome("pass")
@@ -400,28 +414,31 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
             d1 = CheckOutcome("fail", Interval(a, b), f"value {v} is not a nonnegative integer")
             break
 
-    # (D2): D(x) + D(x + 1/2) = D(2x) + 1 on [2^-L, 1/2 - 2^-L).
+    # (D2): D(x) + D(x + 1/2) = D(2x) + 1 on [2^-L, 1/2 - 2^-L), on the grid 1/G with G =
+    # 2 lcm(break denominators): 2^-L, each break, its shift by 1/2 and its half are integers.
+    g = 2 * math.lcm(*(x.denominator for x in dim.breaks))
+    ends = [x.numerator * (g // x.denominator) for x in dim.breaks]
     a0, b0 = pow2(-L), HALF - pow2(-L)
-    cuts = {a0, b0}
-    for br in dim.breaks:
-        for cand in (br, br - HALF, br / 2):
-            if a0 < cand < b0:
-                cuts.add(cand)
+    half, lo = g >> 1, g >> L
+    hi = half - lo
+    points = sorted({lo, hi} | {c for e in ends for c in (e, e - half, e >> 1) if lo < c < hi})
+
+    def value(x: int) -> Fraction:
+        return dim.values[bisect_right(ends, x) - 1]
+
     d2 = CheckOutcome("pass", note=f"identity checked exactly on [{a0}, {b0})")
-    points = sorted(cuts)
     for a, b in zip(points, points[1:]):
-        lhs = dim.value_at(a) + dim.value_at(a + HALF)
-        rhs = dim.value_at(2 * a) + 1
+        lhs, rhs = value(a) + value(a + half), value(2 * a) + 1
         if lhs != rhs:
-            d2 = CheckOutcome("fail", Interval(a, b), f"{lhs} != {rhs}")
+            d2 = CheckOutcome("fail", Interval(Fraction(a, g), Fraction(b, g)), f"{lhs} != {rhs}")
             break
 
-    d3 = _check_d3(dim, L)
+    d3 = _check_d3(dim, L, g, ends)
     d4 = _check_d4(deep, L)
     return DimConditionsReport(d1, d2, d3, d4, L)
 
 
-def _check_d3(dim: DimFnWindow, L: int) -> CheckOutcome:
+def _check_d3(dim: DimFnWindow, L: int, g: int, ends: Sequence[int]) -> CheckOutcome:
     """Semi-decide the covering condition via residue classes mod powers of 2.
 
     The contraction-invariant set is over-approximated by the certified zero
@@ -431,31 +448,36 @@ def _check_d3(dim: DimFnWindow, L: int) -> CheckOutcome:
     k mod 2^j, so ruling out every residue class certifies that the covering
     sum is 0; where the window value is >= 1 that is a certified violation.
     An atom lies in (0, 1) and a residue r mod 2^l in [0, 2^l), so the image
-    (atom + r) / 2^l lies in [0, 1): a certified zero iff one part holds it.
+    (atom + r) / 2^l lies in [0, 1): a certified zero iff one zero run holds
+    it.  With the breaks ``ends`` over g and class depth c, runs and images
+    are integer pairs over g 2^c, and one bisection tests each image.
     """
-    zeros = dim.zero_set()
-    if zeros.is_empty:
+    c = min(L, 8)
+    runs = _merge((a << c, b << c) for a, b, v in zip(ends, ends[1:], dim.values) if v == 0)
+    if not runs:
         return CheckOutcome("no_violation", note=f"no certified zeros in the window at depth {L}")
-    class_depth = min(L, 8)
-    for a, b, v in dim.pieces():
+    starts = [lo for lo, _ in runs]
+
+    def zero(lo: int, hi: int) -> bool:
+        i = bisect_right(starts, lo) - 1
+        return i >= 0 and runs[i][1] >= hi
+
+    for i, v in enumerate(dim.values):
         if v < 1:
             continue
+        a, b = ends[i], ends[i + 1]
         survivors = [0]  # residues mod 2^level
-        for level in range(1, class_depth + 1):
-            mod, s = 1 << (level - 1), pow2(-level)
-            nxt = []
-            for res in survivors:
-                for res2 in (res, res + mod):
-                    if not zeros.contains_interval(Interval((a + res2) * s, (b + res2) * s)):
-                        nxt.append(res2)
-            survivors = nxt
+        for level in range(1, c + 1):
+            mod, up = 1 << (level - 1), c - level
+            survivors = [r for res in survivors for r in (res, res + mod)
+                         if not zero((a + r * g) << up, (b + r * g) << up)]
             if not survivors:
                 return CheckOutcome(
-                    "fail", Interval(a, b),
+                    "fail", Interval(dim.breaks[i], dim.breaks[i + 1]),
                     f"covering sum is 0 while the value is {v} (all residue classes "
                     f"ruled out at class depth {level})",
                 )
-    return CheckOutcome("no_violation", note=f"no violation found at class depth {class_depth}")
+    return CheckOutcome("no_violation", note=f"no violation found at class depth {c}")
 
 
 def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
@@ -540,9 +562,13 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
     Defined for real-valued spectra with support bounded away from 0 and odd
     integer shifts a; even shifts reduce to odd ones by a dilation change of
     variable and are rejected.  Only finitely many m contribute: both factors
-    are nonzero only while 2^m |a| is at most twice the support reach.  Term m
-    is P_m(2^m x) with P_m(y) = psi(y) psi(y + 2^m a): the cells of every P_m,
-    dilated by 2^-m, are summed in one sweep.
+    are nonzero only while 2^m |a| <= 2R, R the support reach, so m <= M.
+    Term m is P_m(2^m x), P_m(y) = psi(y) psi(y + 2^m a); more than
+    MAX_LEVELS scales are refused before any of them.  On the grid of
+    ``_on_grid`` (endpoints over D, values over V), one two-pointer walk over
+    the pieces and their shift by 2^m a D gives the cells of P_m, shifted by
+    M - m bits onto 1/(D 2^M); one integer sweep sums all scales, and only
+    its nonzero atoms become fractions.
     """
     if not isinstance(alpha, int):
         raise InputError("alpha must be an integer")
@@ -552,17 +578,28 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
         return TqResult(True)
     if any(_beside_zero([iv for iv, _ in psi.pieces])):
         raise InputError("support must be bounded away from 0")
-    _, big = _signed_reach([iv for iv, _ in psi.pieces])
-    fragments = []
-    m = 0
-    while pow2(m) * abs(alpha) <= 2 * big:
-        s = pow2(-m)
-        for c, d, x, y in _refine(psi, psi.shift(-alpha / s)):  # y = psi(c + 2^m alpha)
-            if x and y:
-                fragments.append((s * c, s * d, x * y))
-        m += 1
-    atoms = sweep_weighted(fragments, -big, big)  # the sum vanishes outside [-big, big)
-    total = StepFn.build((Interval(a, b), v) for a, b, v in atoms if v)
+    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in psi.pieces for x in (iv.lo, iv.hi)],
+                                       value=[v for _, v in psi.pieces])
+    reach = max(-ends[0], ends[-1])  # R D
+    last = (2 * reach // (abs(alpha) * d)).bit_length() - 1  # M: the largest m with 2^m |a| <= 2R
+    if last < 0:
+        return TqResult(True)
+    pieces = list(zip(ends[::2], ends[1::2], vals))
+    n, fragments = len(pieces), []
+    for m in _levels(0, last + 1):
+        t, up, j = (alpha * d) << m, last - m, 0
+        for a, b, x in pieces:  # y = psi(. + 2^m a) on the shifted pieces [c - t, e - t)
+            while j < n and pieces[j][1] - t <= a:
+                j += 1
+            k = j
+            while k < n and pieces[k][0] - t < b:
+                c, e, y = pieces[k]
+                fragments.append((max(a, c - t) << up, min(b, e - t) << up, x * y))
+                k += 1
+    scale, wden = d << last, vden * vden
+    atoms = sweep_weighted(fragments, -reach << last, reach << last)  # t_a vanishes outside
+    total = StepFn(tuple((Interval(Fraction(a, scale), Fraction(b, scale)), Fraction(w, wden))
+                         for a, b, w in atoms if w))
     if total.is_zero:
         return TqResult(True, fn=total)
     return TqResult(False, total.pieces[0][0], total)

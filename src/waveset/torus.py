@@ -29,23 +29,21 @@ def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
     """Sum weighted half-open fragments over the window [lo, hi).
 
     Returns (atom_lo, atom_hi, total) triples covering the window completely,
-    with equal-valued adjacent atoms merged.  Exact for any one exact number
-    type: ``tq_check`` sweeps fractions, and ``_grid_sweep``, the one routine
-    of the unit fold, the dimension function and the Calderon sums, sweeps
-    integers on its grid.
+    with equal-valued adjacent atoms merged.  Its callers sweep integers on
+    their grids: ``_grid_sweep``, the one routine of the unit fold, the
+    dimension function and the Calderon sums, and ``spectral.tq_check``.
     """
-    zero = lo - lo  # 0 in the caller's number type, also where no fragment reaches
     deltas: dict = {}
     for flo, fhi, val in fragments:
         a, b = max(flo, lo), min(fhi, hi)
         if a < b:
-            deltas[a] = deltas.get(a, zero) + val
-            deltas[b] = deltas.get(b, zero) - val
+            deltas[a] = deltas.get(a, 0) + val
+            deltas[b] = deltas.get(b, 0) - val
     cuts = sorted(set(deltas) | {lo, hi})
     out: list[tuple] = []
-    level = zero
+    level = 0
     for a, b in zip(cuts, cuts[1:]):
-        level += deltas.get(a, zero)
+        level += deltas.get(a, 0)
         if out and out[-1][2] == level and out[-1][1] == a:
             out[-1] = (out[-1][0], b, level)
         else:

@@ -147,6 +147,58 @@ def d3_probe(breaks, values, depth_L: int):
     return "no_violation", None, f"no violation found at class depth {class_depth}"
 
 
+def d2_probe(breaks, values, depth_L: int):
+    """(status, witness pair or None, note) of the doubling identity
+    D(x) + D(x + 1/2) = D(2x) + 1 on [2^-L, 1/2 - 2^-L).
+
+    Reads the depth-(L + 2) window as plain lists.  All three sides are
+    constant between the cuts at the window's breaks, their shifts by -1/2
+    and their halves, so one point per cell decides it; each value is found
+    by a linear scan.
+    """
+    half = Fraction(1, 2)
+    a0, b0 = pow2(-depth_L), half - pow2(-depth_L)
+    pieces = list(zip(breaks, breaks[1:], values))
+    cuts = sorted({a0, b0} | {c for x in breaks for c in (x, x - half, x / 2) if a0 < c < b0})
+    for a, b in zip(cuts, cuts[1:]):
+        lhs = value_at(pieces, a) + value_at(pieces, a + half)
+        rhs = value_at(pieces, 2 * a) + 1
+        if lhs != rhs:
+            return "fail", (a, b), f"{lhs} != {rhs}"
+    return "pass", None, f"identity checked exactly on [{a0}, {b0})"
+
+
+def fraction_tq_sum(pieces, alpha: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """Nonzero atoms (a, b, value) of t_a(x) = sum(psi(2^m x) psi(2^m (x + a)), m >= 0).
+
+    psi is given as sorted, disjoint (lo, hi, value) pieces bounded away
+    from 0, with reach R.  Term m is nonzero only while 2^m |a| <= 2R; its
+    cells are those of psi and of psi shifted by -2^m a, divided by 2^m.
+    All terms' cells are cut together, each atom summed by a linear scan,
+    and equal neighbours merged before the zero atoms are dropped.
+    """
+    big = max((max(abs(lo), abs(hi)) for lo, hi, _ in pieces), default=Fraction(0))
+    fragments = []
+    m = 0
+    while pow2(m) * abs(alpha) <= 2 * big:
+        t = pow2(m) * alpha
+        cuts = sorted({x for lo, hi, _ in pieces for x in (lo, hi, lo - t, hi - t)})
+        for a, b in zip(cuts, cuts[1:]):
+            v = value_at(pieces, a) * value_at(pieces, a + t)
+            if v:
+                fragments.append((a / pow2(m), b / pow2(m), v))
+        m += 1
+    cuts = sorted({x for a, b, _ in fragments for x in (a, b)})
+    atoms: list[tuple[Fraction, Fraction, Fraction]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        level = sum((w for fa, fb, w in fragments if fa <= a and b <= fb), Fraction(0))
+        if atoms and atoms[-1][2] == level:
+            atoms[-1] = (atoms[-1][0], b, level)
+        else:
+            atoms.append((a, b, level))
+    return [(a, b, v) for a, b, v in atoms if v]
+
+
 def orbit_limit_is_one(parts: list[Pair], xi: Fraction, depth: int = 64) -> bool:
     """Whether the indicator along the contraction orbit of xi settles at 1."""
     return all(contains(parts, xi * pow2(-j)) for j in range(depth - 8, depth + 1))

@@ -561,3 +561,30 @@ def test_cli_fold_over_grid_budget_is_input_error(capsys, tmp_path, argv):
     rep = json.loads(out)
     assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1 and not err
     assert "at most 8192 bits each (work budget); got 10283" in rep["witnesses"][0]["reason"]
+
+
+@pytest.mark.parametrize("argv", [["tq", "--alpha", "1"], ["orthonormal"]])
+def test_cli_orthogonality_over_grid_budget_is_input_error(capsys, tmp_path, argv):
+    # The orthogonality sums run on the grid of the spectrum's endpoints, and
+    # a reach of 1 keeps the shift budget far away.
+    s = _garnished_window(400).subtract(iset(("-1/2", "1/2")))
+    h = _write(tmp_path, "h.json", step_fn_to_json(StepFn.indicator(s)))
+    code = cli.run([argv[0], h, *argv[1:]])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1 and not err
+    assert "at most 8192 bits each (work budget)" in rep["witnesses"][0]["reason"]
+
+
+def test_cli_dimfun_over_level_budget_is_input_error(capsys, monkeypatch, tmp_path):
+    from waveset import spectral
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the level budget is checked before any sweep")
+
+    monkeypatch.setattr(spectral, "_grid_sweep", no_sums)
+    h = _write(tmp_path, "h.json", step_fn_to_json(StepFn.build([((1, 2**5000), 1)])))
+    code, rep, out = run_cli(capsys, ["dimfun", h, "--depth", "20"])
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1
+    assert rep["witnesses"][0]["reason"] == ("a dilation sum has at most 4096 levels "
+                                             "(work budget); got 5042")

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 
 from oracles import (
     calderon_sum_at,
+    d2_probe,
     d3_probe,
     dilation_multiplicity_at,
     dim_sum_at,
+    fraction_tq_sum,
     sample_fractions,
     tq_sum_at,
 )
@@ -20,6 +22,7 @@ from waveset.construct import verify_wavelet_set
 from waveset.errors import InconsistentSpectrumError, InputError
 from waveset.intervals import EMPTY, Interval, iset, normalize
 from waveset.spectral import (
+    MAX_LEVELS,
     MAX_WINDOW_DEPTH,
     DimFnWindow,
     StepFn,
@@ -313,6 +316,34 @@ def test_dimension_fragments_do_not_grow_with_reach(monkeypatch):
     assert made[1] <= 3 * made[0]
 
 
+def test_dilation_sums_level_budget(monkeypatch):
+    # The levels are counted before any sweep: 20 + 5000 for the window at
+    # depth 20 of 1 on [1, 2^5000), -1 to 5001 for its Calderon sum, and
+    # -1 to 5000 for the dilation check of a set reaching from 2^-4999 to 1.
+    from waveset import spectral
+
+    def no_sums(*args, **kwargs):
+        raise AssertionError("the level budget is checked before any sweep")
+
+    monkeypatch.setattr(spectral, "_grid_sweep", no_sums)
+    h = StepFn.build([((1, 2**5000), 1)])
+    for run, count in ((lambda: dimension_function(h, 20), 5020), (lambda: calderon(h), 5003),
+                       (lambda: verify_wavelet_set(iset((pow2(-4999), 1), (1, 1 + pow2(-4999)))),
+                        5002)):
+        with pytest.raises(InputError, match=f"at most {MAX_LEVELS} levels .work budget.; "
+                                             f"got {count}"):
+            run()
+    # The cap itself: 20 + 4076 levels reach the sweep, 20 + 4077 do not.
+    with pytest.raises(AssertionError, match="level budget"):
+        dimension_function(StepFn.build([((1, 2**4076), 1)]), 20)
+    with pytest.raises(InputError, match=f"got {MAX_LEVELS + 1}"):
+        dimension_function(StepFn.build([((1, 2**4077), 1)]), 20)
+    # The scales m = 0..5001 of an orthogonality sum count the same way.
+    monkeypatch.setattr(spectral, "sweep_weighted", no_sums)
+    with pytest.raises(InputError, match=f"at most {MAX_LEVELS} levels .work budget.; got 5002"):
+        tq_check(h, 1)
+
+
 def test_dimension_window_depth_budget():
     with pytest.raises(InputError, match="at most 2050"):
         dimension_function(SHANNON_PSI, MAX_WINDOW_DEPTH + 1)
@@ -579,6 +610,57 @@ def test_d3_oracle_sees_both_outcomes():
     assert seen == {"fail", "no_violation"}
 
 
+def _d2_against_oracle(dim, depth):
+    d2 = check_D1_D4(dim, depth).d2
+    status, witness, note = d2_probe(dim.breaks, dim.values, depth)
+    assert (d2.status, d2.note) == (status, note)
+    assert (None if d2.witness is None else (d2.witness.lo, d2.witness.hi)) == witness
+    return d2.status
+
+
+D2_VALUES = (F(1), F(1), F(1), F(1), F(2), F(0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=2, max_value=10), st.sampled_from([8, 16, 24, 40, 64, 96]),
+       st.lists(st.integers(min_value=1, max_value=95), max_size=10, unique=True),
+       st.lists(st.sampled_from(D2_VALUES), min_size=11, max_size=11))
+def test_d2_matches_plain_loop_oracle(depth, den, cuts, values):
+    _d2_against_oracle(_d3_window(depth, den, [c for c in cuts if c < den], values), depth)
+
+
+def test_d2_oracle_sees_both_outcomes():
+    # Windows of mostly 1 pass or fail the doubling identity; wavelets' windows pass.
+    rng = random.Random(89)
+    seen = set()
+    for _ in range(200):
+        depth, den = rng.randint(2, 10), rng.choice([8, 16, 24, 40, 64, 96])
+        cuts = rng.sample(range(1, den), rng.randint(0, 4))
+        values = [rng.choice(D2_VALUES) for _ in range(5)]
+        seen.add(_d2_against_oracle(_d3_window(depth, den, cuts, values), depth))
+    for h in (SHANNON_PSI, JOURNE_H, psi_b_spectrum("1/3").square()):
+        for depth in (2, 5, 8):
+            seen.add(_d2_against_oracle(dimension_function(h, depth + 2), depth))
+    assert seen == {"fail", "pass"}
+
+
+def test_conditions_accept_window_over_grid_bits():
+    # D2 and D3 run on the grid of the window's own breaks, which no grid
+    # budget bounds: here the lcm of their denominators has over 8192 bits.
+    ps = _primes_above(700, 4096)
+    dens = [math.prod(ps[i::14]) for i in range(14)]  # 14 coprime products of 50 primes
+    depth = 6
+    cuts = sorted(F(d * (i + 1) // 15, d) for i, d in enumerate(dens))
+    assert math.lcm(*(c.denominator for c in cuts)).bit_length() > 8192
+    wlo, whi = pow2(-depth - 2), 1 - pow2(-depth - 2)
+    values = [F(v) for v in (0, 2, 0, 1, 1, 0, 2, 2, 1, 0, 1, 1, 0, 2, 1)]
+    dim = DimFnWindow((wlo, *cuts, whi), tuple(values), depth + 2, True)
+    rep = check_D1_D4(dim, depth)
+    assert rep.d1.status == "pass" and rep.d4.status == "skipped"
+    assert _d2_against_oracle(dim, depth) == rep.d2.status == "fail"
+    assert _d3_against_oracle(dim, depth) == rep.d3.status
+
+
 def test_conditions_d4_certified_fail():
     # One-sided spectrum: the dimension function vanishes on (0, eps), so
     # every deep contraction lands on a certified zero.
@@ -671,6 +753,14 @@ def test_tq_matches_oracle(psi, alpha, sign, rng):
     for m in range(5):  # term m lives in 2^-m [-3, 3]
         for xi in sample_fractions(rng, 6, -3 * pow2(-m), 3 * pow2(-m)):
             assert tq_sum_at(pieces, alpha, xi, 16) == res.fn.value_at(xi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(signed_spectra(), st.integers(min_value=-7, max_value=6).map(lambda k: 2 * k + 1))
+def test_tq_matches_fraction_sum(psi, alpha):
+    # Piece for piece against the sum of every term's cells in fractions.
+    res = tq_check(psi, alpha)
+    assert [(iv.lo, iv.hi, v) for iv, v in res.fn.pieces] == fraction_tq_sum(pieces_of(psi), alpha)
 
 
 def test_tq_far_alpha_trivially_zero():
