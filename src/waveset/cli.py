@@ -325,80 +325,93 @@ def _cmd_plot(args) -> dict:
 # --------------------------------------------------------------- parser
 
 
-def build_parser() -> _Parser:
+def _arg(*flags: str, **options) -> tuple:
+    return flags, options
+
+
+_FILE = _arg("file")
+_DEPTHS = (_arg("--depth-n", type=int, default=cons.DEFAULT_DEPTH_N, dest="depth_n"),
+           _arg("--depth-j", type=int, default=cons.DEFAULT_DEPTH_J, dest="depth_j"))
+_MAT2 = (_arg("--matrix", required=True),
+         _arg("--lattice", required=True, help="mat2 JSON file or 'id'"))
+
+# The command table: name -> (help, arguments, handler), arguments in usage
+# order.  `construct` holds a table of its kinds, each (arguments, handler).
+# A handler is named, and looked up when a parser is built, so that it can be
+# replaced on the module like any other function.
+COMMANDS: dict[str, tuple] = {
+    "verify": ("exact verification of sets and spectra",
+               [_arg("kind", choices=["scaling-set", "wavelet-set", "spectrum"]), _FILE],
+               "_cmd_verify"),
+    "construct": ("scaling-set and wavelet-set construction", {
+        "scaling-set": ([_FILE, *_DEPTHS], "_cmd_construct_scaling_set"),
+        "rze": ([_arg("--spectrum", required=True), *_DEPTHS], "_cmd_construct_rze"),
+    }, None),
+    "dimfun": ("dimension function window and its conditions",
+               [_FILE, _arg("--depth", type=int, default=20)], "_cmd_dimfun"),
+    "calderon": ("dyadic dilation sum on the unit annulus", [_FILE], "_cmd_calderon"),
+    "tq": ("translation-orthogonality sum for one odd shift",
+           [_FILE, _arg("--alpha", type=int, required=True)], "_cmd_tq"),
+    "orthonormal": ("full orthonormality certification", [_FILE], "_cmd_orthonormal"),
+    "psib": ("band-pair family diagnostics", [_arg("--b", required=True)], "_cmd_psib"),
+    "msf2d": ("2D wavelet-set existence decision", [*_MAT2], "_cmd_msf2d"),
+    "lce": ("lattice counting probe",
+            [*_MAT2, _arg("--jmin", type=int, required=True), _arg("--jmax", type=int, required=True),
+             _arg("--c", required=True)], "_cmd_lce"),
+    "plot": ("emit a CSV table or SVG figure",
+             [_FILE, _arg("--format", choices=["csv", "svg"], required=True),
+              _arg("--out", required=True)], "_cmd_plot"),
+}
+
+
+def _fill(parser: argparse.ArgumentParser, arguments, handler) -> None:
+    if isinstance(arguments, dict):
+        kinds = parser.add_subparsers(dest="kind", required=True, parser_class=_Parser)
+        for kind, (kind_arguments, kind_handler) in arguments.items():
+            _fill(kinds.add_parser(kind), kind_arguments, kind_handler)
+        return
+    for flags, options in arguments:
+        parser.add_argument(*flags, **options)
+    parser.set_defaults(handler=globals()[handler])
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The `waveset` parser with every subcommand, or with `command` alone.
+
+    Alone, the metavar spells out every choice, so the top-level usage that an
+    "unrecognized arguments" error prints reads as in the full parser.  The
+    full parser has none: it would rename "argument command" in the errors of
+    a missing or unknown subcommand.
+    """
     parser = _Parser(prog="waveset", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    verify = sub.add_parser("verify", help="exact verification of sets and spectra")
-    verify.add_argument("kind", choices=["scaling-set", "wavelet-set", "spectrum"])
-    verify.add_argument("file")
-    verify.set_defaults(handler=_cmd_verify)
-
-    con = sub.add_parser("construct", help="scaling-set and wavelet-set construction")
-    csub = con.add_subparsers(dest="kind", required=True, parser_class=_Parser)
-    cs = csub.add_parser("scaling-set")
-    cs.add_argument("file")
-    _add_depths(cs)
-    cs.set_defaults(handler=_cmd_construct_scaling_set)
-    cr = csub.add_parser("rze")
-    cr.add_argument("--spectrum", required=True)
-    _add_depths(cr)
-    cr.set_defaults(handler=_cmd_construct_rze)
-
-    dim = sub.add_parser("dimfun", help="dimension function window and its conditions")
-    dim.add_argument("file")
-    dim.add_argument("--depth", type=int, default=20)
-    dim.set_defaults(handler=_cmd_dimfun)
-
-    cal = sub.add_parser("calderon", help="dyadic dilation sum on the unit annulus")
-    cal.add_argument("file")
-    cal.set_defaults(handler=_cmd_calderon)
-
-    tq = sub.add_parser("tq", help="translation-orthogonality sum for one odd shift")
-    tq.add_argument("file")
-    tq.add_argument("--alpha", type=int, required=True)
-    tq.set_defaults(handler=_cmd_tq)
-
-    ortho = sub.add_parser("orthonormal", help="full orthonormality certification")
-    ortho.add_argument("file")
-    ortho.set_defaults(handler=_cmd_orthonormal)
-
-    psib = sub.add_parser("psib", help="band-pair family diagnostics")
-    psib.add_argument("--b", required=True)
-    psib.set_defaults(handler=_cmd_psib)
-
-    m2 = sub.add_parser("msf2d", help="2D wavelet-set existence decision")
-    m2.add_argument("--matrix", required=True)
-    m2.add_argument("--lattice", required=True, help="mat2 JSON file or 'id'")
-    m2.set_defaults(handler=_cmd_msf2d)
-
-    lce = sub.add_parser("lce", help="lattice counting probe")
-    lce.add_argument("--matrix", required=True)
-    lce.add_argument("--lattice", required=True, help="mat2 JSON file or 'id'")
-    lce.add_argument("--jmin", type=int, required=True)
-    lce.add_argument("--jmax", type=int, required=True)
-    lce.add_argument("--c", required=True)
-    lce.set_defaults(handler=_cmd_lce)
-
-    plot = sub.add_parser("plot", help="emit a CSV table or SVG figure")
-    plot.add_argument("file")
-    plot.add_argument("--format", choices=["csv", "svg"], required=True)
-    plot.add_argument("--out", required=True)
-    plot.set_defaults(handler=_cmd_plot)
-
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_Parser,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        help_text, arguments, handler = COMMANDS[name]
+        _fill(sub.add_parser(name, help=help_text), arguments, handler)
     return parser
 
 
-def _add_depths(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--depth-n", type=int, default=cons.DEFAULT_DEPTH_N, dest="depth_n")
-    p.add_argument("--depth-j", type=int, default=cons.DEFAULT_DEPTH_J, dest="depth_j")
+def _label(argv: list[str]) -> str:
+    """A report's "command": the subcommand, with the kind for verify and construct."""
+    if not argv or argv[0] not in COMMANDS:
+        return "waveset"
+    arguments = COMMANDS[argv[0]][1]  # construct's kinds, or verify's `kind` choices
+    kinds = arguments if isinstance(arguments, dict) else next(
+        (options["choices"] for flags, options in arguments if flags == ("kind",)), ())
+    return f"{argv[0]} {argv[1]}" if len(argv) > 1 and argv[1] in kinds else argv[0]
 
 
 def run(argv: list[str]) -> int:
-    """Execute one command; print the JSON report; return the exit code."""
-    command_label = " ".join(t for t in argv[:2] if not t.startswith("-")) or "waveset"
+    """Execute one command; print the JSON report; return the exit code.
+
+    The parser holds only the subcommand that `argv[0]` names; the full one is
+    built when it names none (`--help`, an unknown or a missing command).
+    """
+    command_label = _label(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
         report = args.handler(args)
     except PreconditionError as exc:
         witness = exc.witness if isinstance(exc.witness, Interval) else None

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,6 +29,8 @@ from waveset.serialize import (
 )
 from waveset.spectral import StepFn, dimension_function
 from waveset.serialize import dim_fn_window_from_json, dim_fn_window_to_json
+
+from test_fuzz_cli import argvs as fuzz_argvs
 
 F = Fraction
 SRC = str(Path(cli.__file__).resolve().parents[1])  # the directory holding the waveset package
@@ -302,9 +305,92 @@ def test_cli_plot_unwritable_out_is_input_error(capsys, tmp_path, journe_file):
     assert rep["witnesses"][0]["reason"].startswith(f"cannot write {out}")
 
 
-def test_cli_unknown_command(capsys):
-    code, rep, _ = run_cli(capsys, ["frobnicate"])
-    assert code == 2 and rep["status"] == "error"
+# argparse's usage lines, at a fixed terminal width of 80.
+TOP_USAGE = ("usage: waveset [-h]\n"
+             "               {verify,construct,dimfun,calderon,tq,orthonormal,psib,msf2d,lce,plot}\n"
+             "               ...\n")
+DIMFUN_USAGE = "usage: waveset dimfun [-h] [--depth DEPTH] file\n"
+# argv (with F for the input file) -> the report's "command" and its one reason.
+PARSE_ERRORS = [
+    ([], "waveset", "the following arguments are required: command\n" + TOP_USAGE),
+    (["frobnicate"], "waveset",
+     "argument command: invalid choice: 'frobnicate' (choose from 'verify', 'construct', "
+     "'dimfun', 'calderon', 'tq', 'orthonormal', 'psib', 'msf2d', 'lce', 'plot')\n" + TOP_USAGE),
+    (["-x"], "waveset", "the following arguments are required: command\n" + TOP_USAGE),
+    (["dimfun"], "dimfun", "the following arguments are required: file\n" + DIMFUN_USAGE),
+    (["dimfun", "F", "--bogus"], "dimfun", "unrecognized arguments: --bogus\n" + TOP_USAGE),
+    (["dimfun", "F", "--depth", "x"], "dimfun",
+     "argument --depth: invalid int value: 'x'\n" + DIMFUN_USAGE),
+    (["construct"], "construct", "the following arguments are required: kind\n"
+     "usage: waveset construct [-h] {scaling-set,rze} ...\n"),
+    (["construct", "rze"], "construct rze", "the following arguments are required: --spectrum\n"
+     "usage: waveset construct rze [-h] --spectrum SPECTRUM [--depth-n DEPTH_N]\n"
+     "                             [--depth-j DEPTH_J]\n"),
+    (["verify", "nope", "F"], "verify",
+     "argument kind: invalid choice: 'nope' (choose from 'scaling-set', 'wavelet-set', "
+     "'spectrum')\nusage: waveset verify [-h] {scaling-set,wavelet-set,spectrum} file\n"),
+    (["tq", "F"], "tq", "the following arguments are required: --alpha\n"
+     "usage: waveset tq [-h] --alpha ALPHA file\n"),
+    (["plot", "F"], "plot", "the following arguments are required: --format, --out\n"
+     "usage: waveset plot [-h] --format {csv,svg} --out OUT file\n"),
+]
+
+
+def test_cli_parse_errors_are_unchanged(capsys, monkeypatch, journe_file):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    for argv, label, reason in PARSE_ERRORS:
+        argv = [journe_file if t == "F" else t for t in argv]
+        code, rep, _ = run_cli(capsys, argv)
+        assert (code, rep["status"], rep["command"]) == (2, "error", label), argv
+        assert rep["witnesses"] == [{"reason": reason}], argv
+
+
+@pytest.mark.parametrize("argv, label", [
+    (["verify", "wavelet-set", "/nonexistent.json"], "verify wavelet-set"),
+    (["verify", "spectrum", "/nonexistent.json"], "verify spectrum"),
+    (["construct", "scaling-set", "/nonexistent.json"], "construct scaling-set"),
+    (["construct", "rze", "--spectrum", "/nonexistent.json"], "construct rze"),
+    (["dimfun", "/nonexistent.json", "--depth", "4"], "dimfun"),
+    (["plot", "/nonexistent.json", "--format", "svg", "--out", "x.svg"], "plot"),
+])
+def test_cli_error_report_names_subcommand_and_kind(capsys, argv, label):
+    code, rep, _ = run_cli(capsys, argv)
+    assert (code, rep["status"], rep["command"]) == (2, "error", label)
+
+
+def _readme_commands():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    cli_section = text.split("\n## CLI\n", 1)[1]
+    return [shlex.split(line)[1:] for line in cli_section.splitlines() if line.startswith("waveset ")]
+
+
+def test_cli_subcommand_parser_parses_like_the_full_parser():
+    readme = _readme_commands()
+    assert len(readme) == 13
+    for argv in readme + fuzz_argvs("doc.json", "fig", 3, 4, 6, -3, "1/4", "5", 0, 2):
+        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
+            cli.build_parser().parse_args(argv)), argv
+
+
+def test_cli_builds_only_the_invoked_subcommand(capsys, monkeypatch, tmp_path, shannon_g_file):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser()
+    assert len(built) == 13  # the full parser: counting sees every construction
+    built.clear()
+    h = _write(tmp_path, "h.json", step_fn_to_json(SHANNON_PSI))
+    assert run_cli(capsys, ["dimfun", h, "--depth", "6"])[0] == 0
+    assert len(built) <= 2, built
+    built.clear()
+    argv = ["construct", "rze", "--spectrum", shannon_g_file, "--depth-n", "3", "--depth-j", "3"]
+    assert run_cli(capsys, argv)[0] == 0
+    assert len(built) <= 4, built
 
 
 def test_cli_missing_file(capsys):
