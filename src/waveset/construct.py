@@ -229,12 +229,13 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     """
     if w.is_empty:
         return WaveletSetVerdict(False, "translation gap: empty set", Interval(ZERO, ONE))
-    for a, b, v in fold_multiplicity(w).pieces():
-        if v != 1:
-            kind = "gap" if v < 1 else "overlap"
+    m = fold_multiplicity(w)
+    for i, v in enumerate(m.weights):
+        if v != m.vden:
+            kind, witness = "gap" if v < m.vden else "overlap", m._interval(i)
             return WaveletSetVerdict(
-                False, f"translation {kind}: multiplicity {v} on residues [{a}, {b})",
-                Interval(a, b),
+                False, f"translation {kind}: multiplicity {Fraction(v, m.vden)} on residues "
+                f"[{witness.lo}, {witness.hi})", witness,
             )
     for p in w.parts:
         if p.lo <= 0 <= p.hi:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError
-from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _merge, iset,
+from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _merge, _subtract,
                         normalize, rat)
 from .torus import (DimFnWindow, _grid_sweep, _on_grid, _unit_fragments, fold_step, s1_witness,
                     sweep_weighted)
@@ -203,8 +203,10 @@ def _annulus_sums(pieces: Sequence[tuple[Interval, Fraction]],
     """
     r, big = _signed_reach([iv for iv, _ in pieces])
     levels = _levels(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)
-    return _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], levels, False,
-                       ((-2 * c, -c), (c, 2 * c)))
+    for scale, ends, vden, weights in _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], levels,
+                                                  False, ((-2 * c, -c), (c, 2 * c))):
+        breaks = [Fraction(e, scale) for e in ends]  # each break once
+        yield [(a, b, Fraction(w, vden)) for a, b, w in zip(breaks, breaks[1:], weights)]
 
 
 # ----------------------------------------------------------- (F1)-(F3)
@@ -352,6 +354,13 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     the work follows J (L plus the log of the reach), not the reach.
     depth_L over MAX_WINDOW_DEPTH is refused first, J over MAX_LEVELS next.
     """
+    grid = _dim_sweep(h, depth_L, pow2(-depth_L), 1 - pow2(-depth_L))
+    return DimFnWindow._from_grid(grid, depth_L, not h.is_zero, h)
+
+
+def _dim_sweep(h: StepFn, depth_L: int, lo: Fraction, hi: Fraction) -> tuple:
+    """The sweep of ``dimension_function`` over [lo, hi) inside the depth-L window, with its
+    refusals: the grid (scale, ends, V, weights) of the sum there."""
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
     if depth_L > MAX_WINDOW_DEPTH:
@@ -360,12 +369,11 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     neg = h.negative_witness()
     if neg is not None:
         raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
-    reach = max((max(abs(iv.lo), abs(iv.hi)) for iv, _ in h.pieces), default=ONE)
+    reach = max(-h.pieces[0][0].lo, h.pieces[-1][0].hi) if h.pieces else ONE  # sorted pieces
     levels = _levels(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
-    atoms, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in h.pieces], levels, True,
-                         [(pow2(-depth_L), 1 - pow2(-depth_L))], depth_L)
-    breaks = (atoms[0][0], *(b for _, b, _ in atoms))
-    return DimFnWindow(breaks, tuple(v for _, _, v in atoms), depth_L, not h.is_zero, h)
+    grid, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in h.pieces], levels, True, [(lo, hi)],
+                        depth_L)
+    return grid
 
 
 @dataclass(frozen=True)
@@ -393,44 +401,46 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
     "no violation found" (they are limit statements and cannot be decided by
     any finite computation).  D3 explores residue classes mod 2^l up to the
     class depth l = min(L, 8).  D1-D3 look at the depth-(L + 2) part of the
-    input; D4 reads the input itself when it is at least 2L + 2 deep.
+    input, D4 its part below 2^-ceil(L/2) at depth 2L + 2.  All read the
+    integer grid; only a witness becomes an interval.
     """
-    if dim.depth_L < depth_L + 2:
-        raise InputError(
-            f"dimension window depth {dim.depth_L} is insufficient; need at least {depth_L + 2}"
-        )
-    if dim.source is not None and dim.depth_L < 2 * depth_L + 2 > MAX_WINDOW_DEPTH:
-        raise InputError(f"D4 needs a window {2 * depth_L + 2} deep; window depth is at most "
-                         f"{MAX_WINDOW_DEPTH} (work budget)")
     L = depth_L
-    deep, dim = dim, dim.restrict(L + 2)
     if L < 2:
         raise InputError(f"the conditions are checked at a depth of at least 2; got {L}")
+    if dim.depth_L < L + 2:
+        raise InputError(
+            f"dimension window depth {dim.depth_L} is insufficient; need at least {L + 2}"
+        )
+    if dim.source is not None and dim.depth_L < 2 * L + 2 > MAX_WINDOW_DEPTH:
+        raise InputError(f"D4 needs a window {2 * L + 2} deep; window depth is at most "
+                         f"{MAX_WINDOW_DEPTH} (work budget)")
+    deep, dim = dim, dim.restrict(L + 2)
 
-    # (D1): nonnegative-integer values.
+    # (D1): nonnegative-integer values, on the grid: weights over vden.
     d1 = CheckOutcome("pass")
-    for a, b, v in dim.pieces():
-        if v.denominator != 1 or v < 0:
-            d1 = CheckOutcome("fail", Interval(a, b), f"value {v} is not a nonnegative integer")
+    for i, w in enumerate(dim.weights):
+        if w % dim.vden or w < 0:
+            d1 = CheckOutcome("fail", dim._interval(i),
+                              f"value {Fraction(w, dim.vden)} is not a nonnegative integer")
             break
 
-    # (D2): D(x) + D(x + 1/2) = D(2x) + 1 on [2^-L, 1/2 - 2^-L), on the grid 1/G with G =
-    # 2 lcm(break denominators): 2^-L, each break, its shift by 1/2 and its half are integers.
-    g = 2 * math.lcm(*(x.denominator for x in dim.breaks))
-    ends = [x.numerator * (g // x.denominator) for x in dim.breaks]
+    # (D2): D(x) + D(x + 1/2) = D(2x) + 1 on [2^-L, 1/2 - 2^-L), on the grid 1/G with G twice
+    # the window's scale: 2^-L, each break, its shift by 1/2 and its half are integers.
+    g, ends = dim.scale << 1, [e << 1 for e in dim.ends]
     a0, b0 = pow2(-L), HALF - pow2(-L)
     half, lo = g >> 1, g >> L
     hi = half - lo
     points = sorted({lo, hi} | {c for e in ends for c in (e, e - half, e >> 1) if lo < c < hi})
 
-    def value(x: int) -> Fraction:
-        return dim.values[bisect_right(ends, x) - 1]
+    def value(x: int) -> int:
+        return dim.weights[bisect_right(ends, x) - 1]
 
     d2 = CheckOutcome("pass", note=f"identity checked exactly on [{a0}, {b0})")
     for a, b in zip(points, points[1:]):
-        lhs, rhs = value(a) + value(a + half), value(2 * a) + 1
+        lhs, rhs = value(a) + value(a + half), value(2 * a) + dim.vden
         if lhs != rhs:
-            d2 = CheckOutcome("fail", Interval(Fraction(a, g), Fraction(b, g)), f"{lhs} != {rhs}")
+            d2 = CheckOutcome("fail", Interval(Fraction(a, g), Fraction(b, g)),
+                              f"{Fraction(lhs, dim.vden)} != {Fraction(rhs, dim.vden)}")
             break
 
     d3 = _check_d3(dim, L, g, ends)
@@ -453,7 +463,7 @@ def _check_d3(dim: DimFnWindow, L: int, g: int, ends: Sequence[int]) -> CheckOut
     are integer pairs over g 2^c, and one bisection tests each image.
     """
     c = min(L, 8)
-    runs = _merge((a << c, b << c) for a, b, v in zip(ends, ends[1:], dim.values) if v == 0)
+    runs = _merge((a << c, b << c) for a, b, w in zip(ends, ends[1:], dim.weights) if w == 0)
     if not runs:
         return CheckOutcome("no_violation", note=f"no certified zeros in the window at depth {L}")
     starts = [lo for lo, _ in runs]
@@ -462,8 +472,8 @@ def _check_d3(dim: DimFnWindow, L: int, g: int, ends: Sequence[int]) -> CheckOut
         i = bisect_right(starts, lo) - 1
         return i >= 0 and runs[i][1] >= hi
 
-    for i, v in enumerate(dim.values):
-        if v < 1:
+    for i, w in enumerate(dim.weights):
+        if w < dim.vden:
             continue
         a, b = ends[i], ends[i + 1]
         survivors = [0]  # residues mod 2^level
@@ -473,41 +483,41 @@ def _check_d3(dim: DimFnWindow, L: int, g: int, ends: Sequence[int]) -> CheckOut
                          if not zero((a + r * g) << up, (b + r * g) << up)]
             if not survivors:
                 return CheckOutcome(
-                    "fail", Interval(dim.breaks[i], dim.breaks[i + 1]),
-                    f"covering sum is 0 while the value is {v} (all residue classes "
-                    f"ruled out at class depth {level})",
+                    "fail", dim._interval(i),
+                    f"covering sum is 0 while the value is {Fraction(w, dim.vden)} (all residue "
+                    f"classes ruled out at class depth {level})",
                 )
     return CheckOutcome("no_violation", note=f"no violation found at class depth {c}")
 
 
 def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
-    """Semi-decide the contraction liminf via a window of depth 2L + 2.
+    """Semi-decide the contraction liminf from a depth-(2L + 2) window below 2^-ceil(L/2).
 
     Certified-fail probe at depth L: the function vanishes at every
-    contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset of the
-    depth-L window.  The contracted arguments reach down to 2^-2L, so they
-    are read from a window of depth 2L + 2: the given one when it is that
-    deep, otherwise one computed afresh from the source spectrum.
+    contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset T of the
+    depth-L window.  Those contractions lie in [2^-2L, 2^-ceil(L/2)), read
+    from the given window when it is 2L + 2 deep, else from the source's
+    ``_dim_sweep`` over [2^-(2L + 2), 2^-ceil(L/2)) alone.  On the grid, T
+    loses 2^j N at each j, N the part of [0, 1) off the zero runs.
     """
-    if dim.depth_L >= 2 * L + 2:
-        deep = dim
-    elif dim.source is None:
+    j_lo, deep = (L + 1) // 2, dim.depth_L >= 2 * L + 2
+    if not deep and dim.source is None:
         return CheckOutcome("skipped", note="no source spectrum attached; deep window unavailable")
-    else:
-        deep = dimension_function(dim.source, 2 * L + 2)
-    deep_zeros = deep.zero_set()
-    t = iset((pow2(-L), 1 - pow2(-L)))
-    j_lo = (L + 1) // 2
+    scale, ends, _, weights = ((dim.scale, dim.ends, dim.vden, dim.weights) if deep else
+                               _dim_sweep(dim.source, 2 * L + 2, pow2(-2 * L - 2), pow2(-j_lo)))
+    up = max(0, L + 1 - (scale & -scale).bit_length())  # 2^-L on the grid
+    cells = zip((0, *ends), (*ends, scale), (1, *weights, 1))  # beside the window counts as nonzero
+    rest = _merge((a << up, b << up) for a, b, w in cells if w and a < b and a << j_lo < scale)
+    scale <<= up
+    t = [(scale >> L, scale - (scale >> L))]
     for j in range(j_lo, L + 1):
-        t = t.intersect(deep_zeros.scale(pow2(j)))
-        if t.is_empty:
-            break
-    if not t.is_empty:
-        return CheckOutcome(
-            "fail", t.parts[0],
-            f"function vanishes at contractions 2^-j x for all {j_lo} <= j <= {L}",
-        )
-    return CheckOutcome("no_violation", note=f"no violation found at depth {L}")
+        t = _subtract(t, [(a << j, b << j) for a, b in rest])
+        if not t:
+            return CheckOutcome("no_violation", note=f"no violation found at depth {L}")
+    return CheckOutcome(
+        "fail", Interval(Fraction(t[0][0], scale), Fraction(t[0][1], scale)),
+        f"function vanishes at contractions 2^-j x for all {j_lo} <= j <= {L}",
+    )
 
 
 # --------------------------------------------------------------- MRA test
@@ -578,31 +588,36 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
         return TqResult(True)
     if any(_beside_zero([iv for iv, _ in psi.pieces])):
         raise InputError("support must be bounded away from 0")
-    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in psi.pieces for x in (iv.lo, iv.hi)],
-                                       value=[v for _, v in psi.pieces])
-    reach = max(-ends[0], ends[-1])  # R D
-    last = (2 * reach // (abs(alpha) * d)).bit_length() - 1  # M: the largest m with 2^m |a| <= 2R
-    if last < 0:
-        return TqResult(True)
-    pieces = list(zip(ends[::2], ends[1::2], vals))
-    n, fragments = len(pieces), []
-    for m in _levels(0, last + 1):
-        t, up, j = (alpha * d) << m, last - m, 0
-        for a, b, x in pieces:  # y = psi(. + 2^m a) on the shifted pieces [c - t, e - t)
-            while j < n and pieces[j][1] - t <= a:
-                j += 1
-            k = j
-            while k < n and pieces[k][0] - t < b:
-                c, e, y = pieces[k]
-                fragments.append((max(a, c - t) << up, min(b, e - t) << up, x * y))
-                k += 1
-    scale, wden = d << last, vden * vden
-    atoms = sweep_weighted(fragments, -reach << last, reach << last)  # t_a vanishes outside
+    (scale, wden, atoms), = _tq_sweeps(psi, [alpha])  # t_a vanishes outside [-R, R)
     total = StepFn(tuple((Interval(Fraction(a, scale), Fraction(b, scale)), Fraction(w, wden))
                          for a, b, w in atoms if w))
     if total.is_zero:
         return TqResult(True, fn=total)
     return TqResult(False, total.pieces[0][0], total)
+
+
+def _tq_sweeps(psi: StepFn, alphas: Iterable[int]) -> Iterator[tuple[int, int, list[tuple]]]:
+    """The walk and sweep of ``tq_check`` for each shift a on one grid of psi: (scale, W,
+    the atoms of t_a as integers over 1/scale with values over W)."""
+    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in psi.pieces for x in (iv.lo, iv.hi)],
+                                       value=[v for _, v in psi.pieces])
+    reach = max(-ends[0], ends[-1])  # R D
+    pieces = list(zip(ends[::2], ends[1::2], vals))
+    n = len(pieces)
+    for alpha in alphas:
+        # M: the largest m with 2^m |a| <= 2R; for none, m = 0 adds no fragment
+        last, fragments = max(0, (2 * reach // (abs(alpha) * d)).bit_length() - 1), []
+        for m in _levels(0, last + 1):
+            t, up, j = (alpha * d) << m, last - m, 0
+            for a, b, x in pieces:  # y = psi(. + 2^m a) on the shifted pieces [c - t, e - t)
+                while j < n and pieces[j][1] - t <= a:
+                    j += 1
+                k = j
+                while k < n and pieces[k][0] - t < b:
+                    c, e, y = pieces[k]
+                    fragments.append((max(a, c - t) << up, min(b, e - t) << up, x * y))
+                    k += 1
+        yield d << last, vden * vden, sweep_weighted(fragments, -reach << last, reach << last)
 
 
 @dataclass(frozen=True)
@@ -625,7 +640,8 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
     translation-orthogonality sum vanishes (odd shifts up to twice the
     support reach; negative shifts are equivalent by reflection), and the
     squared norm is exactly 1.  More than MAX_SHIFTS shifts, so a reach of
-    4097/2 or more, is an InputError, raised before any sum.
+    4097/2 or more, is an InputError, raised before any sum.  Only the first
+    nonzero atom of each nonzero t_a becomes an interval.
     """
     if psi.is_zero:
         return OrthonormalityReport(False, ZERO, calderon(psi), (), (),
@@ -641,10 +657,10 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
     norm_sq = sq.integral()
     cal = calderon(sq)
     failures = []
-    for a in alphas:
-        res = tq_check(psi, a)
-        if not res.zero:
-            failures.append((a, res.witness))
+    for a, (scale, _, atoms) in zip(alphas, _tq_sweeps(psi, alphas)):
+        first = next(((lo, hi) for lo, hi, w in atoms if w), None)
+        if first:
+            failures.append((a, Interval(Fraction(first[0], scale), Fraction(first[1], scale))))
     passed = (not cal.diverges) and cal.is_one and not failures and norm_sq == 1
     notes = ("shifts -a are equivalent to +a by reflection of the sum",)
     return OrthonormalityReport(passed, norm_sq, cal, tuple(failures), tuple(alphas), notes)

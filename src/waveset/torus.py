@@ -3,14 +3,15 @@
 Folds interval sets onto the unit torus [0, 1), counts translation
 multiplicities exactly, and extracts deterministic transversals (subsets whose
 integer translates tile the line with multiplicity one).  Fold results and
-dimension-function windows share one grid sweep and one periodic-step type.
+dimension-function windows share one grid sweep and one periodic-step type,
+which keeps the sweep's integer grid; fractions are its boundary view.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
@@ -31,7 +32,7 @@ def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
     Returns (atom_lo, atom_hi, total) triples covering the window completely,
     with equal-valued adjacent atoms merged.  Its callers sweep integers on
     their grids: ``_grid_sweep``, the one routine of the unit fold, the
-    dimension function and the Calderon sums, and ``spectral.tq_check``.
+    dimension function and the Calderon sums, and ``spectral._tq_sweeps``.
     """
     deltas: dict = {}
     for flo, fhi, val in fragments:
@@ -72,17 +73,18 @@ def _on_grid(**groups: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
 
 
 def _grid_sweep(pieces: Sequence[tuple], levels: Sequence[int], periodic: bool,
-                windows: Iterable[tuple], depth: int = 0) -> Iterator[list[tuple]]:
+                windows: Iterable[tuple], depth: int = 0) -> Iterator[tuple]:
     """Sweep the fragments 2^-j [lo, hi), weighted by v, over each window.
 
     One fragment per j in ``levels`` and (lo, hi, v) in ``pieces``; a
     ``periodic`` sum counts all their integer translates by folding them into
     [0, 1) with ``_unit_fragments`` (windows inside [0, 1]), so its cost
     follows the levels, not the reach.  All endpoints lie on the grid
-    1/(D 2^T), D the lcm of the endpoint denominators and T the larger of
-    ``depth`` and the deepest j, and all values are integers over V, the lcm
-    of the value denominators (both within the ``_on_grid`` budget).  Each
-    break and distinct value becomes a fraction once.
+    1/scale, scale = D 2^T with D the lcm of the endpoint denominators and T
+    the larger of ``depth`` and the deepest j, and all values are integers
+    over V, the lcm of the value denominators (both within the ``_on_grid``
+    budget).  Yields each window's atoms as integers (scale, ends, V,
+    weights), a ``DimFnWindow`` grid; callers convert what they read.
     """
     (d, ends), (vden, vals) = _on_grid(endpoint=[x for lo, hi, _ in pieces for x in (lo, hi)],
                                        value=[v for _, _, v in pieces])
@@ -96,9 +98,7 @@ def _grid_sweep(pieces: Sequence[tuple], levels: Sequence[int], periodic: bool,
         glo, ghi = lo * scale, hi * scale
         assert glo.denominator == ghi.denominator == 1, "window endpoints must lie on the grid"
         atoms = sweep_weighted(frags, glo.numerator, ghi.numerator)
-        breaks = [lo, *(Fraction(b, scale) for _, b, _ in atoms[:-1]), hi]
-        value = {w: Fraction(w, vden) for _, _, w in atoms}
-        yield [(x, y, value[w]) for x, y, (_, _, w) in zip(breaks, breaks[1:], atoms)]
+        yield scale, (glo.numerator, *(b for _, b, _ in atoms)), vden, tuple(w for _, _, w in atoms)
 
 
 @dataclass(frozen=True)
@@ -110,7 +110,10 @@ class DimFnWindow:
     ``depth_L`` 0.  A dimension-function window of depth L covers
     [2^-L, 1 - 2^-L) exactly; pieces may accumulate at 0 and 1 outside it,
     which ``boundary_note`` records.  The source spectrum, when attached, lets
-    the limit-condition probes recompute deeper windows.
+    the limit-condition probes sweep deeper.  Queries and checks read the
+    integer grid: piece i is [ends[i], ends[i + 1]) over ``scale`` with value
+    weights[i] over ``vden``.  Equality, hash and repr read the fractions, made
+    on first read when the window was built on the grid (``_from_grid``).
     """
 
     breaks: tuple[Fraction, ...]
@@ -118,62 +121,94 @@ class DimFnWindow:
     depth_L: int
     boundary_note: bool
     source: StepFn | None = None
+    scale: int = field(init=False, compare=False, repr=False)
+    ends: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    vden: int = field(init=False, compare=False, repr=False)
+    weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.values or len(self.breaks) != len(self.values) + 1:
+        scale = math.lcm(*(x.denominator for x in self.breaks))
+        vden = math.lcm(*(v.denominator for v in self.values))
+        self._set_grid(scale, tuple(x.numerator * (scale // x.denominator) for x in self.breaks),
+                       vden, tuple(v.numerator * (vden // v.denominator) for v in self.values))
+
+    @classmethod
+    def _from_grid(cls, grid: tuple, depth_L: int, note: bool, source: StepFn | None = None):
+        w = object.__new__(cls)
+        w.__dict__.update(depth_L=depth_L, boundary_note=note, source=source)
+        w._set_grid(*grid)
+        return w
+
+    def _set_grid(self, scale: int, ends: tuple[int, ...], vden: int, weights: tuple[int, ...]):
+        if not weights or len(ends) != len(weights) + 1:
             raise InputError("a window needs a value per piece and one breakpoint more than values")
-        if self.breaks[0] < 0 or self.breaks[-1] > 1:
+        if ends[0] < 0 or ends[-1] > scale:
             raise InputError("window breakpoints must lie inside [0, 1]")
-        if any(a >= b for a, b in zip(self.breaks, self.breaks[1:])):
+        if any(a >= b for a, b in zip(ends, ends[1:])):
             raise InputError("window breakpoints must be strictly increasing")
+        self.__dict__.update(scale=scale, ends=ends, vden=vden, weights=weights)
+
+    def __getattr__(self, name: str):  # only runs while the attribute is unset
+        if name not in ("breaks", "values"):
+            raise AttributeError(name)
+        value = {w: Fraction(w, self.vden) for w in set(self.weights)}  # each value made once
+        self.__dict__.update(breaks=tuple(Fraction(e, self.scale) for e in self.ends),
+                             values=tuple(value[w] for w in self.weights))
+        return self.__dict__[name]
 
     def window(self) -> tuple[Fraction, Fraction]:
         return self.breaks[0], self.breaks[-1]
 
     def pieces(self) -> Iterable[tuple[Fraction, Fraction, Fraction]]:
-        for i, v in enumerate(self.values):
-            yield self.breaks[i], self.breaks[i + 1], v
+        return zip(self.breaks, self.breaks[1:], self.values)
 
     def integral(self) -> Fraction:
         return sum((v * (b - a) for a, b, v in self.pieces()), ZERO)
 
+    def _interval(self, i: int) -> Interval:
+        return Interval(Fraction(self.ends[i], self.scale), Fraction(self.ends[i + 1], self.scale))
+
+    def _runs_not(self, c) -> list[tuple[int, int]]:
+        """Maximal runs over scale of the pieces whose value is not c."""
+        k = rat(c) * self.vden
+        k = k.numerator if k.denominator == 1 else None  # the weight of c, if any piece can carry c
+        return _merge((a, b) for a, b, w in zip(self.ends, self.ends[1:], self.weights) if w != k)
+
     def is_constant(self, c) -> bool:
-        c = rat(c)
-        return all(v == c for v in self.values)
+        return not self._runs_not(c)
 
     def value_at(self, xi) -> Fraction:
         """Value at a point of the window (argument reduced mod 1 first)."""
         xi = rat(xi)
         xi -= math.floor(xi)
-        wlo, whi = self.window()
-        if not wlo <= xi < whi:
+        x = math.floor(xi * self.scale)  # the ends are integers: ends[i] <= xi scale iff <= x
+        if not self.ends[0] <= x < self.ends[-1]:
+            wlo, whi = self.window()
             raise InputError(f"{xi} is outside the computed window [{wlo}, {whi})")
-        return self.values[bisect_right(self.breaks, xi) - 1]
+        return Fraction(self.weights[bisect_right(self.ends, x) - 1], self.vden)
 
     def where_not(self, c) -> IntervalSet:
         """Subset of the window where the value differs from c."""
-        c = rat(c)
-        return normalize(Interval(a, b) for a, b, v in self.pieces() if v != c)
-
-    def zero_set(self) -> IntervalSet:
-        return normalize(Interval(a, b) for a, b, v in self.pieces() if v == 0)
+        return _from_grid(self._runs_not(c), self.scale)
 
     def restrict(self, depth_L: int) -> "DimFnWindow":
         """The depth-L window [2^-L, 1 - 2^-L) cut out of this deeper one.
 
         Values are exact wherever a window is, so the cut equals the window
-        computed at depth L directly, piece for piece.
+        computed at depth L directly, piece for piece.  It is cut on the grid.
         """
         if depth_L < 2:
             raise InputError("window depth must be at least 2")
-        lo, hi = Fraction(1, 1 << depth_L), 1 - Fraction(1, 1 << depth_L)
-        if lo < self.breaks[0] or hi > self.breaks[-1]:
-            raise InputError(f"the window [{self.breaks[0]}, {self.breaks[-1]}) does not "
-                             f"cover the depth-{depth_L} window [{lo}, {hi})")
-        i = bisect_right(self.breaks, lo) - 1
-        j = bisect_left(self.breaks, hi)
-        return DimFnWindow((lo,) + self.breaks[i + 1:j] + (hi,), self.values[i:j],
-                           depth_L, self.boundary_note, self.source)
+        up = max(0, depth_L + 1 - (self.scale & -self.scale).bit_length())
+        scale, ends = self.scale << up, tuple(e << up for e in self.ends) if up else self.ends
+        lo, hi = scale >> depth_L, scale - (scale >> depth_L)
+        if lo < ends[0] or hi > ends[-1]:
+            raise InputError(f"the window [{self.breaks[0]}, {self.breaks[-1]}) does not cover "
+                             f"the depth-{depth_L} window [{Fraction(lo, scale)}, "
+                             f"{Fraction(hi, scale)})")
+        i, j = bisect_right(ends, lo) - 1, bisect_left(ends, hi)
+        grid = scale, (lo,) + ends[i + 1:j] + (hi,), self.vden, self.weights[i:j]
+        return DimFnWindow._from_grid(grid, depth_L, self.boundary_note, self.source)
 
 
 def _unit_fragments(pieces: Iterable[tuple[int, int, object]], d: int):
@@ -225,8 +260,8 @@ def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
     The periodic ``_grid_sweep`` at level 0 over [0, 1): integers on the grid
     of ``_on_grid`` (endpoints over D, values over V, both in its budget).
     """
-    atoms, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], [0], True, [(ZERO, ONE)])
-    return DimFnWindow((ZERO, *(b for _, b, _ in atoms)), tuple(v for _, _, v in atoms), 0, False)
+    grid, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], [0], True, [(ZERO, ONE)])
+    return DimFnWindow._from_grid(grid, 0, False)
 
 
 def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
@@ -246,10 +281,8 @@ def check_cover_r4(s: IntervalSet) -> bool:
 
 def uncovered_witness(s: IntervalSet) -> Interval | None:
     """A sub-interval of [0, 1) whose residues S misses, or None if S covers."""
-    for a, b, v in fold_multiplicity(s).pieces():
-        if v < 1:
-            return Interval(a, b)
-    return None
+    m = fold_multiplicity(s)
+    return next((m._interval(i) for i, w in enumerate(m.weights) if w < m.vden), None)
 
 
 def periodize_window(e: IntervalSet, m: int) -> IntervalSet:

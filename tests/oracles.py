@@ -2,10 +2,11 @@
 
 Everything here works on raw endpoint pairs with plain loops and
 comparisons, deliberately avoiding the canonical set algebra and the
-summation shortcuts of the library, so agreement is meaningful.  The one
-exception is ``truncated_level_by_periodization``, the construction's level
+summation shortcuts of the library, so agreement is meaningful.  The
+exceptions are ``truncated_level_by_periodization``, the construction's level
 loop in its original form, built on ``periodize_window`` (itself pinned by
-hand-checked examples in ``test_torus.py``).
+hand-checked examples in ``test_torus.py``), and ``d4_probe``, the D4 probe
+in its original form, on the interval-set algebra.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 import random
 from fractions import Fraction
 
+from waveset.intervals import iset, normalize
+from waveset.spectral import dimension_function
 from waveset.torus import periodize_window
 
 Pair = tuple[Fraction, Fraction]
@@ -145,6 +148,32 @@ def d3_probe(breaks, values, depth_L: int):
                 return "fail", (a, b), (f"covering sum is 0 while the value is {v} (all residue "
                                         f"classes ruled out at class depth {level})")
     return "no_violation", None, f"no violation found at class depth {class_depth}"
+
+
+def d4_probe(dim, depth_L: int):
+    """(status, witness pair or None, note) of the D4 contraction probe as an interval-set chain.
+
+    The probe in its original form: a full window of depth 2L + 2 (the given
+    one when it is that deep, else one computed afresh from the source), its
+    zero set as fraction intervals, and the depth-L window intersected with
+    each dilate 2^j Z of that set, ceil(L/2) <= j <= L.
+    """
+    L = depth_L
+    if dim.depth_L >= 2 * L + 2:
+        deep = dim
+    elif dim.source is None:
+        return "skipped", None, "no source spectrum attached; deep window unavailable"
+    else:
+        deep = dimension_function(dim.source, 2 * L + 2)
+    zeros = normalize((a, b) for a, b, v in zip(deep.breaks, deep.breaks[1:], deep.values) if v == 0)
+    t = iset((pow2(-L), 1 - pow2(-L)))
+    j_lo = (L + 1) // 2
+    for j in range(j_lo, L + 1):
+        t = t.intersect(zeros.scale(pow2(j)))
+    if t.is_empty:
+        return "no_violation", None, f"no violation found at depth {L}"
+    return ("fail", (t.parts[0].lo, t.parts[0].hi),
+            f"function vanishes at contractions 2^-j x for all {j_lo} <= j <= {L}")
 
 
 def d2_probe(breaks, values, depth_L: int):

@@ -1,6 +1,9 @@
 """Spectrum validation, Calderon sums, dimension windows, orthogonality sums."""
 
+import copy
+import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,11 +15,13 @@ from oracles import (
     calderon_sum_at,
     d2_probe,
     d3_probe,
+    d4_probe,
     dilation_multiplicity_at,
     dim_sum_at,
     fraction_tq_sum,
     sample_fractions,
     tq_sum_at,
+    value_at,
 )
 from waveset.construct import verify_wavelet_set
 from waveset.errors import InconsistentSpectrumError, InputError
@@ -39,6 +44,7 @@ from waveset.spectral import (
     tq_check,
     validate_scaling_spectrum,
 )
+from waveset.spectral import _check_d4
 from waveset.torus import fold_multiplicity, fold_step
 
 F = Fraction
@@ -679,6 +685,137 @@ def test_conditions_d4_skipped_without_source():
 def test_conditions_insufficient_depth_rejected():
     with pytest.raises(InputError):
         check_D1_D4(dimension_function(SHANNON_PSI, 10), 10)
+
+
+@pytest.mark.parametrize("depth", [1, 0, -1, -2])
+def test_conditions_check_their_depth_first(depth):
+    # The depth floor is checked before the window is cut, so a deep window
+    # and a fold both get this reason, not the cut's own.
+    for dim in (dimension_function(SHANNON_PSI, 22), fold_step(SHANNON_PSI.pieces)):
+        with pytest.raises(InputError, match=f"^the conditions are checked at a depth of at "
+                                             f"least 2; got {depth}$"):
+            check_D1_D4(dim, depth)
+
+
+D4_DENOMINATORS = (4, 7, 8, 10, 12, 16, 24)
+
+
+def _grid_spectrum(rng: random.Random) -> StepFn:
+    """Pieces on a 1/q grid inside [-3, 3], some touching, with values 1, 2 or 1/2."""
+    q = rng.choice(D4_DENOMINATORS)
+    cuts = sorted(rng.sample(range(-3 * q, 3 * q + 1), rng.randint(2, 8)))
+    return StepFn.build(((F(a, q), F(b, q)), rng.choice((1, 1, 2, F(1, 2))))
+                        for a, b in zip(cuts, cuts[1:]) if rng.random() < 0.6)
+
+
+def _d4_against_oracle(d4, dim, depth):
+    status, witness, note = d4_probe(dim, depth)
+    assert (d4.status, d4.note) == (status, note)
+    assert (None if d4.witness is None else (d4.witness.lo, d4.witness.hi)) == witness
+    return d4.status
+
+
+def test_d4_matches_interval_set_oracle():
+    # The narrow sweep of the source below 2^-ceil(L/2), and the integer runs
+    # of a given deep window, both give the full window's interval-set chain.
+    rng = random.Random(1616)
+    statuses = []
+    for _ in range(320):
+        h, depth = _grid_spectrum(rng), rng.randint(2, 9)
+        dim = dimension_function(h, depth + 2)
+        statuses.append(_d4_against_oracle(check_D1_D4(dim, depth).d4, dim, depth))
+        deep = dimension_function(h, 2 * depth + 2)
+        assert _d4_against_oracle(_check_d4(deep, depth), deep, depth) == statuses[-1]
+    assert statuses.count("fail") >= 50 and statuses.count("no_violation") >= 50
+
+
+def test_d4_reads_windows_built_from_fractions_like_the_oracle():
+    # Deep windows built from fractions on a 1/q grid, whatever part of [0, 1]
+    # they cover: their grid has no 2^-L until D4 refines it.
+    rng = random.Random(1617)
+    seen = set()
+    for _ in range(300):
+        depth, q = rng.randint(2, 9), rng.choice(D4_DENOMINATORS)
+        cuts = sorted(rng.sample(range(q + 1), rng.randint(2, min(6, q + 1))))
+        values = tuple(rng.choice((F(0), F(0), F(1), F(2))) for _ in cuts[1:])
+        dim = DimFnWindow(tuple(F(c, q) for c in cuts), values, 2 * depth + 2, True)
+        seen.add(_d4_against_oracle(_check_d4(dim, depth), dim, depth))
+    assert seen == {"fail", "no_violation"}
+
+
+# ------------------------------------------------ the window's two forms
+
+
+def _grid_windows():
+    """Fresh windows built on the grid: sweeps, folds and cuts."""
+    return [dimension_function(JOURNE_H, 9), dimension_function(psi_b_spectrum("1/3").square(), 6),
+            dimension_function(StepFn(), 4), fold_step(THREE_LEVEL_G.pieces), fold_multiplicity(JOURNE),
+            fold_multiplicity(EMPTY), dimension_function(JOURNE_H, 20).restrict(7)]
+
+
+def _from_fractions(w: DimFnWindow) -> DimFnWindow:
+    return DimFnWindow(w.breaks, w.values, w.depth_L, w.boundary_note, w.source)
+
+
+def _grid_as_fractions(w: DimFnWindow):
+    return [[F(e, w.scale) for e in w.ends], [F(x, w.vden) for x in w.weights]]
+
+
+def test_window_forms_equal_hash_and_repr_alike():
+    for w, again, fresh in zip(_grid_windows(), _grid_windows(), _grid_windows()):
+        assert w == fresh  # neither has made its fractions yet
+        text = repr(w)
+        v = _from_fractions(again)
+        assert repr(v) == text and v == w and w == v and hash(v) == hash(w) == hash(fresh)
+        assert _grid_as_fractions(w) == _grid_as_fractions(v) == [list(v.breaks), list(v.values)]
+    for w in _grid_windows():
+        assert w != dataclasses.replace(w, depth_L=w.depth_L + 1)
+
+
+def test_window_replace_derives_the_grid_of_its_new_values():
+    w = dimension_function(JOURNE_H, 9)
+    bumped = dataclasses.replace(w, values=tuple(v + F(1, 3) for v in w.values))
+    assert _grid_as_fractions(bumped) == [list(w.breaks), list(bumped.values)]
+    assert bumped.source is w.source and bumped.vden == 3
+    rng = random.Random(91)
+    for xi in sample_fractions(rng, 20, *w.window()):
+        assert bumped.value_at(xi) == w.value_at(xi) + F(1, 3)
+    cut = dataclasses.replace(w, breaks=(w.breaks[0], w.breaks[-1]), values=(F(2),))
+    assert (cut.ends, cut.weights) == ((1, 2**9 - 1), (2,)) and cut.scale == 2**9
+
+
+def test_window_copies_and_pickles_compare_equal():
+    for made in (False, True):
+        for w in _grid_windows():
+            if made:
+                repr(w)  # make the fractions first
+            for twin in (copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+                assert twin == w and repr(twin) == repr(w) and hash(twin) == hash(w)
+                assert (twin.scale, twin.ends, twin.vden, twin.weights) == (
+                    w.scale, w.ends, w.vden, w.weights)
+
+
+def test_window_queries_match_fraction_loops():
+    rng = random.Random(92)
+    windows = _grid_windows() + [
+        DimFnWindow((F(0), F(1, 3), F(2, 3), F(1)), (F(1), F(2), F(0)), 0, False),
+        DimFnWindow((F(1, 7), F(2, 5), F(3, 5), F(6, 7)), (F(1, 2), F(0), F(1, 2)), 3, True)]
+    for w in windows:
+        pieces = list(zip(w.breaks, w.breaks[1:], w.values))
+        for xi in sample_fractions(rng, 25, *w.window()):
+            assert w.value_at(xi) == w.value_at(xi + 3) == value_at(pieces, xi)
+        for c in set(w.values) | {F(0), F(1), F(1, 3)}:
+            assert w.where_not(c) == normalize((a, b) for a, b, v in pieces if v != c)
+            assert w.is_constant(c) == all(v == c for _, _, v in pieces)
+        if w.breaks[0] > 0:
+            with pytest.raises(InputError, match=f"^{w.breaks[0] / 2} is outside the computed "
+                                                 f"window .{w.breaks[0]}, {w.breaks[-1]}.$"):
+                w.value_at(w.breaks[0] / 2)
+    # A cut of a window on thirds refines its grid by the powers of 2 it needs.
+    thirds = windows[-2].restrict(3)
+    assert (thirds.breaks, thirds.values) == ((F(1, 8), F(1, 3), F(2, 3), F(7, 8)),
+                                              (F(1), F(2), F(0)))
+    assert thirds.scale == 24
 
 
 # ------------------------------------------------------------------- MRA
