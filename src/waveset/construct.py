@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, _beside_zero, _merge, _subtract, iset
-from .spectral import (StepFn, _annulus_sums, pow2, psi_spectrum_from_scaling,
+from .spectral import (StepFn, _annulus_sums, _psi_grid, _scaling_grid, pow2,
                        validate_scaling_spectrum)
 from .torus import (_from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity,
                     s1_witness)
@@ -282,7 +282,9 @@ def rze_pipeline(
     checks the containment of W in supp(h).  On the exact fast path the
     containment is guaranteed; for truncated runs the escaping measure cannot
     exceed twice the certified coverage defect (the doubled set contributes
-    the factor two).
+    the factor two).  Validated g goes on its grid once: supp g, h and supp h are
+    integer runs there, subtracted from S and W on the lcm of that grid and the
+    construction's, which no grid budget bounds (it carries 2^(N+J)).
     """
     verdict = validate_scaling_spectrum(g)
     if not verdict.passed:
@@ -291,23 +293,23 @@ def rze_pipeline(
             f"not a scaling spectrum: ({verdict.condition}) fails, {verdict.detail}",
             witness=verdict.witness,
         )
-    supp_phi = g.support()
-    result = lemma_r3_construct(supp_phi, depth_n, depth_j)
-    assert result.s.subset_mod_null(supp_phi), "construction must stay inside its input"
-    h = psi_spectrum_from_scaling(g)
-    supp_psi = h.support()
-    leftover = result.w.subtract(supp_psi)
-    contained = leftover.is_empty
-    if result.fast_path and not contained:
+    d, vden, pieces = _scaling_grid(g)
+    supp_phi = _merge((a, b) for a, b, _ in pieces)
+    result = lemma_r3_construct(_from_grid(supp_phi, d), depth_n, depth_j)
+    h, psi = _psi_grid(d, vden, pieces)
+    supp_psi = _merge((a, b) for a, b, _ in h)
+    sw = [[(p.lo, p.hi) for p in x.parts] for x in (result.s, result.w)]
+    scale = math.lcm(d, *(x.denominator for pairs in sw for pair in pairs for x in pair))
+    up = scale // d
+    s, w = ([tuple(x.numerator * (scale // x.denominator) for x in pair) for pair in pairs]
+            for pairs in sw)
+    assert not _subtract(s, [(a * up, b * up) for a, b in supp_phi]), "S must stay inside supp g"
+    leftover = _subtract(w, [(a * up, b * up) for a, b in supp_psi])
+    leftover_measure = Fraction(sum(b - a for a, b in leftover), scale)
+    if result.fast_path and leftover:
         raise AssertionError("exact run must land inside the wavelet support")
-    if not contained and leftover.measure() > 2 * result.defects.coverage_defect:
+    if leftover_measure > 2 * result.defects.coverage_defect:
         raise AssertionError("escape exceeds the certified truncation bound")
-    return RzeResult(
-        s=result.s,
-        w=result.w,
-        supp_psi=supp_psi,
-        contained=contained,
-        defects=result.defects,
-        psi_spectrum=h,
-        leftover_measure=leftover.measure(),
-    )
+    return RzeResult(s=result.s, w=result.w, supp_psi=_from_grid(supp_psi, d),
+                     contained=not leftover, defects=result.defects, psi_spectrum=psi,
+                     leftover_measure=leftover_measure)

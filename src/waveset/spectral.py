@@ -16,10 +16,9 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InputError
-from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _merge, _subtract,
-                        normalize, rat)
-from .torus import (DimFnWindow, _grid_sweep, _on_grid, _unit_fragments, fold_step, s1_witness,
+from .errors import InconsistentSpectrumError, InputError
+from .intervals import Interval, IntervalSet, RationalLike, _beside_zero, _merge, _subtract, rat
+from .torus import (DimFnWindow, _from_grid, _grid_sweep, _on_grid, _unit_fragments, fold_step,
                     sweep_weighted)
 
 ZERO = Fraction(0)
@@ -48,7 +47,8 @@ class StepFn:
     """Compactly supported step function with rational breakpoints and values.
 
     Canonical form: pieces sorted and disjoint, zero values implicit (never
-    stored), touching pieces with equal values merged.
+    stored), touching pieces with equal values merged.  A boundary type (parse,
+    serialize, print): the checks run its pieces on integer grids.
     """
 
     pieces: tuple[tuple[Interval, Fraction], ...] = ()
@@ -96,9 +96,6 @@ class StepFn:
     def is_zero(self) -> bool:
         return not self.pieces
 
-    def support(self) -> IntervalSet:
-        return normalize(iv for iv, _ in self.pieces)
-
     @cached_property
     def _los(self) -> list[Fraction]:
         return [iv.lo for iv, _ in self.pieces]
@@ -124,46 +121,25 @@ class StepFn:
     def square(self) -> "StepFn":
         return StepFn.build((iv, v * v) for iv, v in self.pieces)
 
-    def stretch(self, s: RationalLike) -> "StepFn":
-        """x -> f(x / s): the graph stretched horizontally by s (s != 0)."""
-        s = rat(s)
-        if s == 0:
-            raise InputError("stretch factor must be nonzero")
-        out = []
-        for iv, v in self.pieces:
-            if s > 0:
-                out.append((Interval(s * iv.lo, s * iv.hi), v))
-            else:
-                out.append((Interval(s * iv.hi, s * iv.lo), v))
-        return StepFn.build(out)
-
-    def shift(self, t: RationalLike) -> "StepFn":
-        """x -> f(x - t)."""
-        t = rat(t)
-        return StepFn(tuple((Interval(iv.lo + t, iv.hi + t), v) for iv, v in self.pieces))
-
     def combine(self, other: "StepFn", op: Callable[[Fraction, Fraction], Fraction]) -> "StepFn":
         """Pointwise binary operation via common refinement (op(0, 0) must be 0)."""
-        return StepFn.build(
-            (Interval(a, b), op(x, y)) for a, b, x, y in _refine(self, other)
-        )
-
-    def __sub__(self, other: "StepFn") -> "StepFn":
-        return self.combine(other, lambda x, y: x - y)
+        return StepFn.build((Interval(a, b), op(x, y)) for a, b, x, y in _walk(
+            *([(iv.lo, iv.hi, v) for iv, v in f.pieces] for f in (self, other))))
 
 
-def _refine(f: StepFn, g: StepFn) -> Iterable[tuple[Fraction, Fraction, Fraction, Fraction]]:
-    """(a, b, f value, g value) on each cell of the common refinement, one merge-walk."""
-    cuts = sorted({x for iv, _ in f.pieces + g.pieces for x in (iv.lo, iv.hi)})
-    fp, gp = f.pieces, g.pieces
+def _walk(f: Sequence[tuple], g: Sequence[tuple]) -> Iterator[tuple]:
+    """(a, b, f value, g value) on each cell of the common refinement of two sorted lists of
+    disjoint (lo, hi, value) pieces, 0 off them: one merge-walk, number-type generic like
+    ``_merge``.  The scaling-spectrum routines walk integers on g's grid (``_scaling_grid``)."""
+    cuts = sorted({x for lo, hi, _ in (*f, *g) for x in (lo, hi)})
     i = j = 0
     for a, b in zip(cuts, cuts[1:]):
-        while i < len(fp) and fp[i][0].hi <= a:
+        while i < len(f) and f[i][1] <= a:
             i += 1
-        while j < len(gp) and gp[j][0].hi <= a:
+        while j < len(g) and g[j][1] <= a:
             j += 1
-        x = fp[i][1] if i < len(fp) and fp[i][0].lo <= a else ZERO
-        y = gp[j][1] if j < len(gp) and gp[j][0].lo <= a else ZERO
+        x = f[i][2] if i < len(f) and f[i][0] <= a else 0
+        y = g[j][2] if j < len(g) and g[j][0] <= a else 0
         yield a, b, x, y
 
 
@@ -220,13 +196,24 @@ class SpectrumVerdict:
     detail: str = ""
 
 
+def _scaling_grid(g: StepFn) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(d, V, pieces): g's pieces as integer triples on 1/d, d = 2D, values over V, with D
+    and V ``_on_grid``'s (refused over its budget first).  On 1/d the pieces of g(2 .), g
+    and g(./2) have integer ends: a >> 1, a and a << 1 for each end a of g."""
+    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in g.pieces for x in (iv.lo, iv.hi)],
+                                       value=[v for _, v in g.pieces])
+    return d << 1, vden, [(a << 1, b << 1, w) for a, b, w in zip(ends[::2], ends[1::2], vals)]
+
+
 def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
     """Exact check that g is the squared modulus of a scaling function.
 
     Verifies, in order: the unit periodization (F3), the unit value on a
     punctured neighborhood of 0 (F2), and the existence of a 1-periodic
     filter (F1: support nesting under doubling plus a periodically
-    consistent ratio g(2x)/g(x) on the support).
+    consistent ratio g(2x)/g(x) on the support).  (F1) runs on g's grid
+    (``_scaling_grid``): the nesting is one ``_subtract`` of integer runs, and
+    the ratio one fraction per cell of g's walk against g(2 .), folded mod 1.
     """
     neg = g.negative_witness()
     if neg is not None:
@@ -248,21 +235,23 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
         return SpectrumVerdict(False, "F2", witness,
                                "value is not 1 on a punctured neighborhood of 0")
 
-    # (F1): support of g(2 .) inside support of g: supp/2 minus supp is (supp minus 2 supp)/2 ...
-    escape = s1_witness(g.support())
-    if escape is not None:
-        return SpectrumVerdict(False, "F1", Interval(escape.lo * HALF, escape.hi * HALF),
+    # (F1): the support of g(2 .) inside the support of g ...
+    d, _, pieces = _scaling_grid(g)
+    supp = _merge((a, b) for a, b, _ in pieces)
+    escape = _subtract([(a >> 1, b >> 1) for a, b in supp], supp)
+    if escape:
+        return SpectrumVerdict(False, "F1", _from_grid(escape[:1], d).parts[0],
                                "support is not nested under doubling")
     # ... and the forced filter modulus g(2x)/g(x) is consistent mod 1.
-    cells = [(a, b, num / den) for a, b, den, num in _refine(g, g.stretch(HALF)) if den]
-    (d, ends), = _on_grid(endpoint=[x for a, b, _ in cells for x in (a, b)])
-    changes: dict[int, list[tuple[Fraction, int]]] = {}
-    for lo, hi, (_, _, ratio) in zip(ends[::2], ends[1::2], cells):  # ratio is g(2x)/g(x)
-        for a, b, _, _ in _unit_fragments([(lo, hi, 1)], d):
-            changes.setdefault(a, []).append((ratio, 1))
-            changes.setdefault(b, []).append((ratio, -1))
+    changes: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    for a, b, den, num in _walk(pieces, [(a >> 1, b >> 1, w) for a, b, w in pieces]):
+        if den:
+            ratio = Fraction(num, den).as_integer_ratio()  # g(2x)/g(x) in lowest terms
+            for lo, hi, _, _ in _unit_fragments([(a, b, 1)], d):
+                changes.setdefault(lo, []).append((ratio, 1))
+                changes.setdefault(hi, []).append((ratio, -1))
     points = sorted(changes)
-    covering: dict[Fraction, int] = {}  # ratio -> fragments covering the current cell
+    covering: dict[tuple[int, int], int] = {}  # ratio -> fragments covering the current cell
     for a, b in zip(points, points[1:]):
         for ratio, step in changes[a]:
             covering[ratio] = covering.get(ratio, 0) + step
@@ -277,20 +266,29 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
 def psi_spectrum_from_scaling(g: StepFn) -> StepFn:
     """Squared wavelet spectrum h(x) = g(x/2) - g(x) from a scaling spectrum.
 
-    Callers are expected to have validated g; an exact negativity check still
-    guards against inconsistent inputs.
+    Callers are expected to have validated g; an exact negativity check still guards
+    against inconsistent inputs.  h is walked on g's grid (``_scaling_grid``: over its
+    budget g is an InputError before any work); each break and value becomes a fraction once.
     """
-    from .errors import InconsistentSpectrumError
+    return _psi_grid(*_scaling_grid(g))[1]
 
-    h = g.stretch(2) - g
-    neg = h.negative_witness()
+
+def _psi_grid(d: int, vden: int, pieces: list[tuple]) -> tuple[list[tuple[int, int, int]], StepFn]:
+    """h = g(./2) - g from g's grid: its canonical (lo, hi, weight) pieces there, and h."""
+    h: list[tuple[int, int, int]] = []
+    for a, b, x, y in _walk([(a << 1, b << 1, w) for a, b, w in pieces], pieces):
+        if x != y and h and h[-1][1:] == (a, x - y):
+            h[-1] = (h[-1][0], b, x - y)
+        elif x != y:
+            h.append((a, b, x - y))
+    breaks = {e: Fraction(e, d) for a, b, _ in h for e in (a, b)}
+    values = {w: Fraction(w, vden) for _, _, w in h}
+    fn = StepFn(tuple((Interval(breaks[a], breaks[b]), values[w]) for a, b, w in h))
+    neg = fn.negative_witness()
     if neg is not None:
-        raise InconsistentSpectrumError(
-            f"inconsistent spectrum: value {neg[1]} on {neg[0]} "
-            "(input does not decrease along doubling)",
-            witness=neg[0],
-        )
-    return h
+        raise InconsistentSpectrumError(f"inconsistent spectrum: value {neg[1]} on {neg[0]} "
+                                        "(input does not decrease along doubling)", witness=neg[0])
+    return h, fn
 
 
 # --------------------------------------------------------- Calderon sum

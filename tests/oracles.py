@@ -471,3 +471,35 @@ def fraction_scaling_spectrum_verdict(pieces):
         if len({r for fa, fb, r in fragments if fa <= a and b <= fb}) > 1:
             return "F1", (a, b), "filter ratio is not 1-periodic on the support"
     return None
+
+
+# ------------------------------------------- the step-function transforms
+#
+# Plain versions of x -> f(x / s), x -> f(x - t) and g(x/2) - g(x) on
+# (lo, hi, value) pieces with Fraction ends; the library keeps none of them
+# on fractions.
+
+
+def stretch(pieces, s: Fraction):
+    """The pieces of x -> f(x / s), s != 0, sorted."""
+    return sorted((s * lo, s * hi, v) if s > 0 else (s * hi, s * lo, v) for lo, hi, v in pieces)
+
+
+def shift(pieces, t: Fraction):
+    """The pieces of x -> f(x - t)."""
+    return [(lo + t, hi + t, v) for lo, hi, v in pieces]
+
+
+def fraction_psi_spectrum(pieces):
+    """Pieces of h(x) = g(x/2) - g(x): read by ``value_at`` at the midpoint of every cell
+    of the cuts lo, hi, 2 lo and 2 hi, zero cells dropped, equal touching cells merged."""
+    cuts = sorted({x for lo, hi, _ in pieces for x in (lo, hi, 2 * lo, 2 * hi)})
+    out: list[tuple[Fraction, Fraction, Fraction]] = []
+    for a, b in zip(cuts, cuts[1:]):
+        m = (a + b) / 2
+        v = value_at(pieces, m / 2) - value_at(pieces, m)
+        if v and out and out[-1][1] == a and out[-1][2] == v:
+            out[-1] = (out[-1][0], b, v)
+        elif v:
+            out.append((a, b, v))
+    return out

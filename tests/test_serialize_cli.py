@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from waveset import cli
+from waveset import cli, spectral
 from waveset.errors import InputError
 from waveset.figures import render_csv, render_svg
 from waveset.intervals import iset, normalize
@@ -643,6 +643,26 @@ def test_cli_fold_over_grid_budget_is_input_error(capsys, tmp_path, argv):
     s = _garnished_window(400)
     doc = step_fn_to_json(StepFn.indicator(s)) if argv[1] == "spectrum" else interval_set_to_json(s)
     code = cli.run([*argv, _write(tmp_path, "in.json", doc)])
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1 and not err
+    assert "at most 8192 bits each (work budget); got 10283" in rep["witnesses"][0]["reason"]
+
+
+def test_psi_spectrum_over_grid_budget_is_input_error(capsys, monkeypatch, tmp_path):
+    # h = g(./2) - g is walked on the grid of g, so a g whose endpoints carry
+    # 800 distinct 4-digit prime denominators is refused before the walk, and
+    # construct rze refuses it with one report.
+    g = StepFn.indicator(_garnished_window(400))
+
+    def no_walk(*_):
+        raise AssertionError("the grid budget is checked before the walk")
+
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "_walk", no_walk)
+        with pytest.raises(InputError, match=r"at most 8192 bits each \(work budget\); got 10283"):
+            spectral.psi_spectrum_from_scaling(g)
+    code = cli.run(["construct", "rze", "--spectrum", _write(tmp_path, "g.json", step_fn_to_json(g))])
     out, err = capsys.readouterr()
     rep = json.loads(out)
     assert code == 2 and rep["status"] == "error" and out.count('"command"') == 1 and not err
