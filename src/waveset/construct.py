@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, _beside_zero, _merge, _subtract, iset
-from .spectral import (StepFn, _annulus_sums, _psi_grid, _scaling_grid, pow2,
+from .intervals import Interval, IntervalSet, _beside_zero, _merge, _off_zero, _subtract, iset
+from .spectral import (StepFn, _annulus_levels, _annulus_sums, _psi_grid, _scaling_grid, pow2,
                        validate_scaling_spectrum)
 from .torus import (_from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity,
                     s1_witness)
@@ -189,21 +189,22 @@ def lemma_r3_construct(
     if k == WINDOW:
         # K has measure 1, so it lies inside the window only as the whole
         # window, which is itself a scaling set: S = K at every depth.
-        w = k.scale(2).subtract(k)
-        return ScalingSetResult(k, w, DefectReport.exact(depth_n, depth_j), True)
-    scale, levels = _grid_levels(k, depth_n, depth_j)
-    s_grid = _merge(sorted(p for level in levels for p in level))
-    s = _from_grid(s_grid, scale)
-    span = k.span()
-    k_span = span.hi - span.lo
-    outer = pow2(-depth_n)  # times |K| = 1, by the tiling property
-    inner = ZERO
-    for n in range(depth_n + 1):
-        copies = 2 * math.floor(pow2(-n) * k_span)  # nonzero shifts that can meet level n
-        inner += (copies + 1) * pow2(-(n + depth_j))
-    defects = DefectReport(2 * outer, outer + inner, True, depth_n, depth_j)
+        s, defects = k, DefectReport.exact(depth_n, depth_j)
+        scale, s_grid = _pairs_on_grid(k)
+    else:
+        scale, levels = _grid_levels(k, depth_n, depth_j)
+        s_grid = _merge(sorted(p for level in levels for p in level))
+        s = _from_grid(s_grid, scale)
+        span = k.span()
+        k_span = span.hi - span.lo
+        outer = pow2(-depth_n)  # times |K| = 1, by the tiling property
+        inner = ZERO
+        for n in range(depth_n + 1):
+            copies = 2 * math.floor(pow2(-n) * k_span)  # nonzero shifts that can meet level n
+            inner += (copies + 1) * pow2(-(n + depth_j))
+        defects = DefectReport(2 * outer, outer + inner, True, depth_n, depth_j)
     w = _from_grid(_subtract([(a << 1, b << 1) for a, b in s_grid], s_grid), scale)
-    return ScalingSetResult(s, w, defects, False)
+    return ScalingSetResult(s, w, defects, k == WINDOW)
 
 
 # ---------------------------------------------------------- verification
@@ -226,6 +227,8 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     [-2c, -c) decide all of R minus {0}, and only finitely many dilates meet
     that annulus.  The annulus is the one at c = r, the least distance of
     W from 0, and the sums are Calderon's (``spectral._annulus_sums``).
+    Each step reads the integers of the grid W keeps: the fold, the part
+    touching 0 and r (``_off_zero``), and the annulus levels.
     """
     if w.is_empty:
         return WaveletSetVerdict(False, "translation gap: empty set", Interval(ZERO, ONE))
@@ -237,22 +240,24 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
                 False, f"translation {kind}: multiplicity {Fraction(v, m.vden)} on residues "
                 f"[{witness.lo}, {witness.hi})", witness,
             )
-    for p in w.parts:
-        if p.lo <= 0 <= p.hi:
-            witness = Interval(p.hi / 2, p.hi) if p.hi > 0 else Interval(p.lo, p.lo / 2)
-            return WaveletSetVerdict(
-                False,
-                f"dilation overlap near 0: piece {p} meets its own double on {witness}",
-                witness,
-            )
-    r = min(p.lo if p.lo > 0 else -p.hi for p in w.parts)
-    for atoms in _annulus_sums([(p, ONE) for p in w.parts], r):
-        for a, b, v in atoms:
+    d, pairs = _pairs_on_grid(w)
+    i, r, big = _off_zero(pairs)
+    if r is None:
+        p = w.parts[i]
+        witness = Interval(p.hi / 2, p.hi) if p.hi > 0 else Interval(p.lo, p.lo / 2)
+        return WaveletSetVerdict(
+            False,
+            f"dilation overlap near 0: piece {p} meets its own double on {witness}",
+            witness,
+        )
+    levels = _annulus_levels(ONE, Fraction(big, r))
+    for scale, ends, _, weights in _annulus_sums(d, 1, [(a, b, 1) for a, b in pairs],
+                                                 Fraction(r, d), levels):
+        for j, v in enumerate(weights):
             if v != 1:
-                kind = "gap" if v < 1 else "overlap"
-                return WaveletSetVerdict(
-                    False, f"dilation {kind}: multiplicity {v} on [{a}, {b})", Interval(a, b)
-                )
+                witness = Interval(Fraction(ends[j], scale), Fraction(ends[j + 1], scale))
+                return WaveletSetVerdict(False, f"dilation {'gap' if v < 1 else 'overlap'}: "
+                                         f"multiplicity {v} on {witness}", witness)
     return WaveletSetVerdict(True)
 
 
@@ -284,7 +289,7 @@ def rze_pipeline(
     exceed twice the certified coverage defect (the doubled set contributes
     the factor two).  Validated g goes on its grid once: supp g, h and supp h are
     integer runs there, subtracted from S and W on the lcm of that grid and the
-    construction's, which no grid budget bounds (it carries 2^(N+J)).
+    grids S and W keep, which no grid budget bounds (they carry up to 2^(N+J)).
     """
     verdict = validate_scaling_spectrum(g)
     if not verdict.passed:
@@ -296,20 +301,20 @@ def rze_pipeline(
     d, vden, pieces = _scaling_grid(g)
     supp_phi = _merge((a, b) for a, b, _ in pieces)
     result = lemma_r3_construct(_from_grid(supp_phi, d), depth_n, depth_j)
-    h, psi = _psi_grid(d, vden, pieces)
+    psi = _psi_grid(d, vden, pieces)
+    dh, _, h = psi._grid
     supp_psi = _merge((a, b) for a, b, _ in h)
-    sw = [[(p.lo, p.hi) for p in x.parts] for x in (result.s, result.w)]
-    scale = math.lcm(d, *(x.denominator for pairs in sw for pair in pairs for x in pair))
-    up = scale // d
-    s, w = ([tuple(x.numerator * (scale // x.denominator) for x in pair) for pair in pairs]
-            for pairs in sw)
-    assert not _subtract(s, [(a * up, b * up) for a, b in supp_phi]), "S must stay inside supp g"
-    leftover = _subtract(w, [(a * up, b * up) for a, b in supp_psi])
+    (ds, s), (dw, w) = (x._grid or _pairs_on_grid(x) for x in (result.s, result.w))
+    scale = math.lcm(d, ds, dw)  # dh divides d
+    s, w, phi, psi_ = ([(a * (scale // e), b * (scale // e)) for a, b in pairs]
+                       for e, pairs in ((ds, s), (dw, w), (d, supp_phi), (dh, supp_psi)))
+    assert not _subtract(s, phi), "S must stay inside supp g"
+    leftover = _subtract(w, psi_)
     leftover_measure = Fraction(sum(b - a for a, b in leftover), scale)
     if result.fast_path and leftover:
         raise AssertionError("exact run must land inside the wavelet support")
     if leftover_measure > 2 * result.defects.coverage_defect:
         raise AssertionError("escape exceeds the certified truncation bound")
-    return RzeResult(s=result.s, w=result.w, supp_psi=_from_grid(supp_psi, d),
+    return RzeResult(s=result.s, w=result.w, supp_psi=_from_grid(supp_psi, dh),
                      contained=not leftover, defects=result.defects, psi_spectrum=psi,
                      leftover_measure=leftover_measure)

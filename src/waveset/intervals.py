@@ -75,14 +75,24 @@ class Interval:
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of half-open rational intervals."""
+    """Canonical finite union of half-open rational intervals.
+
+    It keeps one integer grid, ``_grid`` = (D, its parts as integer pairs
+    over D), D the lcm of its endpoint denominators, made by a kernel
+    (``torus._from_grid``) or on first read (``torus._pairs_on_grid``).
+    Equality, hash, repr and pickle read the fractions alone.
+    """
 
     parts: tuple[Interval, ...] = ()
+    _grid = None
 
     def __post_init__(self) -> None:
         for prev, nxt in zip(self.parts, self.parts[1:]):
             if prev.hi >= nxt.lo:
                 raise InputError("parts must be sorted and strictly separated; use normalize()")
+
+    def __getstate__(self) -> dict:
+        return {"parts": self.parts}
 
     # ------------------------------------------------------------- queries
 
@@ -173,6 +183,20 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
+def _made(bounds: list[tuple[Fraction, Fraction]], grid: tuple) -> IntervalSet:
+    """The set of ``bounds``, which its maker checked sorted, nonempty and strictly separated
+    on ``grid``, kept on it; the Fraction checks of the constructors do not run again."""
+    s = object.__new__(IntervalSet)
+    s.__dict__.update(parts=tuple(map(_interval, bounds)), _pairs=bounds, _grid=grid)
+    return s
+
+
+def _interval(bounds: tuple[Fraction, Fraction]) -> Interval:
+    iv = object.__new__(Interval)  # lo < hi already checked: no ``Interval`` checks
+    iv.__dict__["lo"], iv.__dict__["hi"] = bounds
+    return iv
+
+
 def normalize(raw: Iterable[Interval | tuple[RationalLike, RationalLike]]) -> IntervalSet:
     """Canonicalize an arbitrary collection of intervals.
 
@@ -245,6 +269,16 @@ def _beside_zero(parts: Sequence[Interval]) -> tuple[bool, bool]:
     if i < len(parts) and parts[i].hi == 0:
         i += 1
     return left, i < len(parts) and parts[i].lo <= 0
+
+
+def _off_zero(pairs: Sequence[tuple]) -> tuple[int, object, object]:
+    """(i, r, R) for sorted, disjoint (lo, hi) pairs of one number type, by one bisection: pair
+    i is the first with hi >= 0, r is None if it reaches 0, else all lie in [-R, -r] u [r, R]."""
+    i = bisect_left(pairs, 0, key=itemgetter(1))
+    if i < len(pairs) and pairs[i][0] <= 0:
+        return i, None, None
+    r = min(([pairs[i][0]] if i < len(pairs) else []) + ([-pairs[i - 1][1]] if i else []))
+    return i, r, max(-pairs[0][0], pairs[-1][1])
 
 
 def iset(*pairs: tuple[RationalLike, RationalLike]) -> IntervalSet:

@@ -17,9 +17,10 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InconsistentSpectrumError, InputError
-from .intervals import Interval, IntervalSet, RationalLike, _beside_zero, _merge, _subtract, rat
-from .torus import (DimFnWindow, _from_grid, _grid_sweep, _on_grid, _unit_fragments, fold_step,
-                    sweep_weighted)
+from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _interval, _merge,
+                        _off_zero, _subtract, rat)
+from .torus import (DimFnWindow, _fold, _from_grid, _grid_sweep, _on_grid, _unit_fragments,
+                    _within_budget, sweep_weighted)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,10 +49,15 @@ class StepFn:
 
     Canonical form: pieces sorted and disjoint, zero values implicit (never
     stored), touching pieces with equal values merged.  A boundary type (parse,
-    serialize, print): the checks run its pieces on integer grids.
+    serialize, print): the checks read the grid it keeps, ``_grid`` = (D, V,
+    its pieces as (lo, hi, weight) integers over D, weights over V), D and V
+    the lcms of its endpoint and value denominators, made by a kernel
+    (``_step_from_grid``) or on first read (``_step_grid``).  Equality, hash,
+    repr and pickle read the fractions alone.
     """
 
     pieces: tuple[tuple[Interval, Fraction], ...] = ()
+    _grid = None
 
     def __post_init__(self) -> None:
         for (a, va), (b, vb) in zip(self.pieces, self.pieces[1:]):
@@ -61,6 +67,9 @@ class StepFn:
                 raise InputError("equal-valued touching pieces must be merged; use StepFn.build()")
         if any(v == 0 for _, v in self.pieces):
             raise InputError("zero values are implicit in a step function")
+
+    def __getstate__(self) -> dict:
+        return {"pieces": self.pieces}
 
     @classmethod
     def build(cls, raw: Iterable[tuple[Interval | tuple, RationalLike]]) -> "StepFn":
@@ -119,7 +128,10 @@ class StepFn:
     # ------------------------------------------------------- transforms
 
     def square(self) -> "StepFn":
-        return StepFn.build((iv, v * v) for iv, v in self.pieces)
+        """f^2 on the grid of f: weights squared over V^2, the lcm of the squared value
+        denominators, and touching pieces merged where their squares agree (v beside -v)."""
+        d, vden, pieces = _step_grid(self, 2)
+        return _step_from_grid(d, vden * vden, [(a, b, w * w) for a, b, w in pieces])
 
     def combine(self, other: "StepFn", op: Callable[[Fraction, Fraction], Fraction]) -> "StepFn":
         """Pointwise binary operation via common refinement (op(0, 0) must be 0)."""
@@ -143,17 +155,39 @@ def _walk(f: Sequence[tuple], g: Sequence[tuple]) -> Iterator[tuple]:
         yield a, b, x, y
 
 
-def _signed_reach(parts: Sequence[Interval]) -> tuple[Fraction, Fraction]:
-    """(r, R) with the parts contained in [-R, -r] u [r, R], all parts 0-separated."""
-    r = None
-    big = ZERO
-    for p in parts:
-        d = p.lo if p.lo > 0 else -p.hi
-        assert d > 0, "parts must be bounded away from 0"
-        r = d if r is None else min(r, d)
-        big = max(big, p.hi if p.lo > 0 else -p.lo)
-    assert r is not None
-    return r, big
+def _step_grid(f: StepFn, power: int = 1) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(D, V, read-only pieces): the grid f keeps, made by ``_on_grid`` on first read if f was
+    made from fractions.  Every read checks D and V^power, the value lcm of f^power
+    (``square`` reads with 2), against the ``_on_grid`` budget, with its refusal text."""
+    if f._grid is None:
+        object.__setattr__(f, "_grid", _on_grid(f.pieces, power))
+    _within_budget(endpoint=f._grid[0], value=f._grid[1] ** power)
+    return f._grid
+
+
+def _step_from_grid(d: int, vden: int, pieces: Iterable[tuple[int, int, int]]) -> StepFn:
+    """Sorted (lo, hi, weight) pieces over d, weights over vden, as a step function that keeps
+    them as its grid, like ``torus._from_grid``: touching equal weights merged and zero weights
+    dropped, then checked once on the integers (a violation raises the validated constructors'
+    InputError), divided to the lcm grid, and each break and value made a fraction once."""
+    out: list[tuple[int, int, int]] = []
+    for a, b, w in pieces:
+        if out and out[-1][1:] == (a, w):
+            out[-1] = (out[-1][0], b, w)
+        elif w:
+            out.append((a, b, w))
+    if not all(a < b for a, b, _ in out) or any(p[1] > q[0] for p, q in zip(out, out[1:])):
+        return StepFn(tuple((Interval(Fraction(a, d), Fraction(b, d)), Fraction(w, vden))
+                            for a, b, w in out))
+    gd = math.gcd(d, *(x for a, b, _ in out for x in (a, b)))
+    gv = math.gcd(vden, *(w for _, _, w in out))
+    d, vden, pieces = d // gd, vden // gv, [(a // gd, b // gd, w // gv) for a, b, w in out]
+    breaks = {e: Fraction(e, d) for a, b, _ in pieces for e in (a, b)}
+    values = {w: Fraction(w, vden) for _, _, w in pieces}
+    fn = object.__new__(StepFn)
+    fn.__dict__.update(pieces=tuple((_interval((breaks[a], breaks[b])), values[w])
+                                    for a, b, w in pieces), _grid=(d, vden, pieces))
+    return fn
 
 
 MAX_LEVELS = 4096  # work budget on the levels j of one dilation sum
@@ -167,22 +201,17 @@ def _levels(lo: int, hi: int) -> range:
     return range(lo, hi)
 
 
-def _annulus_sums(pieces: Sequence[tuple[Interval, Fraction]],
-                  c: Fraction) -> Iterator[list[tuple]]:
-    """Sum f(2^j x) over j in Z on [-2c, -c), then on [c, 2c), one half at a time.
+def _annulus_levels(r: Fraction, big: Fraction) -> range:
+    """The j with f(2^j x) able to meet the annulus [-2c, -c) u [c, 2c), f inside [-R, -r] u
+    [r, R], r = ``r`` c, R = ``big`` c: floor_log2(r/2c) <= j <= floor_log2(R/c) + 1."""
+    return _levels(floor_log2(r / 2), floor_log2(big) + 2)
 
-    f has the given (interval, value) pieces, all bounded away from 0, and
-    c lies on the grid of their endpoints.  With the pieces inside
-    [-R, -r] u [r, R], the dilates meeting the annulus have
-    floor_log2(r/2c) <= j <= floor_log2(R/c) + 1, at most MAX_LEVELS of
-    them; the sweep clips the fragments of any of them that miss it.
-    """
-    r, big = _signed_reach([iv for iv, _ in pieces])
-    levels = _levels(floor_log2(r / (2 * c)), floor_log2(big / c) + 2)
-    for scale, ends, vden, weights in _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], levels,
-                                                  False, ((-2 * c, -c), (c, 2 * c))):
-        breaks = [Fraction(e, scale) for e in ends]  # each break once
-        yield [(a, b, Fraction(w, vden)) for a, b, w in zip(breaks, breaks[1:], weights)]
+
+def _annulus_sums(d: int, vden: int, pieces: Sequence[tuple[int, int, int]], c: Fraction,
+                  levels: range) -> Iterator[tuple]:
+    """Sum f(2^j x), j in ``levels``, on [-2c, -c), then on [c, 2c): the ``_grid_sweep`` of the
+    integer pieces (lo, hi, weight) over d, weights over vden, with c on the grid 1/d."""
+    return _grid_sweep(d, vden, pieces, levels, False, ((-2 * c, -c), (c, 2 * c)))
 
 
 # ----------------------------------------------------------- (F1)-(F3)
@@ -197,12 +226,11 @@ class SpectrumVerdict:
 
 
 def _scaling_grid(g: StepFn) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """(d, V, pieces): g's pieces as integer triples on 1/d, d = 2D, values over V, with D
-    and V ``_on_grid``'s (refused over its budget first).  On 1/d the pieces of g(2 .), g
-    and g(./2) have integer ends: a >> 1, a and a << 1 for each end a of g."""
-    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in g.pieces for x in (iv.lo, iv.hi)],
-                                       value=[v for _, v in g.pieces])
-    return d << 1, vden, [(a << 1, b << 1, w) for a, b, w in zip(ends[::2], ends[1::2], vals)]
+    """(d, V, pieces): the grid g keeps (``_step_grid``, refused over its budget first), moved
+    to 1/d, d = 2D.  On 1/d the pieces of g(2 .), g and g(./2) have integer ends: a >> 1, a
+    and a << 1 for each end a of g."""
+    d, vden, pieces = _step_grid(g)
+    return d << 1, vden, [(a << 1, b << 1, w) for a, b, w in pieces]
 
 
 def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
@@ -220,7 +248,7 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
         raise InputError(f"spectrum must be nonnegative; value {neg[1]} on {neg[0]}")
 
     # (F3)
-    folded = fold_step(g.pieces)
+    folded = _fold(*_step_grid(g))
     if not folded.is_constant(1):
         bad = folded.where_not(1)
         return SpectrumVerdict(False, "F3", bad.parts[0],
@@ -270,25 +298,18 @@ def psi_spectrum_from_scaling(g: StepFn) -> StepFn:
     against inconsistent inputs.  h is walked on g's grid (``_scaling_grid``: over its
     budget g is an InputError before any work); each break and value becomes a fraction once.
     """
-    return _psi_grid(*_scaling_grid(g))[1]
+    return _psi_grid(*_scaling_grid(g))
 
 
-def _psi_grid(d: int, vden: int, pieces: list[tuple]) -> tuple[list[tuple[int, int, int]], StepFn]:
-    """h = g(./2) - g from g's grid: its canonical (lo, hi, weight) pieces there, and h."""
-    h: list[tuple[int, int, int]] = []
-    for a, b, x, y in _walk([(a << 1, b << 1, w) for a, b, w in pieces], pieces):
-        if x != y and h and h[-1][1:] == (a, x - y):
-            h[-1] = (h[-1][0], b, x - y)
-        elif x != y:
-            h.append((a, b, x - y))
-    breaks = {e: Fraction(e, d) for a, b, _ in h for e in (a, b)}
-    values = {w: Fraction(w, vden) for _, _, w in h}
-    fn = StepFn(tuple((Interval(breaks[a], breaks[b]), values[w]) for a, b, w in h))
+def _psi_grid(d: int, vden: int, pieces: list[tuple]) -> StepFn:
+    """h = g(./2) - g, walked on g's grid, keeping the lcm grid of its own."""
+    fn = _step_from_grid(d, vden, ((a, b, x - y) for a, b, x, y in _walk(
+        [(a << 1, b << 1, w) for a, b, w in pieces], pieces)))
     neg = fn.negative_witness()
     if neg is not None:
         raise InconsistentSpectrumError(f"inconsistent spectrum: value {neg[1]} on {neg[0]} "
                                         "(input does not decrease along doubling)", witness=neg[0])
-    return h, fn
+    return fn
 
 
 # --------------------------------------------------------- Calderon sum
@@ -323,11 +344,16 @@ def calderon(h: StepFn) -> CalderonResult:
     if h.is_zero:
         atoms = tuple((Interval(a, b), ZERO) for a, b in ANNULUS)
         return CalderonResult(False, atoms, ZERO, ZERO, False)
-    touching = [iv for iv, _ in h.pieces if iv.lo <= 0 <= iv.hi]
-    if touching:
-        return CalderonResult(True, divergence_witness=touching[0])
-
-    atoms = [(Interval(x, y), v) for window in _annulus_sums(h.pieces, ONE) for x, y, v in window]
+    i, r, big = _off_zero([(iv.lo, iv.hi) for iv, _ in h.pieces])
+    if r is None:
+        return CalderonResult(True, divergence_witness=h.pieces[i][0])
+    levels = _annulus_levels(r, big)  # the level budget before the grid budget
+    d, vden, pieces = _step_grid(h)
+    atoms = []
+    for scale, ends, _, weights in _annulus_sums(d, vden, pieces, ONE, levels):
+        breaks = [Fraction(e, scale) for e in ends]  # each break once
+        atoms += [(Interval(a, b), Fraction(w, vden))
+                  for a, b, w in zip(breaks, breaks[1:], weights)]
     values = [v for _, v in atoms]
     return CalderonResult(
         False,
@@ -369,8 +395,7 @@ def _dim_sweep(h: StepFn, depth_L: int, lo: Fraction, hi: Fraction) -> tuple:
         raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
     reach = max(-h.pieces[0][0].lo, h.pieces[-1][0].hi) if h.pieces else ONE  # sorted pieces
     levels = _levels(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
-    grid, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in h.pieces], levels, True, [(lo, hi)],
-                        depth_L)
+    grid, = _grid_sweep(*_step_grid(h), levels, True, [(lo, hi)], depth_L)
     return grid
 
 
@@ -587,8 +612,7 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
     if any(_beside_zero([iv for iv, _ in psi.pieces])):
         raise InputError("support must be bounded away from 0")
     (scale, wden, atoms), = _tq_sweeps(psi, [alpha])  # t_a vanishes outside [-R, R)
-    total = StepFn(tuple((Interval(Fraction(a, scale), Fraction(b, scale)), Fraction(w, wden))
-                         for a, b, w in atoms if w))
+    total = _step_from_grid(scale, wden, atoms)
     if total.is_zero:
         return TqResult(True, fn=total)
     return TqResult(False, total.pieces[0][0], total)
@@ -597,10 +621,8 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
 def _tq_sweeps(psi: StepFn, alphas: Iterable[int]) -> Iterator[tuple[int, int, list[tuple]]]:
     """The walk and sweep of ``tq_check`` for each shift a on one grid of psi: (scale, W,
     the atoms of t_a as integers over 1/scale with values over W)."""
-    (d, ends), (vden, vals) = _on_grid(endpoint=[x for iv, _ in psi.pieces for x in (iv.lo, iv.hi)],
-                                       value=[v for _, v in psi.pieces])
-    reach = max(-ends[0], ends[-1])  # R D
-    pieces = list(zip(ends[::2], ends[1::2], vals))
+    d, vden, pieces = _step_grid(psi)
+    reach = max(-pieces[0][0], pieces[-1][1])  # R D
     n = len(pieces)
     for alpha in alphas:
         # M: the largest m with 2^m |a| <= 2R; for none, m = 0 adds no fragment
@@ -646,7 +668,7 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
                                     ("spectrum is identically zero",))
     if any(_beside_zero([iv for iv, _ in psi.pieces])):
         raise InputError("support must be bounded away from 0")
-    _, big = _signed_reach([iv for iv, _ in psi.pieces])
+    big = max(-psi.pieces[0][0].lo, psi.pieces[-1][0].hi)  # sorted pieces, none reaching 0
     alphas = range(1, math.floor(2 * big) + 1, 2)
     if len(alphas) > MAX_SHIFTS:
         raise InputError(f"orthonormality checks at most {MAX_SHIFTS} odd shifts (work budget); "

@@ -13,16 +13,16 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, _merge, _subtract, iset, normalize, rat
+from .intervals import Interval, IntervalSet, _made, _merge, _subtract, iset, normalize, rat
 
 if TYPE_CHECKING:
     from .spectral import StepFn
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -55,43 +55,49 @@ def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
 MAX_GRID_BITS = 8192  # work budget on the bit length of each lcm D of _on_grid
 
 
-def _on_grid(**groups: Sequence[Fraction]) -> list[tuple[int, list[int]]]:
-    """Each named group of fractions as integers over D, its denominators' lcm.
+def _on_grid(pieces: Sequence[tuple[Interval, Fraction]],
+             power: int = 1) -> tuple[int, int, list[tuple[int, int, int]]]:
+    """(D, V, the pieces as (lo, hi, weight) integers over D with weights over V), D and V the
+    lcms of the endpoint and value denominators.
 
-    Returns (D, numerators) per group, in order.  Every grid number carries
-    the bits of D: on distinct prime denominators the unit fold beats
-    fractions at 5*10^3 bits and is up to 1.6 times slower at 10^4 and 2.7
-    at 2.1*10^4.  A D over MAX_GRID_BITS bits is an InputError, raised first.
+    Every grid number carries the bits of D: on distinct prime denominators
+    the unit fold beats fractions at 5*10^3 bits and is up to 1.6 times
+    slower at 10^4 and 2.7 at 2.1*10^4.  A D or V^power (the value lcm of the
+    power-th powers) over MAX_GRID_BITS bits is an InputError, raised first.
     """
-    dens = [math.lcm(*(x.denominator for x in xs)) for xs in groups.values()]
-    if max(dens).bit_length() > MAX_GRID_BITS:
-        raise InputError(f"the lcms of the {' and '.join(groups)} denominators have at most "
+    ends = [x for iv, _ in pieces for x in (iv.lo, iv.hi)]
+    d = math.lcm(*(x.denominator for x in ends))
+    vden = math.lcm(*(v.denominator for _, v in pieces))
+    _within_budget(endpoint=d, value=vden ** power)
+    ends = [x.numerator * (d // x.denominator) for x in ends]
+    return d, vden, [(a, b, v.numerator * (vden // v.denominator))
+                     for a, b, (_, v) in zip(ends[::2], ends[1::2], pieces)]
+
+
+def _within_budget(**dens: int) -> None:
+    """Refuse lcms over MAX_GRID_BITS bits: the InputError of ``_on_grid``, naming each group."""
+    if max(dens.values()).bit_length() > MAX_GRID_BITS:
+        raise InputError(f"the lcms of the {' and '.join(dens)} denominators have at most "
                          f"{MAX_GRID_BITS} bits each (work budget); got "
-                         + " and ".join(str(d.bit_length()) for d in dens))
-    return [(d, [x.numerator * (d // x.denominator) for x in xs])
-            for d, xs in zip(dens, groups.values())]
+                         + " and ".join(str(d.bit_length()) for d in dens.values()))
 
 
-def _grid_sweep(pieces: Sequence[tuple], levels: Sequence[int], periodic: bool,
-                windows: Iterable[tuple], depth: int = 0) -> Iterator[tuple]:
-    """Sweep the fragments 2^-j [lo, hi), weighted by v, over each window.
+def _grid_sweep(d: int, vden: int, pieces: Sequence[tuple[int, int, int]], levels: Sequence[int],
+                periodic: bool, windows: Iterable[tuple], depth: int = 0) -> Iterator[tuple]:
+    """Sweep the fragments 2^-j [lo, hi), weighted by w, over each window.
 
-    One fragment per j in ``levels`` and (lo, hi, v) in ``pieces``; a
-    ``periodic`` sum counts all their integer translates by folding them into
-    [0, 1) with ``_unit_fragments`` (windows inside [0, 1]), so its cost
-    follows the levels, not the reach.  All endpoints lie on the grid
-    1/scale, scale = D 2^T with D the lcm of the endpoint denominators and T
-    the larger of ``depth`` and the deepest j, and all values are integers
-    over V, the lcm of the value denominators (both within the ``_on_grid``
-    budget).  Yields each window's atoms as integers (scale, ends, V,
-    weights), a ``DimFnWindow`` grid; callers convert what they read.
+    One fragment per j in ``levels`` and (lo, hi, w) in ``pieces``, integers
+    over d with weights over vden (a kept grid, read within the ``_on_grid``
+    budget), and windows with rational ends on 1/(d 2^depth).  A ``periodic`` sum
+    counts all their integer translates by folding them into [0, 1) with
+    ``_unit_fragments`` (windows inside [0, 1]), so its cost follows the
+    levels, not the reach.  Yields each window's atoms as integers (scale,
+    ends, vden, weights), a ``DimFnWindow`` grid, scale = d 2^T with T the
+    larger of ``depth`` and the deepest j; callers convert what they read.
     """
-    (d, ends), (vden, vals) = _on_grid(endpoint=[x for lo, hi, _ in pieces for x in (lo, hi)],
-                                       value=[v for _, _, v in pieces])
     t = max([depth, *levels])
     scale = d << t
-    grid = list(zip(ends[::2], ends[1::2], vals))
-    frags = [(a << (t - j), b << (t - j), w) for j in levels for a, b, w in grid]
+    frags = [(a << (t - j), b << (t - j), w) for j in levels for a, b, w in pieces]
     if periodic:
         frags = [(a, b, w) for a, b, w, _ in _unit_fragments(frags, scale)]
     for lo, hi in windows:
@@ -236,15 +242,34 @@ def _unit_fragments(pieces: Iterable[tuple[int, int, object]], d: int):
             yield 0, b, val, k_hi
 
 
-def _pairs_on_grid(s: IntervalSet, *extra: Fraction) -> tuple[int, list[tuple[int, int]]]:
-    """(D, the parts of S as integer pairs over D) for ``_on_grid``'s D of S and ``extra``."""
-    (d, ends), = _on_grid(endpoint=[x for p in s.parts for x in (p.lo, p.hi)] + list(extra))
-    return d, list(zip(ends[::2], ends[1::2]))
+def _pairs_on_grid(s: IntervalSet, *extra: Fraction, **groups: int) -> tuple[int, list[tuple]]:
+    """(D, the parts of S as read-only integer pairs over D): the grid S keeps (a set made from
+    fractions computes it on first read), rescaled to D, its lcm with the denominators of
+    ``extra``.  Every read checks D, and the lcms ``groups`` name, against the ``_on_grid``
+    budget with its refusal text, before any numerator is made."""
+    ends = None if s._grid else [x for p in s.parts for x in (p.lo, p.hi)]
+    d = s._grid[0] if s._grid else math.lcm(*(x.denominator for x in ends))
+    lcm = math.lcm(d, *(x.denominator for x in extra))
+    _within_budget(endpoint=lcm, **groups)
+    if ends is not None:
+        ends = [x.numerator * (d // x.denominator) for x in ends]
+        object.__setattr__(s, "_grid", (d, list(zip(ends[::2], ends[1::2]))))
+    up = lcm // d
+    return lcm, s._grid[1] if up == 1 else [(a * up, b * up) for a, b in s._grid[1]]
 
 
 def _from_grid(pairs: Iterable[tuple[int, int]], d: int) -> IntervalSet:
-    """Sorted, strictly separated integer pairs over d as a set, each endpoint a fraction once."""
-    return IntervalSet(tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b in pairs))
+    """Sorted, nonempty, strictly separated integer pairs over d as a set that keeps them as its
+    grid, checked once on the integers (a violation raises the validated constructors'
+    InputError) and divided by gcd(d, every end) to ``_on_grid``'s lcm grid; each endpoint
+    becomes a fraction once."""
+    pairs = list(pairs)
+    ends = [x for pair in pairs for x in pair]
+    if not all(map(lt, ends, ends[1:])):  # the validated constructors name the fault
+        return IntervalSet(tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b in pairs))
+    g = math.gcd(d, *ends)
+    d, pairs = d // g, [(a // g, b // g) for a, b in pairs]
+    return _made([(Fraction(a, d), Fraction(b, d)) for a, b in pairs], (d, pairs))
 
 
 def s1_witness(s: IntervalSet) -> Interval | None:
@@ -254,19 +279,23 @@ def s1_witness(s: IntervalSet) -> Interval | None:
     return _from_grid(left_over[:1], d).parts[0] if left_over else None
 
 
-def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
-    """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function.
-
-    The periodic ``_grid_sweep`` at level 0 over [0, 1): integers on the grid
-    of ``_on_grid`` (endpoints over D, values over V, both in its budget).
-    """
-    grid, = _grid_sweep([(iv.lo, iv.hi, v) for iv, v in pieces], [0], True, [(ZERO, ONE)])
+def _fold(d: int, vden: int, pieces: Sequence[tuple[int, int, int]]) -> DimFnWindow:
+    """The periodic ``_grid_sweep`` at level 0 over [0, 1) of pieces on a kept grid."""
+    grid, = _grid_sweep(d, vden, pieces, [0], True, [(0, 1)])
     return DimFnWindow._from_grid(grid, 0, False)
 
 
+def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
+    """Exact periodization sum(f(xi + k) for k in Z) of a weighted step function: ``_fold``
+    on the grid of ``_on_grid`` (endpoints over D, values over V, both in its budget)."""
+    return _fold(*_on_grid(list(pieces)))
+
+
 def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
-    """Multiplicity m(xi) = #{k in Z : xi + k in S} on [0, 1)."""
-    return fold_step((p, ONE) for p in s.parts)
+    """Multiplicity m(xi) = #{k in Z : xi + k in S} on [0, 1): ``_fold`` on the grid S keeps,
+    refused as ``fold_step`` refuses S weighted 1 ("...endpoint and value... got N and 1")."""
+    d, pairs = _pairs_on_grid(s, value=1)
+    return _fold(d, 1, [(a, b, 1) for a, b in pairs])
 
 
 def check_S3(s: IntervalSet) -> bool:

@@ -353,6 +353,12 @@ def test_dilation_sums_level_budget(monkeypatch):
     # The cap itself: 20 + 4076 levels reach the sweep, 20 + 4077 do not.
     with pytest.raises(AssertionError, match="level budget"):
         dimension_function(StepFn.build([((1, 2**4076), 1)]), 20)
+    # The patched name is the integer sweep that every dilation sum reaches:
+    # -1 to 4001 levels for a Calderon sum, -1 to 4000 for a dilation check.
+    with pytest.raises(AssertionError, match="level budget"):
+        calderon(StepFn.build([((1, 2**4000), 1)]))
+    with pytest.raises(AssertionError, match="level budget"):
+        verify_wavelet_set(iset((pow2(-3999), 1), (1, 1 + pow2(-3999))))
     with pytest.raises(InputError, match=f"got {MAX_LEVELS + 1}"):
         dimension_function(StepFn.build([((1, 2**4077), 1)]), 20)
     # The scales m = 0..5001 of an orthogonality sum count the same way.
