@@ -1,9 +1,11 @@
 """Exact 2D decisions: wavelet-set existence for a dilation/lattice pair,
 and lattice-point counts in dilated unit balls.
 
-All scalar work happens in Q or in a real quadratic field Q(sqrt(d)); signs
-and comparisons are resolved by exact rational computations, never by
-floating point root isolation.
+Entries live in Q or in a real quadratic field Q(sqrt(d)).  ``QuadScalar`` and
+``Mat2`` are the boundary types (parse, serialize, print, public arithmetic);
+both decisions clear a matrix's denominators once and run on integer pairs
+(p, q) meaning (p + q*sqrt(d)) / n.  Signs are decided on those integers,
+never by floating point root isolation.
 """
 
 from __future__ import annotations
@@ -48,15 +50,17 @@ def _is_square_free(d: int) -> bool:
     return n == 1 or math.isqrt(n) ** 2 != n
 
 
-def rational_sqrt(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None if irrational/negative."""
-    if x < 0:
-        return None
-    num, den = x.numerator, x.denominator
-    rn, rd = math.isqrt(num), math.isqrt(den)
-    if rn * rn == num and rd * rd == den:
-        return Fraction(rn, rd)
-    return None
+Pair = tuple[int, int]  # (p, q): p + q*sqrt(d), with d = 0 over Q
+
+
+def _sign(p: int, q: int, d: int) -> int:
+    """Exact sign of p + q*sqrt(d) for integers p, q and square-free d >= 2 (or q = 0).
+
+    With p and q of opposite signs, p wins iff p^2 > q^2 d; the two are never
+    equal, since d is square-free and q != 0.
+    """
+    s = p if q == 0 or p and ((p > 0) == (q > 0) or p * p > q * q * d) else q
+    return (s > 0) - (s < 0)
 
 
 @dataclass(frozen=True)
@@ -128,34 +132,26 @@ class QuadScalar:
         return QuadScalar(prod.a / norm, prod.b / norm, prod.d)
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d) via rational comparisons only."""
-        if self.b == 0:
-            return (self.a > 0) - (self.a < 0)
-        if self.a == 0:
-            return 1 if self.b > 0 else -1
-        assert self.d is not None
-        if self.a > 0 and self.b > 0:
-            return 1
-        if self.a < 0 and self.b < 0:
-            return -1
-        lhs, rhs = self.a * self.a, self.b * self.b * self.d
-        if lhs == rhs:
-            return 0  # unreachable for square-free d >= 2 with b != 0
-        if self.a > 0:  # b < 0: positive iff a^2 > b^2 d
-            return 1 if lhs > rhs else -1
-        return -1 if lhs > rhs else 1
+        """Exact sign of a + b*sqrt(d): that of its integer multiple by the denominators."""
+        a, b = self.a, self.b
+        return _sign(a.numerator * b.denominator, b.numerator * a.denominator, self.d or 0)
 
     @property
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (QuadScalar, int, Fraction, str)):
+        # The form is canonical (d is None iff b == 0), and 1, sqrt(d), sqrt(d') are
+        # independent over Q, so equal values have equal fields.
+        if isinstance(other, (int, Fraction)):
+            return self.b == 0 and self.a == other
+        if not isinstance(other, QuadScalar):
             return NotImplemented
-        return (self - QuadScalar.of(other)).is_zero
+        return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def __hash__(self) -> int:
-        return hash((self.a, self.b, self.d))
+        # A rational scalar equals its Fraction (and an int), so it hashes as one.
+        return hash(self.a) if self.b == 0 else hash((self.a, self.b, self.d))
 
     def __lt__(self, other) -> bool:
         return (self - QuadScalar.of(other)).sign() < 0
@@ -169,34 +165,29 @@ class QuadScalar:
         return f"{self.a} + {self.b}*sqrt({self.d})"
 
 
-def quad_sqrt(x: QuadScalar, ambient_d: int | None) -> QuadScalar | None:
-    """Square root of x inside Q(sqrt(ambient_d)), or None if there is none there."""
-    if x.sign() < 0:
+def _sqrt_pair(x: int, y: int, d: int) -> Pair | None:
+    """The root r + s*sqrt(d) >= 0 of x + y*sqrt(d) > 0 if it lies in Q(sqrt(d)), else None.
+
+    Such a root is an algebraic integer whose square has integer coordinates,
+    so for square-free d its own coordinates are integers.  With y != 0, r^2
+    and d s^2 are the halves (x +- t)/2, t^2 = x^2 - d y^2, and only r^2 can
+    be a square; then s = y / (2r).
+    """
+    if y == 0:
+        r = math.isqrt(x)
+        if r * r == x:
+            return r, 0
+        s = math.isqrt(x // d) if d else 0
+        return (0, s) if s and d * s * s == x else None
+    norm = x * x - d * y * y
+    t = math.isqrt(norm) if norm >= 0 else -1
+    if t * t != norm:
         return None
-    if x.is_rational:
-        r = rational_sqrt(x.a)
-        if r is not None:
-            return QuadScalar(r)
-        if ambient_d is not None:
-            r = rational_sqrt(x.a / ambient_d)
-            if r is not None:
-                return QuadScalar(ZERO, r, ambient_d)
-        return None
-    # (p + q sqrt(d))^2 = x  =>  q = x.b / (2p),  4p^4 - 4 x.a p^2 + d x.b^2 = 0.
-    d = x.d
-    assert d is not None
-    s = rational_sqrt(x.a * x.a - d * x.b * x.b)
-    if s is None:
-        return None
-    for sign in (1, -1):
-        p_sq = (x.a + sign * s) / 2
-        p = rational_sqrt(p_sq)
-        if p is not None and p != 0:
-            q = x.b / (2 * p)
-            root = QuadScalar(p, q, d)
-            if root.sign() < 0:
-                root = -root
-            return root
+    for h in (x + t, x - t):
+        r = math.isqrt(h // 2)
+        if r and 2 * r * r == h:
+            s = y // (2 * r)
+            return (r, s) if _sign(r, s, d) > 0 else (-r, -s)
     return None
 
 
@@ -245,55 +236,47 @@ class Mat2:
     def trace(self) -> QuadScalar:
         return self.entries[0][0] + self.entries[1][1]
 
-    def rational_rows(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        if not self.is_rational:
-            raise InputError("operation requires a rational matrix")
-        return tuple(tuple(e.a for e in row) for row in self.entries)
-
     def __str__(self) -> str:
         (a, b), (c, d) = self.entries
         return f"[[{a}, {b}], [{c}, {d}]]"
 
 
-FracRows = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+PairRows = tuple[tuple[Pair, Pair], tuple[Pair, Pair]]
+IntRows = tuple[tuple[int, int], tuple[int, int]]
 
 
-def _rmul(x: FracRows, y: FracRows) -> FracRows:
+def _cleared(m: Mat2) -> tuple[int, PairRows]:
+    """(n, rows): each entry (p + q*sqrt(d)) / n as the integer pair (p, q), n the lcm of all
+    the entries' denominators."""
+    n = math.lcm(*[x.denominator for row in m.entries for e in row for x in (e.a, e.b)])
+    return n, tuple(tuple((e.a.numerator * (n // e.a.denominator),
+                           e.b.numerator * (n // e.b.denominator)) for e in row)
+                    for row in m.entries)
+
+
+def _integer_rows(m: Mat2) -> tuple[int, IntRows]:
+    """(n, M) with m = M / n for a rational matrix m, M an integer matrix."""
+    if not m.is_rational:
+        raise InputError("operation requires a rational matrix")
+    n, rows = _cleared(m)
+    return n, tuple(tuple(p for p, _ in row) for row in rows)
+
+
+def _mul(x: Pair, y: Pair, d: int) -> Pair:
+    return x[0] * y[0] + d * x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _imul(x: IntRows, y: IntRows) -> IntRows:
     return (
         (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
         (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
     )
 
 
-def _rinv(x: FracRows) -> FracRows:
-    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
-    if det == 0:
-        raise InputError("matrix is singular")
-    return (
-        (x[1][1] / det, -x[0][1] / det),
-        (-x[1][0] / det, x[0][0] / det),
-    )
-
-
-def _rpow(x: FracRows, j: int) -> FracRows:
-    out: FracRows = ((ONE, ZERO), (ZERO, ONE))
-    for _ in range(j):
-        out = _rmul(out, x)
-    return out
-
-
-def _rtrans(x: FracRows) -> FracRows:
-    return ((x[0][0], x[1][0]), (x[0][1], x[1][1]))
-
-
-def _primitive_integer(c1: Fraction, c2: Fraction) -> tuple[int, int]:
-    l = math.lcm(c1.denominator, c2.denominator)
-    z1, z2 = int(c1 * l), int(c2 * l)
-    g = math.gcd(abs(z1), abs(z2))
+def _primitive(z1: int, z2: int) -> tuple[int, int]:
+    g = math.gcd(z1, z2)
     z1, z2 = z1 // g, z2 // g
-    if z1 < 0 or (z1 == 0 and z2 < 0):
-        z1, z2 = -z1, -z2
-    return z1, z2
+    return (-z1, -z2) if z1 < 0 or (z1 == 0 and z2 < 0) else (z1, z2)
 
 
 # --------------------------------------------------------- existence test
@@ -321,16 +304,21 @@ def wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
     if not p.is_rational:
         return ExistenceResult("unsupported",
                                detail="only rational lattice bases are supported")
-    prows = p.rational_rows()
-    if prows[0][0] * prows[1][1] - prows[0][1] * prows[1][0] == 0:
+    _, ((p11, p12), (p21, p22)) = _integer_rows(p)
+    if p11 * p22 - p12 * p21 == 0:
         raise PreconditionError("lattice", "lattice basis must be invertible")
-    det = a.det()
-    if not (det > 1 or det < -1):
-        raise PreconditionError("determinant", f"|det A| must exceed 1, got {det}")
+    # A = E / n over pairs: n tr A, n^2 det A, n^2 disc and n^2 chi(+-1) are pairs too.
+    n, ((e11, e12), (e21, e22)) = _cleared(a)
+    d, nn = a.field_d or 0, n * n
+    tr = (e11[0] + e22[0], e11[1] + e22[1])
+    (x0, x1), (y0, y1) = _mul(e11, e22, d), _mul(e12, e21, d)
+    e_det = (x0 - y0, x1 - y1)
+    if _sign(e_det[0] - nn, e_det[1], d) <= 0 and _sign(e_det[0] + nn, e_det[1], d) >= 0:
+        raise PreconditionError("determinant", f"|det A| must exceed 1, got {a.det()}")
 
-    tr = a.trace()
-    disc = tr * tr - det * 4
-    sd = disc.sign()
+    tr_sq = _mul(tr, tr, d)
+    disc = (tr_sq[0] - 4 * e_det[0], tr_sq[1] - 4 * e_det[1])
+    sd = _sign(*disc, d)
     if sd < 0:
         return ExistenceResult(
             "exists",
@@ -343,9 +331,8 @@ def wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
             detail="double real eigenvalue with squared value |det A| > 1; "
                    "no contracting eigenspace",
         )
-    p_at_1 = det - tr + 1   # char poly at +1
-    p_at_m1 = det + tr + 1  # char poly at -1
-    s1, sm1 = p_at_1.sign(), p_at_m1.sign()
+    s1 = _sign(e_det[0] - n * tr[0] + nn, e_det[1] - n * tr[1], d)   # char poly at +1
+    sm1 = _sign(e_det[0] + n * tr[0] + nn, e_det[1] + n * tr[1], d)  # char poly at -1
     if s1 == 0 or sm1 == 0:
         return ExistenceResult(
             "exists", unit_eigenvalue=True,
@@ -358,8 +345,8 @@ def wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
             detail="both real eigenvalues lie outside (-1, 1); no contracting eigenspace",
         )
 
-    # Exactly one eigenvalue in (-1, 1).
-    root = quad_sqrt(disc, a.field_d)
+    # Exactly one eigenvalue in (-1, 1); n sqrt(disc) is an integer pair when it lies in the field.
+    root = _sqrt_pair(*disc, d)
     if root is None:
         return ExistenceResult(
             "exists",
@@ -367,36 +354,31 @@ def wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
                    "entry field, so its eigenline has irrational slope in lattice "
                    "coordinates and meets the lattice only at 0",
         )
-    lam = (tr - root) / 2 if s1 < 0 else (tr + root) / 2
-    (a11, a12), (a21, a22) = a.entries
-    if not a12.is_zero:
-        v1, v2 = a12, lam - a11
-    elif not a21.is_zero:
-        v1, v2 = lam - a22, a21
+    sg = -1 if s1 < 0 else 1
+    lam = (tr[0] + sg * root[0], tr[1] + sg * root[1])  # 2n lambda
+    # The eigenvector v scaled by 2n, and u = adj(P_int) v, a rational multiple of P^-1 v.
+    if e12 != (0, 0):
+        v1, v2 = (2 * e12[0], 2 * e12[1]), (lam[0] - 2 * e11[0], lam[1] - 2 * e11[1])
+    elif e21 != (0, 0):
+        v1, v2 = (lam[0] - 2 * e22[0], lam[1] - 2 * e22[1]), (2 * e21[0], 2 * e21[1])
     else:
         # Diagonal matrix: lambda matches one of the diagonal entries.
-        if (lam - a11).is_zero:
-            v1, v2 = QuadScalar(ONE), QuadScalar(ZERO)
-        else:
-            v1, v2 = QuadScalar(ZERO), QuadScalar(ONE)
-    pinv = _rinv(prows)
-    u1 = QuadScalar.of(pinv[0][0]) * v1 + QuadScalar.of(pinv[0][1]) * v2
-    u2 = QuadScalar.of(pinv[1][0]) * v1 + QuadScalar.of(pinv[1][1]) * v2
+        v1, v2 = ((1, 0), (0, 0)) if lam == (2 * e11[0], 2 * e11[1]) else ((0, 0), (1, 0))
+    u1 = (p22 * v1[0] - p12 * v2[0], p22 * v1[1] - p12 * v2[1])
+    u2 = (p11 * v2[0] - p21 * v1[0], p11 * v2[1] - p21 * v1[1])
+    lam_text = QuadScalar(Fraction(lam[0], 2 * n), Fraction(lam[1], 2 * n), a.field_d)
     # Integer z with z2*u1 = z1*u2 exists iff the rational and sqrt(d) parts
     # of (u1, u2) are parallel as rational vectors.
-    if u1.a * u2.b == u2.a * u1.b:
-        if u1.a != 0 or u2.a != 0:
-            witness = _primitive_integer(u1.a, u2.a)
-        else:
-            witness = _primitive_integer(u1.b, u2.b)
+    if u1[0] * u2[1] == u2[0] * u1[1]:
+        witness = _primitive(u1[0], u2[0]) if u1[0] or u2[0] else _primitive(u1[1], u2[1])
         return ExistenceResult(
             "not_exists", witness=witness,
-            detail=f"contracting eigenvalue {lam}; its eigenline meets the lattice "
+            detail=f"contracting eigenvalue {lam_text}; its eigenline meets the lattice "
                    f"at the nonzero point z = {witness}",
         )
     return ExistenceResult(
         "exists",
-        detail=f"contracting eigenvalue {lam}, but its eigenline has irrational "
+        detail=f"contracting eigenvalue {lam_text}, but its eigenline has irrational "
                "slope in lattice coordinates",
     )
 
@@ -409,15 +391,6 @@ MAX_LATTICE_ROWS = 2**22  # chord rows of one count, or of all scales of one lce
 MAX_SCALE = 256           # |j| of one count, and jmax - jmin of one lce report
 
 IntForm = tuple[int, int, int, int]
-
-
-def _integer_form(b: FracRows) -> IntForm:
-    """(a, b, c, L) with |B z|^2 <= 1 iff a z1^2 + 2b z1 z2 + c z2^2 <= L, all integers."""
-    q = _rmul(_rtrans(b), b)
-    q11, q12, q22 = q[0][0], q[0][1], q[1][1]
-    l = math.lcm(q11.denominator, q12.denominator, q22.denominator)
-    return (q11.numerator * (l // q11.denominator), q12.numerator * (l // q12.denominator),
-            q22.numerator * (l // q22.denominator), l)
 
 
 def _row_reach(form: IntForm) -> int:
@@ -447,27 +420,44 @@ def _chord_count(form: IntForm, z1_max: int) -> int:
 def _lattice_forms(a: Mat2, p: Mat2, j_min: int, j_max: int) -> list[tuple[int, IntForm, int]]:
     """(j, integer form of A^-j P, row reach) for j_min..j_max, within the work budgets.
 
-    B_j = A^-j P is stepped as B_j = A^-1 B_(j-1), so each scale costs one
-    2x2 product.  The rows every count will enumerate are known from the
-    forms alone, so the row budget is checked before any counting starts.
+    With A = A_int / k and P = P_int / m, A^-j P is num/den times the integer
+    matrix M_j = adj(A_int)^j P_int, or A_int^-j P_int for j < 0; as
+    adj(A_int) A_int = delta I, each step up is one integer product (divided
+    by delta below 0).  (a, b, c, L) is M^T M num^2 over den^2 divided by
+    its gcd: the denominator-cleared form of the rational matrix.  The rows
+    every count will enumerate are known from the forms alone, so the row
+    budget is checked before any counting starts.
     """
-    arows = a.rational_rows()
-    prows = p.rational_rows()
-    if arows[0][0] * arows[1][1] - arows[0][1] * arows[1][0] == 0:
+    k, ((a11, a12), (a21, a22)) = _integer_rows(a)
+    m, mat = _integer_rows(p)
+    delta = a11 * a22 - a12 * a21
+    if delta == 0:
         raise InputError("dilation matrix must be invertible")
-    if prows[0][0] * prows[1][1] - prows[0][1] * prows[1][0] == 0:
+    if mat[0][0] * mat[1][1] - mat[0][1] * mat[1][0] == 0:
         raise InputError("lattice basis must be invertible")
     scales = f"j = {j_min}" if j_min == j_max else f"j = {j_min}..{j_max}"
     if max(abs(j_min), abs(j_max), j_max - j_min) > MAX_SCALE:
         raise InputError(f"lattice count at {scales} exceeds the scale budget: |j| and "
                          f"jmax - jmin must not exceed {MAX_SCALE}")
-    a_inv = _rinv(arows)
-    b = _rmul(_rpow(a_inv, j_min) if j_min >= 0 else _rpow(arows, -j_min), prows)
+    adj = ((a22, -a12), (-a21, a11))
+    step = adj if j_min >= 0 else ((a11, a12), (a21, a22))
+    for _ in range(abs(j_min)):
+        mat = _imul(step, mat)
+    num, den = (k**j_min, delta**j_min * m) if j_min >= 0 else (1, k**-j_min * m)
     forms = []
     for j in range(j_min, j_max + 1):
         if j > j_min:
-            b = _rmul(a_inv, b)
-        form = _integer_form(b)
+            mat, num = _imul(adj, mat), num * k
+            if j <= 0:
+                mat = tuple(tuple(x // delta for x in row) for row in mat)
+            else:
+                den *= delta
+        (x11, x12), (x21, x22) = mat
+        nn = num * num
+        q = ((x11 * x11 + x21 * x21) * nn, (x11 * x12 + x21 * x22) * nn,
+             (x12 * x12 + x22 * x22) * nn, den * den)
+        g = math.gcd(*q)
+        form = (q[0] // g, q[1] // g, q[2] // g, q[3] // g)
         forms.append((j, form, _row_reach(form)))
     rows = sum(2 * z1_max + 1 for _, _, z1_max in forms)
     if rows > MAX_LATTICE_ROWS:
@@ -516,8 +506,7 @@ def lce_report(a: Mat2, p: Mat2, j_min: int, j_max: int, c: RationalLike) -> Lce
         raise InputError("jmin must not exceed jmax")
     c = rat(c)
     forms = _lattice_forms(a, p, j_min, j_max)
-    arows = a.rational_rows()
-    det = arows[0][0] * arows[1][1] - arows[0][1] * arows[1][0]
+    det = a.det().a
     rows = []
     witness = None
     for j, form, z1_max in forms:

@@ -424,7 +424,7 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
     "no violation found" (they are limit statements and cannot be decided by
     any finite computation).  D3 explores residue classes mod 2^l up to the
     class depth l = min(L, 8).  D1-D3 look at the depth-(L + 2) part of the
-    input, D4 its part below 2^-ceil(L/2) at depth 2L + 2.  All read the
+    input, D4 its part below 2^-ceil(L/2) at depth 2L.  All read the
     integer grid; only a witness becomes an interval.
     """
     L = depth_L
@@ -434,8 +434,8 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
         raise InputError(
             f"dimension window depth {dim.depth_L} is insufficient; need at least {L + 2}"
         )
-    if dim.source is not None and dim.depth_L < 2 * L + 2 > MAX_WINDOW_DEPTH:
-        raise InputError(f"D4 needs a window {2 * L + 2} deep; window depth is at most "
+    if dim.source is not None and dim.depth_L < 2 * L > MAX_WINDOW_DEPTH:
+        raise InputError(f"D4 needs a window {2 * L} deep; window depth is at most "
                          f"{MAX_WINDOW_DEPTH} (work budget)")
     deep, dim = dim, dim.restrict(L + 2)
 
@@ -514,20 +514,20 @@ def _check_d3(dim: DimFnWindow, L: int, g: int, ends: Sequence[int]) -> CheckOut
 
 
 def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
-    """Semi-decide the contraction liminf from a depth-(2L + 2) window below 2^-ceil(L/2).
+    """Semi-decide the contraction liminf from a depth-2L window below 2^-ceil(L/2).
 
     Certified-fail probe at depth L: the function vanishes at every
     contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset T of the
     depth-L window.  Those contractions lie in [2^-2L, 2^-ceil(L/2)), read
-    from the given window when it is 2L + 2 deep, else from the source's
-    ``_dim_sweep`` over [2^-(2L + 2), 2^-ceil(L/2)) alone.  On the grid, T
+    from the given window when it is 2L deep, else from the source's
+    ``_dim_sweep`` over [2^-2L, 2^-ceil(L/2)) alone.  On the grid, T
     loses 2^j N at each j, N the part of [0, 1) off the zero runs.
     """
-    j_lo, deep = (L + 1) // 2, dim.depth_L >= 2 * L + 2
+    j_lo, deep = (L + 1) // 2, dim.depth_L >= 2 * L
     if not deep and dim.source is None:
         return CheckOutcome("skipped", note="no source spectrum attached; deep window unavailable")
     scale, ends, _, weights = ((dim.scale, dim.ends, dim.vden, dim.weights) if deep else
-                               _dim_sweep(dim.source, 2 * L + 2, pow2(-2 * L - 2), pow2(-j_lo)))
+                               _dim_sweep(dim.source, 2 * L, pow2(-2 * L), pow2(-j_lo)))
     up = max(0, L + 1 - (scale & -scale).bit_length())  # 2^-L on the grid
     cells = zip((0, *ends), (*ends, scale), (1, *weights, 1))  # beside the window counts as nonzero
     rest = _merge((a << up, b << up) for a, b, w in cells if w and a < b and a << j_lo < scale)

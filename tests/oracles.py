@@ -5,8 +5,11 @@ comparisons, deliberately avoiding the canonical set algebra and the
 summation shortcuts of the library, so agreement is meaningful.  The
 exceptions are ``truncated_level_by_periodization``, the construction's level
 loop in its original form, built on ``periodize_window`` (itself pinned by
-hand-checked examples in ``test_torus.py``), and ``d4_probe``, the D4 probe
-in its original form, on the interval-set algebra.
+hand-checked examples in ``test_torus.py``), ``d4_probe``, the D4 probe
+in its original form, on the interval-set algebra, and the planar reference
+route (``fraction_wavelet_set_exists``, ``fraction_lattice_form``): both
+planar decisions in their original form, on ``Fraction`` matrices and
+``QuadScalar`` arithmetic, with signs taken by rational comparisons.
 """
 
 from __future__ import annotations
@@ -15,7 +18,9 @@ import math
 import random
 from fractions import Fraction
 
+from waveset.errors import InputError, PreconditionError
 from waveset.intervals import iset, normalize
+from waveset.msf2d import ExistenceResult, Mat2, QuadScalar
 from waveset.spectral import dimension_function
 from waveset.torus import periodize_window
 
@@ -503,3 +508,204 @@ def fraction_psi_spectrum(pieces):
         elif v:
             out.append((a, b, v))
     return out
+
+
+# ------------------------------------------------- planar reference route
+
+FracRows = tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]
+ZERO, ONE = Fraction(0), Fraction(1)
+
+
+def rational_sqrt(x: Fraction) -> Fraction | None:
+    """Exact square root of a rational, or None if irrational/negative."""
+    if x < 0:
+        return None
+    num, den = x.numerator, x.denominator
+    rn, rd = math.isqrt(num), math.isqrt(den)
+    if rn * rn == num and rd * rd == den:
+        return Fraction(rn, rd)
+    return None
+
+
+def fraction_sign(x: QuadScalar) -> int:
+    """Exact sign of a + b*sqrt(d) via rational comparisons only."""
+    if x.b == 0:
+        return (x.a > 0) - (x.a < 0)
+    if x.a == 0:
+        return 1 if x.b > 0 else -1
+    if x.a > 0 and x.b > 0:
+        return 1
+    if x.a < 0 and x.b < 0:
+        return -1
+    lhs, rhs = x.a * x.a, x.b * x.b * x.d
+    assert lhs != rhs  # unreachable for square-free d >= 2 with b != 0
+    if x.a > 0:  # b < 0: positive iff a^2 > b^2 d
+        return 1 if lhs > rhs else -1
+    return -1 if lhs > rhs else 1
+
+
+def quad_sqrt(x: QuadScalar, ambient_d: int | None) -> QuadScalar | None:
+    """Square root of x inside Q(sqrt(ambient_d)), or None if there is none there."""
+    if fraction_sign(x) < 0:
+        return None
+    if x.is_rational:
+        r = rational_sqrt(x.a)
+        if r is not None:
+            return QuadScalar(r)
+        if ambient_d is not None:
+            r = rational_sqrt(x.a / ambient_d)
+            if r is not None:
+                return QuadScalar(ZERO, r, ambient_d)
+        return None
+    # (p + q sqrt(d))^2 = x  =>  q = x.b / (2p),  4p^4 - 4 x.a p^2 + d x.b^2 = 0.
+    d = x.d
+    s = rational_sqrt(x.a * x.a - d * x.b * x.b)
+    if s is None:
+        return None
+    for sign in (1, -1):
+        p_sq = (x.a + sign * s) / 2
+        p = rational_sqrt(p_sq)
+        if p is not None and p != 0:
+            q = x.b / (2 * p)
+            root = QuadScalar(p, q, d)
+            if fraction_sign(root) < 0:
+                root = -root
+            return root
+    return None
+
+
+def _rmul(x: FracRows, y: FracRows) -> FracRows:
+    return (
+        (x[0][0] * y[0][0] + x[0][1] * y[1][0], x[0][0] * y[0][1] + x[0][1] * y[1][1]),
+        (x[1][0] * y[0][0] + x[1][1] * y[1][0], x[1][0] * y[0][1] + x[1][1] * y[1][1]),
+    )
+
+
+def _rinv(x: FracRows) -> FracRows:
+    det = x[0][0] * x[1][1] - x[0][1] * x[1][0]
+    if det == 0:
+        raise InputError("matrix is singular")
+    return (
+        (x[1][1] / det, -x[0][1] / det),
+        (-x[1][0] / det, x[0][0] / det),
+    )
+
+
+def _rpow(x: FracRows, j: int) -> FracRows:
+    out: FracRows = ((ONE, ZERO), (ZERO, ONE))
+    for _ in range(j):
+        out = _rmul(out, x)
+    return out
+
+
+def _rtrans(x: FracRows) -> FracRows:
+    return ((x[0][0], x[1][0]), (x[0][1], x[1][1]))
+
+
+def _primitive_integer(c1: Fraction, c2: Fraction) -> tuple[int, int]:
+    l = math.lcm(c1.denominator, c2.denominator)
+    z1, z2 = int(c1 * l), int(c2 * l)
+    g = math.gcd(abs(z1), abs(z2))
+    z1, z2 = z1 // g, z2 // g
+    if z1 < 0 or (z1 == 0 and z2 < 0):
+        z1, z2 = -z1, -z2
+    return z1, z2
+
+
+def _rational_rows(m: Mat2) -> FracRows:
+    return tuple(tuple(e.a for e in row) for row in m.entries)
+
+
+def fraction_wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
+    """The existence decision on ``QuadScalar`` arithmetic and ``Fraction`` matrices.
+
+    The eigenvalue is located by the signs of det A, the discriminant and the
+    characteristic polynomial at +-1; its eigenvector v is mapped to lattice
+    coordinates as P^-1 v, whose rational and sqrt(d) parts are parallel iff
+    the eigenline meets the lattice.
+    """
+    if not p.is_rational:
+        return ExistenceResult("unsupported",
+                               detail="only rational lattice bases are supported")
+    prows = _rational_rows(p)
+    if prows[0][0] * prows[1][1] - prows[0][1] * prows[1][0] == 0:
+        raise PreconditionError("lattice", "lattice basis must be invertible")
+    det = a.det()
+    if not (fraction_sign(det - 1) > 0 or fraction_sign(det + 1) < 0):
+        raise PreconditionError("determinant", f"|det A| must exceed 1, got {det}")
+
+    tr = a.trace()
+    disc = tr * tr - det * 4
+    sd = fraction_sign(disc)
+    if sd < 0:
+        return ExistenceResult(
+            "exists",
+            detail="complex eigenvalue pair with squared modulus |det A| > 1; "
+                   "no contracting eigenspace",
+        )
+    if sd == 0:
+        return ExistenceResult(
+            "exists",
+            detail="double real eigenvalue with squared value |det A| > 1; "
+                   "no contracting eigenspace",
+        )
+    s1, sm1 = fraction_sign(det - tr + 1), fraction_sign(det + tr + 1)  # char poly at +-1
+    if s1 == 0 or sm1 == 0:
+        return ExistenceResult(
+            "exists", unit_eigenvalue=True,
+            detail="an eigenvalue lies exactly on the unit circle; the other has "
+                   "modulus |det A| > 1, so no contracting eigenspace (boundary case flagged)",
+        )
+    if s1 * sm1 > 0:
+        return ExistenceResult(
+            "exists",
+            detail="both real eigenvalues lie outside (-1, 1); no contracting eigenspace",
+        )
+    root = quad_sqrt(disc, a.field_d)
+    if root is None:
+        return ExistenceResult(
+            "exists",
+            detail="the contracting eigenvalue is a quadratic irrational over the "
+                   "entry field, so its eigenline has irrational slope in lattice "
+                   "coordinates and meets the lattice only at 0",
+        )
+    lam = (tr - root) / 2 if s1 < 0 else (tr + root) / 2
+    (a11, a12), (a21, a22) = a.entries
+    if not a12.is_zero:
+        v1, v2 = a12, lam - a11
+    elif not a21.is_zero:
+        v1, v2 = lam - a22, a21
+    elif (lam - a11).is_zero:
+        v1, v2 = QuadScalar(ONE), QuadScalar(ZERO)
+    else:
+        v1, v2 = QuadScalar(ZERO), QuadScalar(ONE)
+    pinv = _rinv(prows)
+    u1 = QuadScalar.of(pinv[0][0]) * v1 + QuadScalar.of(pinv[0][1]) * v2
+    u2 = QuadScalar.of(pinv[1][0]) * v1 + QuadScalar.of(pinv[1][1]) * v2
+    if u1.a * u2.b == u2.a * u1.b:
+        if u1.a != 0 or u2.a != 0:
+            witness = _primitive_integer(u1.a, u2.a)
+        else:
+            witness = _primitive_integer(u1.b, u2.b)
+        return ExistenceResult(
+            "not_exists", witness=witness,
+            detail=f"contracting eigenvalue {lam}; its eigenline meets the lattice "
+                   f"at the nonzero point z = {witness}",
+        )
+    return ExistenceResult(
+        "exists",
+        detail=f"contracting eigenvalue {lam}, but its eigenline has irrational "
+               "slope in lattice coordinates",
+    )
+
+
+def fraction_lattice_form(a: Mat2, p: Mat2, j: int) -> tuple[int, int, int, int]:
+    """(a, b, c, L) with |A^-j P z|^2 <= 1 iff a z1^2 + 2b z1 z2 + c z2^2 <= L, from the
+    ``Fraction`` matrix A^-j P and the lcm of its Gram matrix's denominators."""
+    arows, prows = _rational_rows(a), _rational_rows(p)
+    b = _rmul(_rpow(_rinv(arows), j) if j >= 0 else _rpow(arows, -j), prows)
+    q = _rmul(_rtrans(b), b)
+    q11, q12, q22 = q[0][0], q[0][1], q[1][1]
+    l = math.lcm(q11.denominator, q12.denominator, q22.denominator)
+    return (q11.numerator * (l // q11.denominator), q12.numerator * (l // q12.denominator),
+            q22.numerator * (l // q22.denominator), l)

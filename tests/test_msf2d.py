@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import brute_lattice_count, gauss_circle_count, trial_division_square_free
+from oracles import (
+    brute_lattice_count,
+    gauss_circle_count,
+    quad_sqrt,
+    rational_sqrt,
+    trial_division_square_free,
+)
 from waveset.errors import InputError, PreconditionError
 from waveset.msf2d import (
     MAX_FIELD_D,
@@ -17,8 +23,6 @@ from waveset.msf2d import (
     _is_square_free,
     lattice_count,
     lce_report,
-    quad_sqrt,
-    rational_sqrt,
     wavelet_set_exists,
 )
 
@@ -52,6 +56,20 @@ def test_quad_signs():
 def test_quad_comparisons():
     assert QuadScalar(0, 1, 2) > 1
     assert QuadScalar(0, 1, 2) < F(3, 2)
+
+
+def test_rational_scalars_hash_as_their_fractions():
+    # Equal values are one key in a set or dict: ints, Fractions and rational QuadScalars.
+    assert QuadScalar(2) in {2} and 2 in {QuadScalar(2)}
+    assert QuadScalar(F(1, 3)) in {F(1, 3)} and hash(QuadScalar(F(-7, 2))) == hash(F(-7, 2))
+    table = {2: "two", F(1, 3): "third", QuadScalar(0, 1, 2): "root"}
+    assert table[QuadScalar(2)] == "two" and table[QuadScalar(F(1, 3))] == "third"
+    assert table[QuadScalar(0, 1, 2)] == "root"
+    assert len({QuadScalar(1), 1, F(1), QuadScalar(1, 0, 5)}) == 1
+    assert len({QuadScalar(1, 1, 2), QuadScalar(1, 1, 3), QuadScalar(1)}) == 3
+    assert QuadScalar(0, 1, 2) != QuadScalar(0, 1, 3)  # different fields: unequal, not an error
+    # A string hashes as itself, so it is not equal to the scalar it would parse to.
+    assert QuadScalar(F(1, 2)) != "1/2" and "1/2" not in {QuadScalar(F(1, 2))}
 
 
 def test_quad_field_tags():

@@ -373,9 +373,23 @@ def test_dimension_window_depth_budget():
 
 
 def test_conditions_refuse_deep_d4_window_over_budget():
-    dim = dimension_function(SHANNON_PSI, 1027)  # deep enough for D1-D3 at L = 1025
+    dim = dimension_function(SHANNON_PSI, 1028)  # deep enough for D1-D3 at L = 1026
     with pytest.raises(InputError, match="D4 needs a window 2052 deep.*at most 2050"):
-        check_D1_D4(dim, 1025)
+        check_D1_D4(dim, 1026)
+
+
+def test_conditions_read_d4_from_a_window_2L_deep():
+    # No contraction 2^-j x with x >= 2^-L and j <= L lands below 2^-2L, so L = 1025 is in
+    # the budget, and a given window already 2L deep is read, with no source to sweep.
+    assert check_D1_D4(dimension_function(SHANNON_PSI, 1027), 1025).d4.status == "no_violation"
+    rng = random.Random(1618)
+    statuses = set()
+    for _ in range(150):
+        h, depth = _grid_spectrum(rng), rng.randint(2, 9)
+        window = dimension_function(h, 2 * depth)
+        detached = DimFnWindow(window.breaks, window.values, window.depth_L, window.boundary_note)
+        statuses.add(_d4_against_oracle(check_D1_D4(detached, depth).d4, window, depth))
+    assert statuses == {"fail", "no_violation"}
 
 
 # ---------------------------------------------------- the integer grid
