@@ -32,15 +32,13 @@ def pow2(j: int) -> Fraction:
 
 
 def floor_log2(x: Fraction) -> int:
-    """Largest j with 2**j <= x, for rational x > 0."""
-    if x <= 0:
+    """Largest j with 2**j <= x, for rational x > 0: with x = n/d and j the difference of their
+    bit lengths, 2^(j-1) < x < 2^(j+1), so one shift and one comparison decide."""
+    n, d = x.numerator, x.denominator
+    if n <= 0:
         raise InputError("floor_log2 requires a positive argument")
-    j = x.numerator.bit_length() - x.denominator.bit_length()
-    while pow2(j + 1) <= x:
-        j += 1
-    while pow2(j) > x:
-        j -= 1
-    return j
+    j = n.bit_length() - d.bit_length()
+    return j if (n >= d << j if j >= 0 else n << -j >= d) else j - 1
 
 
 @dataclass(frozen=True)
@@ -121,7 +119,7 @@ class StepFn:
 
     def negative_witness(self) -> tuple[Interval, Fraction] | None:
         for iv, v in self.pieces:
-            if v < 0:
+            if v.numerator < 0:
                 return iv, v
         return None
 
@@ -349,19 +347,15 @@ def calderon(h: StepFn) -> CalderonResult:
         return CalderonResult(True, divergence_witness=h.pieces[i][0])
     levels = _annulus_levels(r, big)  # the level budget before the grid budget
     d, vden, pieces = _step_grid(h)
-    atoms = []
-    for scale, ends, _, weights in _annulus_sums(d, vden, pieces, ONE, levels):
-        breaks = [Fraction(e, scale) for e in ends]  # each break once
-        atoms += [(Interval(a, b), Fraction(w, vden))
-                  for a, b, w in zip(breaks, breaks[1:], weights)]
-    values = [v for _, v in atoms]
-    return CalderonResult(
-        False,
-        tuple(atoms),
-        min(values),
-        max(values),
-        all(v == 1 for v in values),
-    )
+    cells, weights = [], []
+    for scale, ends, _, ws in _annulus_sums(d, vden, pieces, ONE, levels):
+        breaks = [Fraction(e, scale) for e in ends]  # each break once; ends strictly increase
+        cells += map(_interval, zip(breaks, breaks[1:]))
+        weights += ws
+    value = {w: Fraction(w, vden) for w in set(weights)}  # each value once
+    lo, hi = min(weights), max(weights)
+    return CalderonResult(False, tuple(zip(cells, map(value.get, weights))), value[lo], value[hi],
+                          lo == hi == vden)
 
 
 # ------------------------------------------------- dimension function
@@ -674,7 +668,8 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
         raise InputError(f"orthonormality checks at most {MAX_SHIFTS} odd shifts (work budget); "
                          f"the support reach {big} needs {len(alphas)}")
     sq = psi.square()
-    norm_sq = sq.integral()
+    d, vsq, pieces = _step_grid(sq)  # the grid of psi^2, inside the budget square() checked
+    norm_sq = Fraction(sum((b - a) * w for a, b, w in pieces), d * vsq)
     cal = calderon(sq)
     failures = []
     for a, (scale, _, atoms) in zip(alphas, _tq_sweeps(psi, alphas)):

@@ -29,26 +29,28 @@ HALF = Fraction(1, 2)
 def sweep_weighted(fragments: Iterable[tuple], lo, hi) -> list[tuple]:
     """Sum weighted half-open fragments over the window [lo, hi).
 
-    Returns (atom_lo, atom_hi, total) triples covering the window completely,
-    with equal-valued adjacent atoms merged.  Its callers sweep integers on
-    their grids: ``_grid_sweep``, the one routine of the unit fold, the
-    dimension function and the Calderon sums, and ``spectral._tq_sweeps``.
+    Returns (atom_lo, atom_hi, total) triples covering the window, equal-valued
+    neighbours merged ([] when lo == hi): each fragment, clipped in place, adds
+    its weight at its two ends, and one pass over the sorted cuts emits an atom
+    where the total changes, the last at hi.  Callers sweep integers on their
+    grids: ``_grid_sweep`` (unit fold, dimension function, Calderon sums) and
+    ``spectral._tq_sweeps``.
     """
-    deltas: dict = {}
-    for flo, fhi, val in fragments:
-        a, b = max(flo, lo), min(fhi, hi)
+    deltas = {lo: 0, hi: 0}
+    get = deltas.get
+    for a, b, val in fragments:
+        if a < lo:
+            a = lo
+        if b > hi:
+            b = hi
         if a < b:
-            deltas[a] = deltas.get(a, 0) + val
-            deltas[b] = deltas.get(b, 0) - val
-    cuts = sorted(set(deltas) | {lo, hi})
-    out: list[tuple] = []
-    level = 0
-    for a, b in zip(cuts, cuts[1:]):
-        level += deltas.get(a, 0)
-        if out and out[-1][2] == level and out[-1][1] == a:
-            out[-1] = (out[-1][0], b, level)
-        else:
-            out.append((a, b, level))
+            deltas[a] = get(a, 0) + val
+            deltas[b] = get(b, 0) - val
+    out, start, level = [], lo, deltas[lo]
+    for x in sorted(deltas)[1:]:  # the cuts in (lo, hi], hi the last
+        if (step := deltas[x]) or x == hi:
+            out.append((start, x, level))
+            start, level = x, level + step
     return out
 
 

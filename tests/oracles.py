@@ -379,6 +379,20 @@ def fraction_fold(pieces) -> list[tuple[Fraction, Fraction, Fraction]]:
     return atoms
 
 
+def brute_sweep(fragments, lo, hi) -> list[tuple]:
+    """Atoms (a, b, total) of the weighted half-open fragments on [lo, hi): each cell between
+    consecutive cuts sums every fragment covering it, then equal neighbours merge."""
+    cuts = sorted({lo, hi} | {x for fa, fb, _ in fragments for x in (fa, fb) if lo < x < hi})
+    atoms: list[tuple] = []
+    for a, b in zip(cuts, cuts[1:]):
+        total = sum(w for fa, fb, w in fragments if fa <= a and b <= fb)
+        if atoms and atoms[-1][2] == total:
+            atoms[-1] = (atoms[-1][0], b, total)
+        else:
+            atoms.append((a, b, total))
+    return atoms
+
+
 def merge_pairs(pairs: list[Pair]) -> list[Pair]:
     out: list[Pair] = []
     for lo, hi in sorted(pairs):

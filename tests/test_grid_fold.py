@@ -17,6 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from oracles import (
+    brute_sweep,
     fraction_fold,
     fraction_psi_spectrum,
     fraction_s1_witness,
@@ -28,7 +29,7 @@ from waveset.construct import rze_pipeline, s1_witness
 from waveset.errors import InconsistentSpectrumError, PreconditionError
 from waveset.intervals import Interval, normalize
 from waveset.spectral import StepFn, psi_spectrum_from_scaling, validate_scaling_spectrum
-from waveset.torus import extract_transversal, fold_multiplicity, fold_step
+from waveset.torus import extract_transversal, fold_multiplicity, fold_step, sweep_weighted
 
 F = Fraction
 DENS = (1, 2, 3, 4, 5, 7, 8, 12, 1617)
@@ -158,6 +159,46 @@ def test_grid_fold_edge_inputs():
                   [(F(-1), F(0)), (F(1, 2), F(1))]):
         _check_set(normalize(pairs), rng)
     assert fold_step([]).breaks == (0, 1) and fold_step([]).values == (0,)
+
+
+def _sweep_case(rng):
+    """A window (lo, hi), at times with negative ends or empty, and fragments on a few points
+    around it: repeated endpoints, parts outside or across either end, and signed weights,
+    some cancelled mid-window by an opposite fragment."""
+    lo = rng.randint(-40, 40)
+    hi = lo if rng.random() < 0.05 else lo + rng.randint(1, 30)
+    points = [rng.randint(lo - 8, hi + 8) for _ in range(rng.randint(2, 8))]
+    fragments = []
+    for _ in range(rng.randint(0, 10)):
+        a, b = sorted((rng.choice(points), rng.choice(points)))
+        w = rng.choice((-3, -2, -1, 1, 2, 3)) if rng.random() < 0.8 else F(rng.randint(-5, 5), 3)
+        fragments.append((a, b, w))
+        if rng.random() < 0.3 and a < b:
+            c, e = sorted((rng.randint(a, b), rng.randint(a, b)))
+            fragments.append((c, e, -w))
+    rng.shuffle(fragments)
+    return fragments, lo, hi
+
+
+def test_sweep_matches_brute_force_seeded():
+    rng = random.Random(20261020)
+    seen = dict.fromkeys(("cancel", "outside", "across_lo", "across_hi", "repeat", "negative",
+                          "empty"), 0)
+    for _ in range(6000):
+        fragments, lo, hi = _sweep_case(rng)
+        atoms = sweep_weighted(fragments, lo, hi)
+        assert atoms == brute_sweep(fragments, lo, hi), (fragments, lo, hi)
+        assert atoms == sweep_weighted(iter(fragments), lo, hi)  # any iterable
+        ends = [x for a, b, _ in fragments for x in (a, b)]
+        seen["cancel"] += any(w == 0 and any(fa <= a < fb for fa, fb, _ in fragments)
+                              for a, _, w in atoms[1:-1])
+        seen["outside"] += any(b <= lo or a >= hi for a, b, _ in fragments)
+        seen["across_lo"] += any(a < lo < b for a, b, _ in fragments)
+        seen["across_hi"] += any(a < hi < b for a, b, _ in fragments)
+        seen["repeat"] += len(set(ends)) < len(ends)
+        seen["negative"] += lo < hi <= 0
+        seen["empty"] += lo == hi
+    assert min(seen.values()) >= 100, seen
 
 
 fractions = st.builds(F, st.integers(-60, 60), st.sampled_from(DENS))

@@ -19,6 +19,7 @@ from oracles import (
     d4_probe,
     dilation_multiplicity_at,
     dim_sum_at,
+    floor_log2 as oracle_floor_log2,
     fraction_tq_sum,
     sample_fractions,
     shift,
@@ -310,6 +311,19 @@ def test_dimension_far_spectrum_is_answered():
                 assert dim.value_at(xi) == dim_sum_at(pieces_of(h), xi)
 
 
+def test_floor_log2_matches_oracle_seeded():
+    rng = random.Random(20261020)
+    xs = [F(rng.randint(1, 10 ** rng.randint(0, 30)), rng.randint(1, 10 ** rng.randint(0, 30)))
+          for _ in range(20000)]
+    tiny = F(1, 10**30)
+    xs += [pow2(k) + e for k in range(-70, 71) for e in (-tiny, 0, tiny)]
+    for x in xs:
+        assert floor_log2(x) == oracle_floor_log2(x), x
+    for x in (F(0), F(-1, 3), F(-2**70)):
+        with pytest.raises(InputError, match="positive argument"):
+            floor_log2(x)
+
+
 def test_dimension_fragments_do_not_grow_with_reach(monkeypatch):
     # Each level gives a piece at most three folded fragments (the cut ends
     # and the whole periods), so the work follows the levels, about L plus
@@ -452,6 +466,16 @@ def test_grid_calderon_matches_oracle(h, rng):
         for xi in sample_fractions(rng, 6, F(lo), F(hi)):
             value = next(v for iv, v in res.atoms if iv.lo <= xi < iv.hi)
             assert calderon_sum_at(pieces, xi) == value
+
+
+def test_calderon_summary_reads_every_atom():
+    # The sum is 1 on [1, 2) and 0, 1/2, or 1 and 3 on [-2, -1): it reaches 1 without being 1.
+    for pieces, low in (([((1, 2), 1)], 0), ([((-2, -1), "1/2"), ((1, 2), 1)], F(1, 2)),
+                        ([((-2, F(-3, 2)), 1), ((F(-3, 2), -1), 3), ((1, 2), 1)], 1)):
+        res = calderon(StepFn.build(pieces))
+        assert (res.min_value, res.max_value, res.is_one) == (low, max(v for _, v in res.atoms),
+                                                              False)
+    assert calderon(StepFn.build([((-2, -1), 1), ((1, 2), 1)])).is_one
 
 
 @st.composite
