@@ -73,7 +73,7 @@ def check_S2(s: IntervalSet) -> bool:
     this is equivalent to containing (-a, 0) u (0, b) modulo null sets and is
     decided by one bisection of the parts at 0.
     """
-    return all(_beside_zero(s.parts))
+    return all(_beside_zero(s._grid[1] if s._grid else s._pairs))
 
 
 def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[list[tuple]]]:
@@ -129,8 +129,8 @@ def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[Interv
     the clipped periodization is the full one.
 
     All of it runs on integer pairs on one grid (``_grid_levels``), and each
-    endpoint becomes a fraction once, here.  A kernel whose lcm of endpoint
-    denominators exceeds MAX_GRID_BITS bits is an InputError.
+    level holds its grid alone.  A kernel whose lcm of endpoint denominators
+    exceeds MAX_GRID_BITS bits is an InputError.
 
     The relative truncation keeps the doubling chain E_n inside 2 E_{n+1}
     termwise, so the nesting defect of the result is confined to the last
@@ -159,9 +159,9 @@ def lemma_r3_construct(
     R_j is built once per call, only on the unit cells of the levels it
     meets, so its cost grows with the log of the span of K (``_grid_levels``
     bounds it).  The levels, every R_j, S and W = 2S minus S are integer
-    pairs on its grid 1/(D 2^(N+J)), and S1 and the transversal compare
-    integers on the grid of S', so every endpoint of the operation becomes
-    a fraction once.
+    pairs on its grid 1/(D 2^(N+J)), and S1, the transversal, the fast-path
+    test and the tail bounds read integers on the grids of S' and K, so S and
+    W hold their grids alone and make no fraction.
 
     Checks run in this order, and the first failure is raised: the depth
     budget (InputError), S1 on S' (PreconditionError "S1" naming the part of
@@ -186,25 +186,24 @@ def lemma_r3_construct(
         raise PreconditionError("S2", "input does not contain a punctured neighborhood of 0")
     if depth_n < 0 or depth_j < 0:
         raise PreconditionError("depth", "depths must be nonnegative")
-    if k == WINDOW:
+    scale, s_grid = _pairs_on_grid(k)
+    fast = (scale, s_grid) == _pairs_on_grid(WINDOW)
+    if fast:
         # K has measure 1, so it lies inside the window only as the whole
         # window, which is itself a scaling set: S = K at every depth.
         s, defects = k, DefectReport.exact(depth_n, depth_j)
-        scale, s_grid = _pairs_on_grid(k)
     else:
+        # Over 2^-(N + J): the outer tail 2^-N |K| (|K| = 1 by tiling), and 2^-(n + J) at level n
+        # for each of the 2 floor(2^-n span K) nonzero shifts that can meet it, and one more.
+        span, tail = s_grid[-1][1] - s_grid[0][0], Fraction(1, 1 << (depth_n + depth_j))
+        cover = sum((2 * (span // (scale << n)) + 1) << (depth_n - n) for n in range(depth_n + 1))
+        defects = DefectReport(pow2(1 - depth_n), (cover + (1 << depth_j)) * tail, True, depth_n,
+                               depth_j)
         scale, levels = _grid_levels(k, depth_n, depth_j)
         s_grid = _merge(sorted(p for level in levels for p in level))
         s = _from_grid(s_grid, scale)
-        span = k.span()
-        k_span = span.hi - span.lo
-        outer = pow2(-depth_n)  # times |K| = 1, by the tiling property
-        inner = ZERO
-        for n in range(depth_n + 1):
-            copies = 2 * math.floor(pow2(-n) * k_span)  # nonzero shifts that can meet level n
-            inner += (copies + 1) * pow2(-(n + depth_j))
-        defects = DefectReport(2 * outer, outer + inner, True, depth_n, depth_j)
     w = _from_grid(_subtract([(a << 1, b << 1) for a, b in s_grid], s_grid), scale)
-    return ScalingSetResult(s, w, defects, k == WINDOW)
+    return ScalingSetResult(s, w, defects, fast)
 
 
 # ---------------------------------------------------------- verification
@@ -227,7 +226,7 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
     [-2c, -c) decide all of R minus {0}, and only finitely many dilates meet
     that annulus.  The annulus is the one at c = r, the least distance of
     W from 0, and the sums are Calderon's (``spectral._annulus_sums``).
-    Each step reads the integers of the grid W keeps: the fold, the part
+    Each step reads the integers of the grid of W: the fold, the part
     touching 0 and r (``_off_zero``), and the annulus levels.
     """
     if w.is_empty:
@@ -289,7 +288,7 @@ def rze_pipeline(
     exceed twice the certified coverage defect (the doubled set contributes
     the factor two).  Validated g goes on its grid once: supp g, h and supp h are
     integer runs there, subtracted from S and W on the lcm of that grid and the
-    grids S and W keep, which no grid budget bounds (they carry up to 2^(N+J)).
+    grids S and W hold, which no grid budget bounds (they carry up to 2^(N+J)).
     """
     verdict = validate_scaling_spectrum(g)
     if not verdict.passed:

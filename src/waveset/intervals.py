@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -51,6 +51,55 @@ def rat(x: RationalLike) -> Fraction:
     raise InputError(f"cannot interpret {x!r} as a rational")
 
 
+class _Views:
+    """The one rule of the value types (``IntervalSet``, ``spectral.StepFn``,
+    ``torus.DimFnWindow``): a value holds the view it was made from, and the other is
+    made on first read.  A parsed value (a validated constructor, coercing through
+    ``rat``) holds fractions and makes its integer grid on first kernel read: a set's or
+    a step function's ``_grid`` once its lcm passed the grid budget
+    (``torus._pairs_on_grid``, ``spectral._step_grid``), a window's ``_GRID`` here.  A
+    kernel-made value (``_kept``) holds only its canonical grid, the lcm grid of its
+    fractions, and makes the ``_FRACTIONS`` here.  Equality, hash, repr and pickle read
+    the fractions, so a value made either way equals its twin, byte for byte.
+    """
+
+    _GRID: tuple[str, ...] = ()
+
+    def __getattr__(self, name: str):  # runs only while ``name`` is unset
+        if name in self._FRACTIONS:
+            self.__dict__.update(zip(self._FRACTIONS, self._fractions()))
+        elif name in self._GRID:
+            self.__dict__.update(zip(self._GRID, self._lcm_grid()))
+        else:
+            raise AttributeError(name)
+        return self.__dict__[name]
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+def _kept(cls: type, **view):
+    """A ``cls`` holding ``view`` alone, which its maker checked: no constructor runs."""
+    value = object.__new__(cls)
+    value.__dict__.update(view)
+    return value
+
+
+def _nonempty(pairs: Iterable[Sequence], d: int = 1) -> None:
+    """The ``Interval`` check on (lo, hi, ...) over d, number-type generic like ``_merge``."""
+    bad = next((p for p in pairs if p[0] >= p[1]), None)
+    if bad is not None:
+        raise InputError(f"not a nonempty half-open interval: [{Fraction(bad[0], d)}, "
+                         f"{Fraction(bad[1], d)})")
+
+
+def _separated(pairs: Sequence[tuple], d: int = 1) -> None:
+    """The ``IntervalSet`` checks on (lo, hi) pairs over d: nonempty, sorted, strictly apart."""
+    _nonempty(pairs, d)
+    if not all(p[1] < q[0] for p, q in zip(pairs, pairs[1:])):
+        raise InputError("parts must be sorted and strictly separated; use normalize()")
+
+
 @dataclass(frozen=True)
 class Interval:
     """Nonempty half-open interval [lo, hi); empty intervals are never stored."""
@@ -63,7 +112,7 @@ class Interval:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if lo >= hi:
-            raise InputError(f"not a nonempty half-open interval: [{lo}, {hi})")
+            _nonempty(((lo, hi),))
 
     @property
     def length(self) -> Fraction:
@@ -74,31 +123,31 @@ class Interval:
 
 
 @dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(_Views):
     """Canonical finite union of half-open rational intervals.
 
-    It keeps one integer grid, ``_grid`` = (D, its parts as integer pairs
-    over D), D the lcm of its endpoint denominators, made by a kernel
-    (``torus._from_grid``) or on first read (``torus._pairs_on_grid``).
-    Equality, hash, repr and pickle read the fractions alone.
+    Its two views follow ``_Views``: ``parts``, and the integer grid ``_grid``
+    = (D, its parts as integer pairs over D), D the lcm of its endpoint
+    denominators.  A kernel (``torus._from_grid``) makes a set holding the grid
+    alone; a parsed set makes it on first kernel read (``torus._pairs_on_grid``).
     """
 
-    parts: tuple[Interval, ...] = ()
+    parts: tuple[Interval, ...] = field(default_factory=tuple)
     _grid = None
+    _FRACTIONS = ("parts",)
 
     def __post_init__(self) -> None:
-        for prev, nxt in zip(self.parts, self.parts[1:]):
-            if prev.hi >= nxt.lo:
-                raise InputError("parts must be sorted and strictly separated; use normalize()")
+        _separated(self._pairs)
 
-    def __getstate__(self) -> dict:
-        return {"parts": self.parts}
+    def _fractions(self) -> tuple:
+        d, pairs = self._grid
+        return tuple(_kept(Interval, lo=Fraction(a, d), hi=Fraction(b, d)) for a, b in pairs),
 
     # ------------------------------------------------------------- queries
 
     @property
     def is_empty(self) -> bool:
-        return not self.parts
+        return not (self._grid[1] if self._grid else self.parts)
 
     def measure(self) -> Fraction:
         return sum((p.length for p in self.parts), Fraction(0))
@@ -183,20 +232,6 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
-def _made(bounds: list[tuple[Fraction, Fraction]], grid: tuple) -> IntervalSet:
-    """The set of ``bounds``, which its maker checked sorted, nonempty and strictly separated
-    on ``grid``, kept on it; the Fraction checks of the constructors do not run again."""
-    s = object.__new__(IntervalSet)
-    s.__dict__.update(parts=tuple(map(_interval, bounds)), _pairs=bounds, _grid=grid)
-    return s
-
-
-def _interval(bounds: tuple[Fraction, Fraction]) -> Interval:
-    iv = object.__new__(Interval)  # lo < hi already checked: no ``Interval`` checks
-    iv.__dict__["lo"], iv.__dict__["hi"] = bounds
-    return iv
-
-
 def normalize(raw: Iterable[Interval | tuple[RationalLike, RationalLike]]) -> IntervalSet:
     """Canonicalize an arbitrary collection of intervals.
 
@@ -260,15 +295,15 @@ def _subtract(a: Sequence[tuple], b: Sequence[tuple]) -> list[tuple]:
     return out
 
 
-def _beside_zero(parts: Sequence[Interval]) -> tuple[bool, bool]:
-    """Whether sorted, disjoint parts hold some (-e, 0), and some (0, e), by one
-    bisection: only the first part reaching 0, or the next one, can hold either.
+def _beside_zero(pairs: Sequence[tuple]) -> tuple[bool, bool]:
+    """Whether sorted, disjoint (lo, hi, ...) pairs of one number type hold some (-e, 0), and
+    some (0, e), by one bisection: only the first pair reaching 0, or the next, can hold either.
     """
-    i = bisect_left(parts, 0, key=attrgetter("hi"))
-    left = i < len(parts) and parts[i].lo < 0
-    if i < len(parts) and parts[i].hi == 0:
+    i = bisect_left(pairs, 0, key=itemgetter(1))
+    left = i < len(pairs) and pairs[i][0] < 0
+    if i < len(pairs) and pairs[i][1] == 0:
         i += 1
-    return left, i < len(parts) and parts[i].lo <= 0
+    return left, i < len(pairs) and pairs[i][0] <= 0
 
 
 def _off_zero(pairs: Sequence[tuple]) -> tuple[int, object, object]:

@@ -11,14 +11,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InconsistentSpectrumError, InputError
-from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _interval, _merge,
-                        _off_zero, _subtract, rat)
+from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _kept, _merge,
+                        _nonempty, _off_zero, _subtract, _Views, rat)
 from .torus import (DimFnWindow, _fold, _from_grid, _grid_sweep, _on_grid, _unit_fragments,
                     _within_budget, sweep_weighted)
 
@@ -42,32 +42,37 @@ def floor_log2(x: Fraction) -> int:
 
 
 @dataclass(frozen=True)
-class StepFn:
+class StepFn(_Views):
     """Compactly supported step function with rational breakpoints and values.
 
     Canonical form: pieces sorted and disjoint, zero values implicit (never
-    stored), touching pieces with equal values merged.  A boundary type (parse,
-    serialize, print): the checks read the grid it keeps, ``_grid`` = (D, V,
-    its pieces as (lo, hi, weight) integers over D, weights over V), D and V
-    the lcms of its endpoint and value denominators, made by a kernel
-    (``_step_from_grid``) or on first read (``_step_grid``).  Equality, hash,
-    repr and pickle read the fractions alone.
+    stored), touching pieces with equal values merged.  Its two views follow
+    ``_Views``: ``pieces``, and the integer grid ``_grid`` = (D, V, its pieces
+    as (lo, hi, weight) integers over D, weights over V), D and V the lcms of
+    its endpoint and value denominators.  A kernel (``_step_from_grid``) makes a
+    step function holding the grid alone; a parsed one makes it on first kernel
+    read (``_step_grid``).
     """
 
-    pieces: tuple[tuple[Interval, Fraction], ...] = ()
+    pieces: tuple[tuple[Interval, Fraction], ...] = field(default_factory=tuple)
     _grid = None
+    _FRACTIONS = ("pieces",)
 
     def __post_init__(self) -> None:
-        for (a, va), (b, vb) in zip(self.pieces, self.pieces[1:]):
-            if a.hi > b.lo:
-                raise InputError("step function pieces overlap; use StepFn.build()")
-            if a.hi == b.lo and va == vb:
-                raise InputError("equal-valued touching pieces must be merged; use StepFn.build()")
-        if any(v == 0 for _, v in self.pieces):
-            raise InputError("zero values are implicit in a step function")
+        pieces = tuple((iv, rat(v)) for iv, v in self.pieces)
+        object.__setattr__(self, "pieces", pieces)
+        _canonical([(iv.lo, iv.hi, v) for iv, v in pieces])
 
-    def __getstate__(self) -> dict:
-        return {"pieces": self.pieces}
+    def _fractions(self) -> tuple:
+        d, vden, pieces = self._grid
+        breaks = {e: Fraction(e, d) for a, b, _ in pieces for e in (a, b)}  # each break once
+        values = {w: Fraction(w, vden) for _, _, w in pieces}
+        return tuple((_kept(Interval, lo=breaks[a], hi=breaks[b]), values[w])
+                     for a, b, w in pieces),
+
+    def _held(self) -> tuple[int, int, Sequence[tuple]]:
+        """(D, V, pieces (lo, hi, weight)) in the view held: the grid, or the fractions over 1."""
+        return self._grid or (1, 1, [(iv.lo, iv.hi, v) for iv, v in self.pieces])
 
     @classmethod
     def build(cls, raw: Iterable[tuple[Interval | tuple, RationalLike]]) -> "StepFn":
@@ -101,7 +106,7 @@ class StepFn:
 
     @property
     def is_zero(self) -> bool:
-        return not self.pieces
+        return not self._held()[2]
 
     @cached_property
     def _los(self) -> list[Fraction]:
@@ -118,10 +123,8 @@ class StepFn:
         return sum((v * iv.length for iv, v in self.pieces), ZERO)
 
     def negative_witness(self) -> tuple[Interval, Fraction] | None:
-        for iv, v in self.pieces:
-            if v.numerator < 0:
-                return iv, v
-        return None
+        i = next((i for i, (_, _, w) in enumerate(self._held()[2]) if w < 0), None)
+        return None if i is None else self.pieces[i]
 
     # ------------------------------------------------------- transforms
 
@@ -154,8 +157,8 @@ def _walk(f: Sequence[tuple], g: Sequence[tuple]) -> Iterator[tuple]:
 
 
 def _step_grid(f: StepFn, power: int = 1) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """(D, V, read-only pieces): the grid f keeps, made by ``_on_grid`` on first read if f was
-    made from fractions.  Every read checks D and V^power, the value lcm of f^power
+    """(D, V, read-only pieces): the grid f holds, made by ``_on_grid`` on first read if f was
+    parsed.  Every read checks D and V^power, the value lcm of f^power
     (``square`` reads with 2), against the ``_on_grid`` budget, with its refusal text."""
     if f._grid is None:
         object.__setattr__(f, "_grid", _on_grid(f.pieces, power))
@@ -163,29 +166,35 @@ def _step_grid(f: StepFn, power: int = 1) -> tuple[int, int, list[tuple[int, int
     return f._grid
 
 
+def _canonical(pieces: Sequence[tuple], d: int = 1) -> None:
+    """The ``StepFn`` checks on (lo, hi, value) pieces over d, number-type generic: nonempty,
+    then neither overlapping nor touching with equal values, then no zero value."""
+    _nonempty(pieces, d)
+    for (_, a, va), (b, _, vb) in zip(pieces, pieces[1:]):
+        if a > b:
+            raise InputError("step function pieces overlap; use StepFn.build()")
+        if a == b and va == vb:
+            raise InputError("equal-valued touching pieces must be merged; use StepFn.build()")
+    if any(v == 0 for _, _, v in pieces):
+        raise InputError("zero values are implicit in a step function")
+
+
 def _step_from_grid(d: int, vden: int, pieces: Iterable[tuple[int, int, int]]) -> StepFn:
-    """Sorted (lo, hi, weight) pieces over d, weights over vden, as a step function that keeps
-    them as its grid, like ``torus._from_grid``: touching equal weights merged and zero weights
-    dropped, then checked once on the integers (a violation raises the validated constructors'
-    InputError), divided to the lcm grid, and each break and value made a fraction once."""
+    """Sorted (lo, hi, weight) pieces over d, weights over vden, as a step function holding them
+    alone (``_Views``), like ``torus._from_grid``: touching equal weights merged and zero weights
+    dropped, checked once on the integers (``_canonical``), and divided to the lcm grid."""
     out: list[tuple[int, int, int]] = []
     for a, b, w in pieces:
         if out and out[-1][1:] == (a, w):
             out[-1] = (out[-1][0], b, w)
         elif w:
             out.append((a, b, w))
-    if not all(a < b for a, b, _ in out) or any(p[1] > q[0] for p, q in zip(out, out[1:])):
-        return StepFn(tuple((Interval(Fraction(a, d), Fraction(b, d)), Fraction(w, vden))
-                            for a, b, w in out))
+    _canonical(out, d)
     gd = math.gcd(d, *(x for a, b, _ in out for x in (a, b)))
     gv = math.gcd(vden, *(w for _, _, w in out))
-    d, vden, pieces = d // gd, vden // gv, [(a // gd, b // gd, w // gv) for a, b, w in out]
-    breaks = {e: Fraction(e, d) for a, b, _ in pieces for e in (a, b)}
-    values = {w: Fraction(w, vden) for _, _, w in pieces}
-    fn = object.__new__(StepFn)
-    fn.__dict__.update(pieces=tuple((_interval((breaks[a], breaks[b])), values[w])
-                                    for a, b, w in pieces), _grid=(d, vden, pieces))
-    return fn
+    if gd > 1 or gv > 1:
+        d, vden, out = d // gd, vden // gv, [(a // gd, b // gd, w // gv) for a, b, w in out]
+    return _kept(StepFn, _grid=(d, vden, out))
 
 
 MAX_LEVELS = 4096  # work budget on the levels j of one dilation sum
@@ -224,7 +233,7 @@ class SpectrumVerdict:
 
 
 def _scaling_grid(g: StepFn) -> tuple[int, int, list[tuple[int, int, int]]]:
-    """(d, V, pieces): the grid g keeps (``_step_grid``, refused over its budget first), moved
+    """(d, V, pieces): the grid g holds (``_step_grid``, refused over its budget first), moved
     to 1/d, d = 2D.  On 1/d the pieces of g(2 .), g and g(./2) have integer ends: a >> 1, a
     and a << 1 for each end a of g."""
     d, vden, pieces = _step_grid(g)
@@ -239,21 +248,22 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
     filter (F1: support nesting under doubling plus a periodically
     consistent ratio g(2x)/g(x) on the support).  (F1) runs on g's grid
     (``_scaling_grid``): the nesting is one ``_subtract`` of integer runs, and
-    the ratio one fraction per cell of g's walk against g(2 .), folded mod 1.
+    the ratio one reduced integer pair per cell of its walk against g(2 .), folded mod 1.
     """
     neg = g.negative_witness()
     if neg is not None:
         raise InputError(f"spectrum must be nonnegative; value {neg[1]} on {neg[0]}")
 
     # (F3)
-    folded = _fold(*_step_grid(g))
+    d, vden, pieces = _step_grid(g)
+    folded = _fold(d, vden, pieces)
     if not folded.is_constant(1):
         bad = folded.where_not(1)
         return SpectrumVerdict(False, "F3", bad.parts[0],
                                "periodization is not identically 1")
 
     # (F2)
-    left_ok, right_ok = _beside_zero([iv for iv, v in g.pieces if v == 1])
+    left_ok, right_ok = _beside_zero([p for p in pieces if p[2] == vden])
     if not (left_ok and right_ok):
         eps = min((abs(x) for iv, _ in g.pieces for x in (iv.lo, iv.hi) if x != 0),
                   default=ONE)
@@ -272,7 +282,8 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
     changes: dict[int, list[tuple[tuple[int, int], int]]] = {}
     for a, b, den, num in _walk(pieces, [(a >> 1, b >> 1, w) for a, b, w in pieces]):
         if den:
-            ratio = Fraction(num, den).as_integer_ratio()  # g(2x)/g(x) in lowest terms
+            k = math.gcd(num, den)
+            ratio = num // k, den // k  # g(2x)/g(x) in lowest terms
             for lo, hi, _, _ in _unit_fragments([(a, b, 1)], d):
                 changes.setdefault(lo, []).append((ratio, 1))
                 changes.setdefault(hi, []).append((ratio, -1))
@@ -294,13 +305,13 @@ def psi_spectrum_from_scaling(g: StepFn) -> StepFn:
 
     Callers are expected to have validated g; an exact negativity check still guards
     against inconsistent inputs.  h is walked on g's grid (``_scaling_grid``: over its
-    budget g is an InputError before any work); each break and value becomes a fraction once.
+    budget g is an InputError before any work), and h holds its own grid alone.
     """
     return _psi_grid(*_scaling_grid(g))
 
 
 def _psi_grid(d: int, vden: int, pieces: list[tuple]) -> StepFn:
-    """h = g(./2) - g, walked on g's grid, keeping the lcm grid of its own."""
+    """h = g(./2) - g, walked on g's grid, holding the lcm grid of its own."""
     fn = _step_from_grid(d, vden, ((a, b, x - y) for a, b, x, y in _walk(
         [(a << 1, b << 1, w) for a, b, w in pieces], pieces)))
     neg = fn.negative_witness()
@@ -342,15 +353,16 @@ def calderon(h: StepFn) -> CalderonResult:
     if h.is_zero:
         atoms = tuple((Interval(a, b), ZERO) for a, b in ANNULUS)
         return CalderonResult(False, atoms, ZERO, ZERO, False)
-    i, r, big = _off_zero([(iv.lo, iv.hi) for iv, _ in h.pieces])
+    d, _, held = h._held()
+    i, r, big = _off_zero(held)
     if r is None:
         return CalderonResult(True, divergence_witness=h.pieces[i][0])
-    levels = _annulus_levels(r, big)  # the level budget before the grid budget
+    levels = _annulus_levels(Fraction(r, d), Fraction(big, d))  # the level budget first
     d, vden, pieces = _step_grid(h)
     cells, weights = [], []
     for scale, ends, _, ws in _annulus_sums(d, vden, pieces, ONE, levels):
         breaks = [Fraction(e, scale) for e in ends]  # each break once; ends strictly increase
-        cells += map(_interval, zip(breaks, breaks[1:]))
+        cells += (_kept(Interval, lo=a, hi=b) for a, b in zip(breaks, breaks[1:]))
         weights += ws
     value = {w: Fraction(w, vden) for w in set(weights)}  # each value once
     lo, hi = min(weights), max(weights)
@@ -387,7 +399,8 @@ def _dim_sweep(h: StepFn, depth_L: int, lo: Fraction, hi: Fraction) -> tuple:
     neg = h.negative_witness()
     if neg is not None:
         raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
-    reach = max(-h.pieces[0][0].lo, h.pieces[-1][0].hi) if h.pieces else ONE  # sorted pieces
+    d, _, pieces = h._held()
+    reach = Fraction(max(-pieces[0][0], pieces[-1][1]), d) if pieces else ONE  # sorted pieces
     levels = _levels(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
     grid, = _grid_sweep(*_step_grid(h), levels, True, [(lo, hi)], depth_L)
     return grid
@@ -594,8 +607,8 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
     MAX_LEVELS scales are refused before any of them.  On the grid of
     ``_on_grid`` (endpoints over D, values over V), one two-pointer walk over
     the pieces and their shift by 2^m a D gives the cells of P_m, shifted by
-    M - m bits onto 1/(D 2^M); one integer sweep sums all scales, and only
-    its nonzero atoms become fractions.
+    M - m bits onto 1/(D 2^M); one integer sweep sums all scales, and the
+    sum holds its grid alone.
     """
     if not isinstance(alpha, int):
         raise InputError("alpha must be an integer")
@@ -603,7 +616,7 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
         raise InputError("alpha must be odd; even shifts reduce to odd ones by dilation")
     if psi.is_zero:
         return TqResult(True)
-    if any(_beside_zero([iv for iv, _ in psi.pieces])):
+    if any(_beside_zero(psi._held()[2])):
         raise InputError("support must be bounded away from 0")
     (scale, wden, atoms), = _tq_sweeps(psi, [alpha])  # t_a vanishes outside [-R, R)
     total = _step_from_grid(scale, wden, atoms)
@@ -660,9 +673,10 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
     if psi.is_zero:
         return OrthonormalityReport(False, ZERO, calderon(psi), (), (),
                                     ("spectrum is identically zero",))
-    if any(_beside_zero([iv for iv, _ in psi.pieces])):
+    d, _, pieces = psi._held()
+    if any(_beside_zero(pieces)):
         raise InputError("support must be bounded away from 0")
-    big = max(-psi.pieces[0][0].lo, psi.pieces[-1][0].hi)  # sorted pieces, none reaching 0
+    big = Fraction(max(-pieces[0][0], pieces[-1][1]), d)  # sorted pieces, none reaching 0
     alphas = range(1, math.floor(2 * big) + 1, 2)
     if len(alphas) > MAX_SHIFTS:
         raise InputError(f"orthonormality checks at most {MAX_SHIFTS} odd shifts (work budget); "

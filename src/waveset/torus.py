@@ -4,20 +4,20 @@ Folds interval sets onto the unit torus [0, 1), counts translation
 multiplicities exactly, and extracts deterministic transversals (subsets whose
 integer translates tile the line with multiplicity one).  Fold results and
 dimension-function windows share one grid sweep and one periodic-step type,
-which keeps the sweep's integer grid; fractions are its boundary view.
+which holds the sweep's integer grid alone (``intervals._Views``).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
-from .intervals import Interval, IntervalSet, _made, _merge, _subtract, iset, normalize, rat
+from .intervals import (Interval, IntervalSet, _kept, _merge, _separated, _subtract, _Views, iset,
+                        normalize, rat)
 
 if TYPE_CHECKING:
     from .spectral import StepFn
@@ -89,7 +89,7 @@ def _grid_sweep(d: int, vden: int, pieces: Sequence[tuple[int, int, int]], level
     """Sweep the fragments 2^-j [lo, hi), weighted by w, over each window.
 
     One fragment per j in ``levels`` and (lo, hi, w) in ``pieces``, integers
-    over d with weights over vden (a kept grid, read within the ``_on_grid``
+    over d with weights over vden (a value's grid, read within the ``_on_grid``
     budget), and windows with rational ends on 1/(d 2^depth).  A ``periodic`` sum
     counts all their integer translates by folding them into [0, 1) with
     ``_unit_fragments`` (windows inside [0, 1]), so its cost follows the
@@ -110,7 +110,7 @@ def _grid_sweep(d: int, vden: int, pieces: Sequence[tuple[int, int, int]], level
 
 
 @dataclass(frozen=True)
-class DimFnWindow:
+class DimFnWindow(_Views):
     """1-periodic step function, known exactly on a window of [0, 1).
 
     ``breaks`` strictly increase inside [0, 1]; piece i carries ``values[i]``
@@ -120,8 +120,9 @@ class DimFnWindow:
     which ``boundary_note`` records.  The source spectrum, when attached, lets
     the limit-condition probes sweep deeper.  Queries and checks read the
     integer grid: piece i is [ends[i], ends[i + 1]) over ``scale`` with value
-    weights[i] over ``vden``.  Equality, hash and repr read the fractions, made
-    on first read when the window was built on the grid (``_from_grid``).
+    weights[i] over ``vden``.  Its two views follow ``_Views``: sweeps and cuts
+    (``_from_grid``) make a window holding the grid alone, and a parsed window
+    makes the lcm grid of its fractions on first read.
     """
 
     breaks: tuple[Fraction, ...]
@@ -129,40 +130,39 @@ class DimFnWindow:
     depth_L: int
     boundary_note: bool
     source: StepFn | None = None
-    scale: int = field(init=False, compare=False, repr=False)
-    ends: tuple[int, ...] = field(init=False, compare=False, repr=False)
-    vden: int = field(init=False, compare=False, repr=False)
-    weights: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    _FRACTIONS = ("breaks", "values")
+    _GRID = ("scale", "ends", "vden", "weights")
 
     def __post_init__(self) -> None:
-        scale = math.lcm(*(x.denominator for x in self.breaks))
-        vden = math.lcm(*(v.denominator for v in self.values))
-        self._set_grid(scale, tuple(x.numerator * (scale // x.denominator) for x in self.breaks),
-                       vden, tuple(v.numerator * (vden // v.denominator) for v in self.values))
+        breaks, values = tuple(map(rat, self.breaks)), tuple(map(rat, self.values))
+        self.__dict__.update(breaks=breaks, values=values)
+        if not values or len(breaks) != len(values) + 1:
+            raise InputError("a window needs a value per piece and one breakpoint more than values")
+        if breaks[0] < 0 or breaks[-1] > 1:
+            raise InputError("window breakpoints must lie inside [0, 1]")
+        if any(a >= b for a, b in zip(breaks, breaks[1:])):
+            raise InputError("window breakpoints must be strictly increasing")
 
     @classmethod
     def _from_grid(cls, grid: tuple, depth_L: int, note: bool, source: StepFn | None = None):
-        w = object.__new__(cls)
-        w.__dict__.update(depth_L=depth_L, boundary_note=note, source=source)
-        w._set_grid(*grid)
-        return w
+        """The window of a sweep or a cut, whose grid (scale, ends, V, weights) is valid by
+        construction, holding that grid divided to the lcm grid of its fractions."""
+        scale, ends, vden, weights = grid
+        g, h = math.gcd(scale, *ends), math.gcd(vden, *weights)
+        return _kept(cls, depth_L=depth_L, boundary_note=note, source=source, scale=scale // g,
+                     ends=tuple(e // g for e in ends) if g > 1 else ends, vden=vden // h,
+                     weights=tuple(w // h for w in weights) if h > 1 else weights)
 
-    def _set_grid(self, scale: int, ends: tuple[int, ...], vden: int, weights: tuple[int, ...]):
-        if not weights or len(ends) != len(weights) + 1:
-            raise InputError("a window needs a value per piece and one breakpoint more than values")
-        if ends[0] < 0 or ends[-1] > scale:
-            raise InputError("window breakpoints must lie inside [0, 1]")
-        if any(a >= b for a, b in zip(ends, ends[1:])):
-            raise InputError("window breakpoints must be strictly increasing")
-        self.__dict__.update(scale=scale, ends=ends, vden=vden, weights=weights)
-
-    def __getattr__(self, name: str):  # only runs while the attribute is unset
-        if name not in ("breaks", "values"):
-            raise AttributeError(name)
+    def _fractions(self) -> tuple:
         value = {w: Fraction(w, self.vden) for w in set(self.weights)}  # each value made once
-        self.__dict__.update(breaks=tuple(Fraction(e, self.scale) for e in self.ends),
-                             values=tuple(value[w] for w in self.weights))
-        return self.__dict__[name]
+        breaks = tuple(Fraction(e, self.scale) for e in self.ends)
+        return breaks, tuple(map(value.get, self.weights))
+
+    def _lcm_grid(self) -> tuple:
+        scale = math.lcm(*(x.denominator for x in self.breaks))
+        vden = math.lcm(*(v.denominator for v in self.values))
+        return (scale, tuple(x.numerator * (scale // x.denominator) for x in self.breaks),
+                vden, tuple(v.numerator * (vden // v.denominator) for v in self.values))
 
     def window(self) -> tuple[Fraction, Fraction]:
         return self.breaks[0], self.breaks[-1]
@@ -226,8 +226,7 @@ def _unit_fragments(pieces: Iterable[tuple[int, int, object]], d: int):
     the residues [a/d, b/d) with ``weight`` times the interval's value, and
     the least shift that puts them back inside it.  Whole periods become one
     [0, d) fragment weighted by their number, so the work does not grow with
-    the length; fragments come in order of shifts, and callers make each
-    endpoint of their result a fraction once.
+    the length; fragments come in order of shifts.
     """
     for lo, hi, val in pieces:
         k_lo, a = divmod(lo, d)
@@ -245,10 +244,10 @@ def _unit_fragments(pieces: Iterable[tuple[int, int, object]], d: int):
 
 
 def _pairs_on_grid(s: IntervalSet, *extra: Fraction, **groups: int) -> tuple[int, list[tuple]]:
-    """(D, the parts of S as read-only integer pairs over D): the grid S keeps (a set made from
-    fractions computes it on first read), rescaled to D, its lcm with the denominators of
-    ``extra``.  Every read checks D, and the lcms ``groups`` name, against the ``_on_grid``
-    budget with its refusal text, before any numerator is made."""
+    """(D, the parts of S as read-only integer pairs over D): the grid S holds (a parsed set makes
+    it on first read), rescaled to D, its lcm with the denominators of ``extra``.  Every read
+    checks D, and the lcms ``groups`` name, against the ``_on_grid`` budget with its refusal
+    text, before any numerator is made."""
     ends = None if s._grid else [x for p in s.parts for x in (p.lo, p.hi)]
     d = s._grid[0] if s._grid else math.lcm(*(x.denominator for x in ends))
     lcm = math.lcm(d, *(x.denominator for x in extra))
@@ -261,17 +260,13 @@ def _pairs_on_grid(s: IntervalSet, *extra: Fraction, **groups: int) -> tuple[int
 
 
 def _from_grid(pairs: Iterable[tuple[int, int]], d: int) -> IntervalSet:
-    """Sorted, nonempty, strictly separated integer pairs over d as a set that keeps them as its
-    grid, checked once on the integers (a violation raises the validated constructors'
-    InputError) and divided by gcd(d, every end) to ``_on_grid``'s lcm grid; each endpoint
-    becomes a fraction once."""
+    """Integer pairs over d as a set holding them alone (``_Views``): checked once on the
+    integers, with the InputError of the validated constructors (``_separated``), and divided
+    by gcd(d, every end) to the lcm grid of its fractions, which ``_on_grid`` would make."""
     pairs = list(pairs)
-    ends = [x for pair in pairs for x in pair]
-    if not all(map(lt, ends, ends[1:])):  # the validated constructors name the fault
-        return IntervalSet(tuple(Interval(Fraction(a, d), Fraction(b, d)) for a, b in pairs))
-    g = math.gcd(d, *ends)
-    d, pairs = d // g, [(a // g, b // g) for a, b in pairs]
-    return _made([(Fraction(a, d), Fraction(b, d)) for a, b in pairs], (d, pairs))
+    _separated(pairs, d)
+    g = math.gcd(d, *(x for pair in pairs for x in pair))
+    return _kept(IntervalSet, _grid=(d // g, [(a // g, b // g) for a, b in pairs]))
 
 
 def s1_witness(s: IntervalSet) -> Interval | None:
@@ -282,7 +277,7 @@ def s1_witness(s: IntervalSet) -> Interval | None:
 
 
 def _fold(d: int, vden: int, pieces: Sequence[tuple[int, int, int]]) -> DimFnWindow:
-    """The periodic ``_grid_sweep`` at level 0 over [0, 1) of pieces on a kept grid."""
+    """The periodic ``_grid_sweep`` at level 0 over [0, 1) of pieces on a grid in the budget."""
     grid, = _grid_sweep(d, vden, pieces, [0], True, [(0, 1)])
     return DimFnWindow._from_grid(grid, 0, False)
 
@@ -294,7 +289,7 @@ def fold_step(pieces: Iterable[tuple[Interval, Fraction]]) -> DimFnWindow:
 
 
 def fold_multiplicity(s: IntervalSet) -> DimFnWindow:
-    """Multiplicity m(xi) = #{k in Z : xi + k in S} on [0, 1): ``_fold`` on the grid S keeps,
+    """Multiplicity m(xi) = #{k in Z : xi + k in S} on [0, 1): ``_fold`` on the grid of S,
     refused as ``fold_step`` refuses S weighted 1 ("...endpoint and value... got N and 1")."""
     d, pairs = _pairs_on_grid(s, value=1)
     return _fold(d, 1, [(a, b, 1) for a, b in pairs])
@@ -340,8 +335,7 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
     well defined).
 
     Cuts and the shift scan are integer bisections on the grid of S' (with
-    1/2 on it, ``_pairs_on_grid``); each endpoint of the result becomes a
-    fraction once.
+    1/2 on it, ``_pairs_on_grid``), and the result holds its grid alone.
 
     Raises PreconditionError naming an uncovered sub-interval of [0, 1) when
     the translates of S' fail to cover the line: the first maximal run of

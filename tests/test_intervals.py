@@ -166,4 +166,4 @@ def test_beside_zero_is_the_scan(ends, at_zero, skip):
     parts = [Interval(a, b) for i, (a, b) in enumerate(zip(ends, ends[1:])) if i % 4 != skip]
     left = any(p.lo < 0 <= p.hi for p in parts)
     right = any(p.lo <= 0 < p.hi for p in parts)
-    assert _beside_zero(parts) == (left, right)
+    assert _beside_zero([(p.lo, p.hi) for p in parts]) == (left, right)

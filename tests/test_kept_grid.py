@@ -1,11 +1,12 @@
-"""The integer grid a set or a step function keeps.
+"""The one rule of the value types: a value holds the view it was made from.
 
-Every set a kernel makes (``torus._from_grid``) and every step function it
-makes (``spectral._step_from_grid``) keeps the grid it was made on, divided
-to the lcm grid of its fractions; a set or step function made from fractions
-computes that grid on first read.  The grid is invisible: equality, hash,
-repr, pickle and copies read the fractions alone.  Refusals over the grid
-budget read the same whether a grid was kept or computed.
+A set, step function or dimension-function window that a kernel makes
+(``torus._from_grid``, ``spectral._step_from_grid``, ``DimFnWindow._from_grid``)
+holds only its canonical grid, the lcm grid of its fractions, and makes the
+fractions on first read.  A parsed value holds its fractions and makes its grid
+on first kernel read.  Equality, hash, repr, pickle and copies read the
+fractions, so both agree with a twin made the other way.  Refusals over the grid
+budget read the same whichever view a value holds.
 """
 
 import copy
@@ -23,8 +24,9 @@ from test_grid_fold import _random_set, _random_spectrum, _scaling_set, _three_l
 from waveset import cli, construct, spectral, torus
 from waveset.construct import _truncated_levels, lemma_r3_construct, rze_pipeline
 from waveset.errors import InconsistentSpectrumError, InputError, PreconditionError
-from waveset.intervals import Interval, IntervalSet, normalize
-from waveset.spectral import StepFn, psi_spectrum_from_scaling, validate_scaling_spectrum
+from waveset.intervals import Interval, IntervalSet, normalize, rat
+from waveset.spectral import (DimFnWindow, StepFn, dimension_function, psi_spectrum_from_scaling,
+                              validate_scaling_spectrum)
 from waveset.torus import (_from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity,
                            s1_witness)
 
@@ -249,3 +251,46 @@ def test_square_on_grid_matches_build_seeded():
         _check_kept_step_fn(sq)
         merged += len(sq.pieces) < len(f.pieces)
     assert merged > 300, merged
+
+
+# ------------------------------------------------------------- windows and constructors
+
+
+def test_kept_windows_match_their_fraction_twins():
+    rng = random.Random(2028)
+    windows = []
+    for i in range(80):
+        h = (_random_spectrum, lambda r: _signed_spectrum(r).square())[i % 2](rng)
+        deep = dimension_function(h, rng.randint(4, 12))
+        windows += [deep, deep.restrict(rng.randint(2, deep.depth_L)),
+                    fold_multiplicity(_random_set(rng))]
+    for w in windows:
+        assert "breaks" not in w.__dict__ and "values" not in w.__dict__  # the grid alone
+        grid = (w.scale, w.ends, w.vden, w.weights)
+        twin = DimFnWindow(w.breaks, w.values, w.depth_L, w.boundary_note, w.source)
+        assert "scale" not in twin.__dict__  # the fractions alone
+        assert (twin.scale, twin.ends, twin.vden, twin.weights) == grid  # the lcm grid
+        assert w == twin and hash(w) == hash(twin) and repr(w) == repr(twin)
+        assert pickle.dumps(w) == pickle.dumps(twin)
+        for other in (pickle.loads(pickle.dumps(w)), copy.deepcopy(w)):
+            assert "scale" not in other.__dict__
+            assert other == w and hash(other) == hash(w) and repr(other) == repr(w)
+            assert (other.scale, other.ends, other.vden, other.weights) == grid
+
+
+@pytest.mark.parametrize("make", [
+    lambda x: StepFn(((Interval(0, 1), x),)),
+    lambda x: spectral.calderon(StepFn(((Interval(1, 2), x),))),
+    lambda x: DimFnWindow((0, x, 1), (1, 2), 0, False),
+    lambda x: DimFnWindow((0, 1), (x,), 0, False),
+])
+def test_constructors_coerce_values_through_rat(make):
+    # What rat takes becomes its Fraction, and the value equals its twin; what it refuses,
+    # each constructor refuses with rat's InputError.
+    assert make("1/2") == make(F(1, 2)) and hash(make("1/2")) == hash(make(F(1, 2)))
+    for bad in (0.5, "1.5", "1/0", None):
+        with pytest.raises(InputError) as expected:
+            rat(bad)
+        with pytest.raises(InputError) as got:
+            make(bad)
+        assert str(got.value) == str(expected.value)

@@ -197,7 +197,7 @@ def test_verdicts_match_sympy_eigenlines():
     """A witness is primitive and P z lies on sympy's contracting eigenline; an `exists`
     beside a contracting eigenvalue in the entry field has an eigenline of irrational slope in
     lattice coordinates.  (sympy leaves the slope's rationality open when the eigenvalue lies
-    outside the entry field, a nested radical; the Fraction route covers that branch.)"""
+    outside the entry field, a nested radical; the next test covers that branch.)"""
     import sympy
 
     seen = Counter()
@@ -220,3 +220,31 @@ def test_verdicts_match_sympy_eigenlines():
                 (str(a), str(p), res)
         seen[branch] += 1
     assert seen["not_exists"] >= 50 and seen["exists, irrational slope"] >= 20, seen
+
+
+def test_quadratic_irrational_eigenvalues_by_minimal_polynomial():
+    """The `exists` branch "the contracting eigenvalue is a quadratic irrational over the entry
+    field", against sympy's minimal polynomial over Q of that eigenvalue: degree 4, or degree 2
+    with a discriminant that is not d times a rational square, Q(sqrt d) the entry field (Q when
+    every entry is rational), so the eigenvalue lies outside the entry field."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    degrees = Counter()
+    for a, p in _planar_inputs(1906, 600, (None, *FIELDS)):
+        res = _outcome(wavelet_set_exists, a, p)
+        if isinstance(res, tuple) or not res.detail.startswith(
+                "the contracting eigenvalue is a quadratic irrational over the entry field"):
+            continue
+        assert res.verdict == "exists", (str(a), str(p), res)
+        lam, = [lam for lam in _sympy(a).eigenvals() if lam.is_real and bool(sympy.Abs(lam) < 1)]
+        coeffs = [int(c) for c in sympy.Poly(sympy.minimal_polynomial(lam, x), x).all_coeffs()]
+        d = next((e.d for row in a.entries for e in row if e.d), None)
+        if len(coeffs) == 3:
+            disc = coeffs[1] ** 2 - 4 * coeffs[0] * coeffs[2]
+            d_square = d is not None and math.isqrt(disc * d) ** 2 == disc * d
+            assert disc > 0 and not d_square, (str(a), coeffs)
+        else:
+            assert len(coeffs) == 5 and d is not None, (str(a), coeffs)
+        degrees[len(coeffs) - 1] += 1
+    assert sum(degrees.values()) >= 20, degrees
