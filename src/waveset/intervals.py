@@ -53,12 +53,12 @@ def rat(x: RationalLike) -> Fraction:
 
 class _Views:
     """The one rule of the value types (``IntervalSet``, ``spectral.StepFn``,
-    ``torus.DimFnWindow``): a value holds the view it was made from, and the other is
-    made on first read.  A parsed value (a validated constructor, coercing through
-    ``rat``) holds fractions and makes its integer grid on first kernel read: a set's or
-    a step function's ``_grid`` once its lcm passed the grid budget
-    (``torus._pairs_on_grid``, ``spectral._step_grid``), a window's ``_GRID`` here.  A
-    kernel-made value (``_kept``) holds only its canonical grid, the lcm grid of its
+    ``torus.DimFnWindow``, ``spectral.CalderonResult``): a value holds the view it was
+    made from, and the other is made on first read.  A parsed value (a validated
+    constructor, coercing through ``rat``) holds fractions and makes its integer grid on
+    first kernel read: a set's or a step function's ``_grid`` once its lcm passed the grid
+    budget (``torus._pairs_on_grid``, ``spectral._step_grid``), a window's ``_GRID`` here.
+    A kernel-made value (``_kept``) holds only its canonical grid, the lcm grid of its
     fractions, and makes the ``_FRACTIONS`` here.  Equality, hash, repr and pickle read
     the fractions, so a value made either way equals its twin, byte for byte.
     """
@@ -91,6 +91,13 @@ def _nonempty(pairs: Iterable[Sequence], d: int = 1) -> None:
     if bad is not None:
         raise InputError(f"not a nonempty half-open interval: [{Fraction(bad[0], d)}, "
                          f"{Fraction(bad[1], d)})")
+
+
+def _intervals_only(ivs: Iterable, maker: str) -> None:
+    """The InputError naming the first of ``ivs`` that is not an ``Interval``."""
+    bad = next((iv for iv in ivs if not isinstance(iv, Interval)), None)
+    if bad is not None:
+        raise InputError(f"expected an Interval, got {bad!r}; use {maker}")
 
 
 def _separated(pairs: Sequence[tuple], d: int = 1) -> None:
@@ -137,6 +144,7 @@ class IntervalSet(_Views):
     _FRACTIONS = ("parts",)
 
     def __post_init__(self) -> None:
+        _intervals_only(self.parts, "normalize()")
         _separated(self._pairs)
 
     def _fractions(self) -> tuple:

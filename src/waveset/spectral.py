@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InconsistentSpectrumError, InputError
-from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _kept, _merge,
-                        _nonempty, _off_zero, _subtract, _Views, rat)
+from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _intervals_only, _kept,
+                        _merge, _nonempty, _off_zero, _subtract, _Views, rat)
 from .torus import (DimFnWindow, _fold, _from_grid, _grid_sweep, _on_grid, _unit_fragments,
                     _within_budget, sweep_weighted)
 
@@ -51,15 +51,17 @@ class StepFn(_Views):
     as (lo, hi, weight) integers over D, weights over V), D and V the lcms of
     its endpoint and value denominators.  A kernel (``_step_from_grid``) makes a
     step function holding the grid alone; a parsed one makes it on first kernel
-    read (``_step_grid``).
+    read (``_step_grid``).  A spectrum h keeps its deepest window (``_held_window``).
     """
 
     pieces: tuple[tuple[Interval, Fraction], ...] = field(default_factory=tuple)
     _grid = None
+    _window = None
     _FRACTIONS = ("pieces",)
 
     def __post_init__(self) -> None:
         pieces = tuple((iv, rat(v)) for iv, v in self.pieces)
+        _intervals_only((iv for iv, _ in pieces), "StepFn.build()")
         object.__setattr__(self, "pieces", pieces)
         _canonical([(iv.lo, iv.hi, v) for iv, v in pieces])
 
@@ -325,18 +327,23 @@ def _psi_grid(d: int, vden: int, pieces: list[tuple]) -> StepFn:
 
 
 @dataclass(frozen=True)
-class CalderonResult:
-    """Dyadic dilation sum on the annulus [1,2) u [-2,-1), or a divergence flag."""
+class CalderonResult(_Views):
+    """Dyadic dilation sum on the annulus [1,2) u [-2,-1), or a divergence flag.  ``calderon``
+    holds each side's ``_grid_sweep`` grid as ``_grid``; ``atoms`` are its ``_Views`` fractions."""
 
     diverges: bool
-    atoms: tuple[tuple[Interval, Fraction], ...] = ()
+    atoms: tuple[tuple[Interval, Fraction], ...] = field(default_factory=tuple)
     min_value: Fraction | None = None
     max_value: Fraction | None = None
     is_one: bool = False
     divergence_witness: Interval | None = None
+    _FRACTIONS = ("atoms",)
 
-
-ANNULUS = ((Fraction(-2), Fraction(-1)), (Fraction(1), Fraction(2)))
+    def _fractions(self) -> tuple:
+        value = {w: Fraction(w, vden) for _, _, vden, ws in self._grid for w in ws}  # each once
+        breaks = [[Fraction(e, scale) for e in ends] for scale, ends, _, _ in self._grid]
+        return tuple((_kept(Interval, lo=a, hi=b), value[w]) for bs, (*_, ws)
+                     in zip(breaks, self._grid) for a, b, w in zip(bs, bs[1:], ws)),
 
 
 def calderon(h: StepFn) -> CalderonResult:
@@ -350,24 +357,18 @@ def calderon(h: StepFn) -> CalderonResult:
     neg = h.negative_witness()
     if neg is not None:
         raise InputError(f"calderon sum requires a nonnegative input; got {neg[1]} on {neg[0]}")
-    if h.is_zero:
-        atoms = tuple((Interval(a, b), ZERO) for a, b in ANNULUS)
-        return CalderonResult(False, atoms, ZERO, ZERO, False)
-    d, _, held = h._held()
-    i, r, big = _off_zero(held)
-    if r is None:
-        return CalderonResult(True, divergence_witness=h.pieces[i][0])
-    levels = _annulus_levels(Fraction(r, d), Fraction(big, d))  # the level budget first
-    d, vden, pieces = _step_grid(h)
-    cells, weights = [], []
-    for scale, ends, _, ws in _annulus_sums(d, vden, pieces, ONE, levels):
-        breaks = [Fraction(e, scale) for e in ends]  # each break once; ends strictly increase
-        cells += (_kept(Interval, lo=a, hi=b) for a, b in zip(breaks, breaks[1:]))
-        weights += ws
-    value = {w: Fraction(w, vden) for w in set(weights)}  # each value once
-    lo, hi = min(weights), max(weights)
-    return CalderonResult(False, tuple(zip(cells, map(value.get, weights))), value[lo], value[hi],
-                          lo == hi == vden)
+    sides = [(1, (-2, -1), 1, (0,)), (1, (1, 2), 1, (0,))]  # the sums of h = 0
+    if not h.is_zero:
+        d, _, held = h._held()
+        i, r, big = _off_zero(held)
+        if r is None:
+            return CalderonResult(True, divergence_witness=h.pieces[i][0])
+        levels = _annulus_levels(Fraction(r, d), Fraction(big, d))  # the level budget first
+        sides = list(_annulus_sums(*_step_grid(h), ONE, levels))
+    vden = sides[0][2]
+    lo, hi = min(min(ws) for *_, ws in sides), max(max(ws) for *_, ws in sides)
+    return _kept(CalderonResult, diverges=False, min_value=Fraction(lo, vden),
+                 max_value=Fraction(hi, vden), is_one=lo == hi == vden, _grid=sides)
 
 
 # ------------------------------------------------- dimension function
@@ -381,29 +382,40 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     Level-j terms live within 2^-j * max-reach of the integers, hence miss
     the window once that radius drops below 2^-L, at j > J.  Levels 1..J are
     one periodic ``_grid_sweep``, which folds all translates k at once, so
-    the work follows J (L plus the log of the reach), not the reach.
+    the work follows J (L plus the log of the reach), not the reach.  The
+    window is an exact ``restrict`` of the one h holds (``_held_window``):
     depth_L over MAX_WINDOW_DEPTH is refused first, J over MAX_LEVELS next.
     """
-    grid = _dim_sweep(h, depth_L, pow2(-depth_L), 1 - pow2(-depth_L))
-    return DimFnWindow._from_grid(grid, depth_L, not h.is_zero, h)
+    window = _held_window(h, depth_L).restrict(depth_L)
+    object.__setattr__(window, "source", h)
+    return window
 
 
-def _dim_sweep(h: StepFn, depth_L: int, lo: Fraction, hi: Fraction) -> tuple:
-    """The sweep of ``dimension_function`` over [lo, hi) inside the depth-L window, with its
-    refusals: the grid (scale, ends, V, weights) of the sum there."""
+def _held_window(h: StepFn, depth_L: int) -> DimFnWindow:
+    """The window h holds, at least depth_L deep, after the refusals of depth_L.  The first
+    read sweeps at depth_L, a deeper one at the larger of depth_L and twice the held depth
+    capped by both budgets, which never refuses.  Like ``_grid`` it is no field (copies,
+    pickles, equality and hash ignore it), and it has no source: h and it form no cycle."""
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
     if depth_L > MAX_WINDOW_DEPTH:
         raise InputError(f"window depth is at most {MAX_WINDOW_DEPTH}, so dimfun --depth is at "
                          f"most 1024 (work budget); got window depth {depth_L}")
-    neg = h.negative_witness()
-    if neg is not None:
-        raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
-    d, _, pieces = h._held()
-    reach = Fraction(max(-pieces[0][0], pieces[-1][1]), d) if pieces else ONE  # sorted pieces
-    levels = _levels(1, depth_L + floor_log2(reach) + 1)  # while 2^-j * reach >= 2^-L
-    grid, = _grid_sweep(*_step_grid(h), levels, True, [(lo, hi)], depth_L)
-    return grid
+    held = h._window
+    if held is None or held.depth_L < depth_L:  # a held window's h is nonnegative
+        neg = h.negative_witness()
+        if neg is not None:
+            raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
+        d, _, pieces = h._held()
+        log_reach = floor_log2(Fraction(max(-pieces[0][0], pieces[-1][1]), d)) if pieces else 0
+        if held is not None:  # a depth_L over the level cap stays, and is refused next
+            depth_L = max(depth_L, min(2 * held.depth_L, MAX_WINDOW_DEPTH, MAX_LEVELS - log_reach))
+        levels = _levels(1, depth_L + log_reach + 1)  # while 2^-j * reach >= 2^-L
+        grid, = _grid_sweep(*_step_grid(h), levels, True,
+                            [(pow2(-depth_L), 1 - pow2(-depth_L))], depth_L)
+        held = DimFnWindow._from_grid(grid, depth_L, not h.is_zero)
+        object.__setattr__(h, "_window", held)
+    return held
 
 
 @dataclass(frozen=True)
@@ -431,8 +443,8 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
     "no violation found" (they are limit statements and cannot be decided by
     any finite computation).  D3 explores residue classes mod 2^l up to the
     class depth l = min(L, 8).  D1-D3 look at the depth-(L + 2) part of the
-    input, D4 its part below 2^-ceil(L/2) at depth 2L.  All read the
-    integer grid; only a witness becomes an interval.
+    input, D4 at a window 2L deep, the input or else the one its source
+    holds.  All read the integer grid; only a witness becomes an interval.
     """
     L = depth_L
     if L < 2:
@@ -521,20 +533,20 @@ def _check_d3(dim: DimFnWindow, L: int, g: int, ends: Sequence[int]) -> CheckOut
 
 
 def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
-    """Semi-decide the contraction liminf from a depth-2L window below 2^-ceil(L/2).
+    """Semi-decide the contraction liminf from a window at least 2L deep.
 
     Certified-fail probe at depth L: the function vanishes at every
     contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset T of the
     depth-L window.  Those contractions lie in [2^-2L, 2^-ceil(L/2)), read
-    from the given window when it is 2L deep, else from the source's
-    ``_dim_sweep`` over [2^-2L, 2^-ceil(L/2)) alone.  On the grid, T
-    loses 2^j N at each j, N the part of [0, 1) off the zero runs.
+    from the given window when it is 2L deep, else from the window the
+    source holds, deepened to at least 2L (``_held_window``).  On the grid,
+    T loses 2^j N at each j, N the part of [0, 1) off the zero runs.
     """
-    j_lo, deep = (L + 1) // 2, dim.depth_L >= 2 * L
-    if not deep and dim.source is None:
+    j_lo = (L + 1) // 2
+    if dim.depth_L < 2 * L and dim.source is None:
         return CheckOutcome("skipped", note="no source spectrum attached; deep window unavailable")
-    scale, ends, _, weights = ((dim.scale, dim.ends, dim.vden, dim.weights) if deep else
-                               _dim_sweep(dim.source, 2 * L, pow2(-2 * L), pow2(-j_lo)))
+    deep = dim if dim.depth_L >= 2 * L else _held_window(dim.source, 2 * L)
+    scale, ends, weights = deep.scale, deep.ends, deep.weights
     up = max(0, L + 1 - (scale & -scale).bit_length())  # 2^-L on the grid
     cells = zip((0, *ends), (*ends, scale), (1, *weights, 1))  # beside the window counts as nonzero
     rest = _merge((a << up, b << up) for a, b, w in cells if w and a < b and a << j_lo < scale)
@@ -567,7 +579,7 @@ def mra_check(h: StepFn, depth_L: int = 20) -> MraVerdict:
     The window values are exact, so any interior deviation from 1 is a
     certified negative; a window identically 1 yields the positive verdict,
     with the standing note that pieces outside the window (within 2^-L of the
-    integers) are not inspected.
+    integers) are not inspected.  A window h holds is restricted, not swept.
     """
     return mra_verdict(dimension_function(h, depth_L))
 

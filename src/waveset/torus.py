@@ -117,8 +117,8 @@ class DimFnWindow(_Views):
     on [breaks[i], breaks[i + 1]).  Folds are exact on all of [0, 1) and have
     ``depth_L`` 0.  A dimension-function window of depth L covers
     [2^-L, 1 - 2^-L) exactly; pieces may accumulate at 0 and 1 outside it,
-    which ``boundary_note`` records.  The source spectrum, when attached, lets
-    the limit-condition probes sweep deeper.  Queries and checks read the
+    which ``boundary_note`` records.  D4 reads the deeper window that the
+    source spectrum, when attached, holds.  Queries and checks read the
     integer grid: piece i is [ends[i], ends[i + 1]) over ``scale`` with value
     weights[i] over ``vden``.  Its two views follow ``_Views``: sweeps and cuts
     (``_from_grid``) make a window holding the grid alone, and a parsed window

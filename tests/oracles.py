@@ -21,7 +21,7 @@ from fractions import Fraction
 from waveset.errors import InputError, PreconditionError
 from waveset.intervals import iset, normalize
 from waveset.msf2d import ExistenceResult, Mat2, QuadScalar
-from waveset.spectral import dimension_function
+from waveset.spectral import StepFn, dimension_function
 from waveset.torus import periodize_window
 
 Pair = tuple[Fraction, Fraction]
@@ -159,7 +159,7 @@ def d4_probe(dim, depth_L: int):
     """(status, witness pair or None, note) of the D4 contraction probe as an interval-set chain.
 
     The probe in its original form: a full window of depth 2L + 2 (the given
-    one when it is that deep, else one computed afresh from the source), its
+    one when it is that deep, else one swept afresh from a copy of the source), its
     zero set as fraction intervals, and the depth-L window intersected with
     each dilate 2^j Z of that set, ceil(L/2) <= j <= L.
     """
@@ -169,7 +169,7 @@ def d4_probe(dim, depth_L: int):
     elif dim.source is None:
         return "skipped", None, "no source spectrum attached; deep window unavailable"
     else:
-        deep = dimension_function(dim.source, 2 * L + 2)
+        deep = dimension_function(StepFn.build(dim.source.pieces), 2 * L + 2)  # a fresh sweep
     zeros = normalize((a, b) for a, b, v in zip(deep.breaks, deep.breaks[1:], deep.values) if v == 0)
     t = iset((pow2(-L), 1 - pow2(-L)))
     j_lo = (L + 1) // 2

@@ -3,8 +3,8 @@
 A set, step function or dimension-function window that a kernel makes
 (``torus._from_grid``, ``spectral._step_from_grid``, ``DimFnWindow._from_grid``)
 holds only its canonical grid, the lcm grid of its fractions, and makes the
-fractions on first read.  A parsed value holds its fractions and makes its grid
-on first kernel read.  Equality, hash, repr, pickle and copies read the
+fractions (a Calderon result's atoms) on first read.  A parsed value holds its
+fractions and makes its grid on first kernel read.  Equality, hash, repr, pickle and copies read the
 fractions, so both agree with a twin made the other way.  Refusals over the grid
 budget read the same whichever view a value holds.
 """
@@ -294,3 +294,50 @@ def test_constructors_coerce_values_through_rat(make):
         with pytest.raises(InputError) as got:
             make(bad)
         assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("make, bad, maker", [
+    (lambda: IntervalSet(((0, 1),)), "(0, 1)", "normalize()"),
+    (lambda: IntervalSet((Interval(0, 1), (2, 3))), "(2, 3)", "normalize()"),
+    (lambda: StepFn((((0, 1), 1),)), "(0, 1)", "StepFn.build()"),
+    (lambda: StepFn(((Interval(0, 1), 1), ((2, 3), 1))), "(2, 3)", "StepFn.build()"),
+])
+def test_constructors_name_a_part_that_is_no_interval(make, bad, maker):
+    with pytest.raises(InputError) as refused:
+        make()
+    assert str(refused.value) == f"expected an Interval, got {bad}; use {maker}"
+
+
+def _off_zero_spectrum(rng):
+    """Nonnegative pieces on a 1/den grid inside [-6, -1/den] u [1/den, 6], so the Calderon sum
+    converges; sometimes none at all."""
+    den, pieces = rng.choice((1, 2, 3, 8, 12)), []
+    for sign in (1, -1):
+        cuts = sorted({F(rng.randint(1, 6 * den), den) for _ in range(rng.randint(1, 5))})
+        pieces += [((a, b) if sign > 0 else (-b, -a), rng.choice((F(1), F(1, 2), F(2, 3), F(3))))
+                   for a, b in zip(cuts, cuts[1:]) if rng.random() < 0.8]
+    return StepFn.build(pieces)
+
+
+def test_kept_calderon_atoms_match_their_eager_twin():
+    rng = random.Random(2029)
+    for _ in range(60):
+        h = _off_zero_spectrum(rng)
+        made = [spectral.calderon(h) for _ in range(3)]
+        assert not made[0].diverges and all("atoms" not in r.__dict__ for r in made)
+        twin = spectral.CalderonResult(False, made[0].atoms, made[0].min_value,
+                                       made[0].max_value, made[0].is_one)
+        assert made[1] == twin and hash(made[1]) == hash(twin) and repr(made[2]) == repr(twin)
+        again = spectral.calderon(h)
+        assert pickle.dumps(again) == pickle.dumps(twin)
+        for other in (pickle.loads(pickle.dumps(again)), copy.deepcopy(spectral.calderon(h))):
+            assert other == twin and repr(other) == repr(twin)
+        assert (twin.min_value, twin.max_value) == (min(v for _, v in twin.atoms),
+                                                    max(v for _, v in twin.atoms))
+
+
+def test_orthonormality_leaves_the_calderon_atoms_unmade():
+    for b in ("1/2", "1/4", "1/3", "3/4"):
+        for cal in (spectral.orthonormality_check(spectral.psi_b_spectrum(b)).calderon,
+                    spectral.psi_b_report(b).calderon):
+            assert not cal.diverges and "atoms" not in cal.__dict__

@@ -406,6 +406,95 @@ def test_conditions_read_d4_from_a_window_2L_deep():
     assert statuses == {"fail", "no_violation"}
 
 
+# ---------------------------------------------------- the held window
+
+
+def _held_window_spectra(rng: random.Random):
+    """Seeded squared spectra: grid spectra, band pairs, signed steps squared, Journe's."""
+    yield StepFn.build(JOURNE_H.pieces)
+    for _ in range(30):
+        yield _grid_spectrum(rng)
+    for b in ("1/3", "1/4", "3/5", "2/7"):
+        yield psi_b_spectrum(b).square()
+    for _ in range(6):
+        q = rng.choice(D4_DENOMINATORS)
+        cuts = sorted(rng.sample(range(-2 * q, 2 * q + 1), 5))
+        yield StepFn.build(((F(a, q), F(b, q)), rng.choice((-2, -1, F(1, 2), 3)))
+                           for a, b in zip(cuts, cuts[1:])).square()
+
+
+def test_held_window_reads_match_direct_sweeps_seeded():
+    # Depths asked in random order, each read three ways; every answer equals the one a
+    # fresh spectrum gives from a sweep made at exactly the depth it needs.
+    rng = random.Random(2210)
+    asked = 0
+    for h in _held_window_spectra(rng):
+        def fresh():
+            return StepFn.build(h.pieces)
+
+        for _ in range(6):
+            depth, kind = rng.randint(2, 12), rng.choice(("window", "conditions", "mra"))
+            if kind == "window":
+                window = dimension_function(h, depth)
+                assert window == dimension_function(fresh(), depth) and window.source is h
+            elif kind == "conditions":
+                got = check_D1_D4(dimension_function(h, depth + 2), depth)
+                assert got == check_D1_D4(dimension_function(fresh(), 2 * depth + 2), depth)
+            else:
+                assert mra_check(h, depth) == mra_check(fresh(), depth)
+            assert h._window.depth_L >= depth and h._window.source is None
+            asked += 1
+    assert asked == 6 * 41
+
+
+def test_held_window_refusals_do_not_depend_on_what_is_held():
+    far = [((1, 2**4000), 1)]  # 4000 + L levels: L = 96 is the deepest in the level budget
+    cases = (
+        (SHANNON_PSI.pieces, 1, (None, 2, 40), "window depth must be at least 2"),
+        (SHANNON_PSI.pieces, MAX_WINDOW_DEPTH + 1, (None, 2, 1100),
+         f"window depth is at most {MAX_WINDOW_DEPTH}, so dimfun --depth is at most 1024 "
+         f"(work budget); got window depth {MAX_WINDOW_DEPTH + 1}"),
+        (far, 97, (None, 48), f"a dilation sum has at most {MAX_LEVELS} levels (work budget); "
+                              f"got {MAX_LEVELS + 1}"),
+        ([((0, 1), -1)], 8, (None,), "squared spectrum must be nonnegative; got -1 on [0, 1)"),
+    )
+    for pieces, depth, holds, text in cases:
+        for held in holds:
+            h = StepFn.build(pieces)
+            if held is not None:
+                dimension_function(h, held)
+            for read in (lambda: dimension_function(h, depth), lambda: mra_check(h, depth)):
+                with pytest.raises(InputError) as refused:
+                    read()
+                assert str(refused.value) == text
+            assert (h._window and h._window.depth_L) == held
+    # Deepening doubles at most to the level budget's cap, and never refuses there.
+    h = StepFn.build(far)
+    dimension_function(h, 60)
+    assert dimension_function(h, 70).depth_L == 70 and h._window.depth_L == 96
+
+
+def test_held_window_doubles_up_to_the_depth_budget():
+    h = StepFn.build(SHANNON_PSI.pieces)
+    dimension_function(h, 1500)
+    window = dimension_function(h, 1600)
+    assert window.depth_L == 1600 and h._window.depth_L == MAX_WINDOW_DEPTH
+    assert window == dimension_function(StepFn.build(h.pieces), 1600)
+
+
+def test_held_window_is_ignored_by_copy_pickle_and_hash():
+    h, fresh = StepFn.build(JOURNE_H.pieces), StepFn.build(JOURNE_H.pieces)
+    text, key = pickle.dumps(h), hash(h)
+    window = dimension_function(h, 12)
+    assert h._window is not None and fresh._window is None
+    assert pickle.dumps(h) == text and hash(h) == key == hash(fresh)
+    assert h == fresh and repr(h) == repr(fresh)
+    for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
+        assert twin == h and twin._window is None
+    again = pickle.loads(pickle.dumps(window))
+    assert again == window and again.source._window is None
+
+
 # ---------------------------------------------------- the integer grid
 
 GRID_DENOMINATORS = (3, 7, 48, 1616)
@@ -771,8 +860,8 @@ def _d4_against_oracle(d4, dim, depth):
 
 
 def test_d4_matches_interval_set_oracle():
-    # The narrow sweep of the source below 2^-ceil(L/2), and the integer runs
-    # of a given deep window, both give the full window's interval-set chain.
+    # The window the source holds, and the integer runs of a given deep
+    # window, both give the full window's interval-set chain.
     rng = random.Random(1616)
     statuses = []
     for _ in range(320):
