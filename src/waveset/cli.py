@@ -61,7 +61,7 @@ def _load_json(path: str) -> Any:
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too deep, too many digits
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -195,10 +195,7 @@ def _calderon_data(res: spectral.CalderonResult) -> dict:
         "min": format_rational(res.min_value),
         "max": format_rational(res.max_value),
         "constant_one": res.is_one,
-        "annulus": [
-            {"interval": serialize.interval_to_json(iv), "value": format_rational(v)}
-            for iv, v in res.atoms
-        ],
+        "annulus": serialize.pieces_to_json((iv.lo, iv.hi, v) for iv, v in res.atoms),
     }
 
 
@@ -227,15 +224,16 @@ def _cmd_tq(args) -> dict:
     return _report("tq", "fail", [_witness("orthogonality sum is nonzero", res.witness)], data=data)
 
 
+def _tq_failures(failures: tuple[tuple[int, Interval], ...]) -> list[dict]:
+    return [{"alpha": a, "interval": serialize.interval_to_json(iv)} for a, iv in failures]
+
+
 def _orthonormality_data(rep: spectral.OrthonormalityReport) -> dict:
     return {
         "norm_sq": format_rational(rep.norm_sq),
         "calderon": _calderon_data(rep.calderon),
         "alphas_checked": list(rep.alphas_checked),
-        "tq_failures": [
-            {"alpha": a, "interval": serialize.interval_to_json(iv)}
-            for a, iv in rep.tq_failures
-        ],
+        "tq_failures": _tq_failures(rep.tq_failures),
         "notes": list(rep.notes),
     }
 
@@ -261,10 +259,7 @@ def _cmd_psib(args) -> dict:
         "b": format_rational(rep.b),
         "norm_sq": format_rational(rep.norm_sq),
         "calderon": _calderon_data(rep.calderon),
-        "tq_failures": [
-            {"alpha": a, "interval": serialize.interval_to_json(iv)}
-            for a, iv in rep.tq_failures
-        ],
+        "tq_failures": _tq_failures(rep.tq_failures),
         "orthonormal": rep.orthonormal,
         "table_row": rep.table_row,
         "consistent": rep.consistent,

@@ -191,19 +191,7 @@ class IntervalSet(_Views):
         return normalize(self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        a, b = self.parts, other.parts
-        i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
-            if lo < hi:
-                out.append(Interval(lo, hi))
-            if a[i].hi <= b[j].hi:
-                i += 1
-            else:
-                j += 1
-        return normalize(out)
+        return self.subtract(self.subtract(other))
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         # pieces of one part are split by parts of other, so they never touch

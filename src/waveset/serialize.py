@@ -7,7 +7,7 @@ floating point never appears in any file.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from typing import Any, Iterable
 
 from .construct import DefectReport
 from .errors import InputError
@@ -25,13 +25,20 @@ def format_rational(x: Fraction) -> str:
 
 
 def parse_rational(s: Any) -> Fraction:
-    if isinstance(s, bool) or isinstance(s, float):
+    if isinstance(s, bool) or not isinstance(s, (int, str)):
         raise InputError(f"rationals must be strings or integers, got {s!r}")
-    if isinstance(s, int):
-        return Fraction(s)
-    if isinstance(s, str):
-        return rat(s)
-    raise InputError(f"rationals must be strings or integers, got {s!r}")
+    return rat(s)
+
+
+def pieces_to_json(pieces: Iterable[tuple[Fraction, Fraction, Fraction]]) -> list[dict]:
+    """Sorted (lo, hi, value) pieces as report pieces {"interval": [lo, hi], "value": v}; a
+    break that ends one piece and starts the next is formatted once."""
+    out, end, text = [], None, None
+    for a, b, v in pieces:
+        lo = text if a == end else format_rational(a)
+        end, text = b, format_rational(b)
+        out.append({"interval": [lo, text], "value": format_rational(v)})
+    return out
 
 
 # ------------------------------------------------------------ IntervalSet
@@ -64,13 +71,7 @@ def interval_set_from_json(obj: Any) -> IntervalSet:
 def step_fn_to_json(f: StepFn) -> dict:
     return {
         "type": "step_fn",
-        "pieces": [
-            {
-                "interval": [format_rational(iv.lo), format_rational(iv.hi)],
-                "value": format_rational(v),
-            }
-            for iv, v in f.pieces
-        ],
+        "pieces": pieces_to_json((iv.lo, iv.hi, v) for iv, v in f.pieces),
     }
 
 
@@ -143,13 +144,7 @@ def dim_fn_window_to_json(w: DimFnWindow) -> dict:
         "type": "dim_fn_window",
         "depth": w.depth_L,
         "window": [format_rational(w.breaks[0]), format_rational(w.breaks[-1])],
-        "pieces": [
-            {
-                "interval": [format_rational(a), format_rational(b)],
-                "value": format_rational(v),
-            }
-            for a, b, v in w.pieces()
-        ],
+        "pieces": pieces_to_json(w.pieces()),
         "boundary_note": w.boundary_note,
     }
 

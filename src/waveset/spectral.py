@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InconsistentSpectrumError, InputError
@@ -51,7 +51,9 @@ class StepFn(_Views):
     as (lo, hi, weight) integers over D, weights over V), D and V the lcms of
     its endpoint and value denominators.  A kernel (``_step_from_grid``) makes a
     step function holding the grid alone; a parsed one makes it on first kernel
-    read (``_step_grid``).  A spectrum h keeps its deepest window (``_held_window``).
+    read (``_step_grid``).  Both constructors merge by ``_merge_steps``, and
+    ``integral`` sums the view held.  A spectrum h keeps its deepest window
+    (``_held_window``).
     """
 
     pieces: tuple[tuple[Interval, Fraction], ...] = field(default_factory=tuple)
@@ -78,7 +80,7 @@ class StepFn(_Views):
 
     @classmethod
     def build(cls, raw: Iterable[tuple[Interval | tuple, RationalLike]]) -> "StepFn":
-        items: list[tuple[Interval, Fraction]] = []
+        items: list[tuple[Fraction, Fraction, Fraction]] = []
         for iv, v in raw:
             if not isinstance(iv, Interval):
                 lo, hi = rat(iv[0]), rat(iv[1])
@@ -87,18 +89,12 @@ class StepFn(_Views):
                 iv = Interval(lo, hi)
             v = rat(v)
             if v != 0:
-                items.append((iv, v))
-        items.sort(key=lambda p: p[0].lo)
-        for (a, _), (b, _) in zip(items, items[1:]):
-            if a.hi > b.lo:
-                raise InputError(f"overlapping step pieces at {b.lo}")
-        merged: list[tuple[Interval, Fraction]] = []
-        for iv, v in items:
-            if merged and merged[-1][0].hi == iv.lo and merged[-1][1] == v:
-                merged[-1] = (Interval(merged[-1][0].lo, iv.hi), v)
-            else:
-                merged.append((iv, v))
-        return cls(tuple(merged))
+                items.append((iv.lo, iv.hi, v))
+        items.sort(key=itemgetter(0))
+        for (_, a, _), (b, _, _) in zip(items, items[1:]):
+            if a > b:
+                raise InputError(f"overlapping step pieces at {b}")
+        return cls(tuple((_kept(Interval, lo=a, hi=b), v) for a, b, v in _merge_steps(items)))
 
     @classmethod
     def indicator(cls, s: IntervalSet) -> "StepFn":
@@ -110,19 +106,17 @@ class StepFn(_Views):
     def is_zero(self) -> bool:
         return not self._held()[2]
 
-    @cached_property
-    def _los(self) -> list[Fraction]:
-        return [iv.lo for iv, _ in self.pieces]
-
     def value_at(self, x: RationalLike) -> Fraction:
         x = rat(x)
-        idx = bisect_right(self._los, x) - 1
+        idx = bisect_right(self.pieces, x, key=lambda p: p[0].lo) - 1
         if idx >= 0 and self.pieces[idx][0].hi > x:
             return self.pieces[idx][1]
         return ZERO
 
     def integral(self) -> Fraction:
-        return sum((v * iv.length for iv, v in self.pieces), ZERO)
+        """The integral, summed in the view held: integers over D V, divided once."""
+        d, vden, pieces = self._held()
+        return Fraction(sum((b - a) * w for a, b, w in pieces), d * vden)
 
     def negative_witness(self) -> tuple[Interval, Fraction] | None:
         i = next((i for i, (_, _, w) in enumerate(self._held()[2]) if w < 0), None)
@@ -181,16 +175,24 @@ def _canonical(pieces: Sequence[tuple], d: int = 1) -> None:
         raise InputError("zero values are implicit in a step function")
 
 
-def _step_from_grid(d: int, vden: int, pieces: Iterable[tuple[int, int, int]]) -> StepFn:
-    """Sorted (lo, hi, weight) pieces over d, weights over vden, as a step function holding them
-    alone (``_Views``), like ``torus._from_grid``: touching equal weights merged and zero weights
-    dropped, checked once on the integers (``_canonical``), and divided to the lcm grid."""
-    out: list[tuple[int, int, int]] = []
+def _merge_steps(pieces: Iterable[tuple]) -> list[tuple]:
+    """Sorted, disjoint (lo, hi, value) pieces with touching equal values merged and zero
+    values dropped: the one merge of ``StepFn.build`` and ``_step_from_grid``, number-type
+    generic like ``_merge``."""
+    out: list[tuple] = []
     for a, b, w in pieces:
         if out and out[-1][1:] == (a, w):
             out[-1] = (out[-1][0], b, w)
         elif w:
             out.append((a, b, w))
+    return out
+
+
+def _step_from_grid(d: int, vden: int, pieces: Iterable[tuple[int, int, int]]) -> StepFn:
+    """Sorted (lo, hi, weight) pieces over d, weights over vden, as a step function holding them
+    alone (``_Views``), like ``torus._from_grid``: merged by ``_merge_steps``, checked once on
+    the integers (``_canonical``), and divided to the lcm grid."""
+    out = _merge_steps(pieces)
     _canonical(out, d)
     gd = math.gcd(d, *(x for a, b, _ in out for x in (a, b)))
     gv = math.gcd(vden, *(w for _, _, w in out))
@@ -694,8 +696,7 @@ def orthonormality_check(psi: StepFn) -> OrthonormalityReport:
         raise InputError(f"orthonormality checks at most {MAX_SHIFTS} odd shifts (work budget); "
                          f"the support reach {big} needs {len(alphas)}")
     sq = psi.square()
-    d, vsq, pieces = _step_grid(sq)  # the grid of psi^2, inside the budget square() checked
-    norm_sq = Fraction(sum((b - a) * w for a, b, w in pieces), d * vsq)
+    norm_sq = sq.integral()
     cal = calderon(sq)
     failures = []
     for a, (scale, _, atoms) in zip(alphas, _tq_sweeps(psi, alphas)):

@@ -337,9 +337,9 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
     Cuts and the shift scan are integer bisections on the grid of S' (with
     1/2 on it, ``_pairs_on_grid``), and the result holds its grid alone.
 
-    Raises PreconditionError naming an uncovered sub-interval of [0, 1) when
-    the translates of S' fail to cover the line: the first maximal run of
-    atoms that no fragment covers, as ``uncovered_witness`` names it.
+    Raises PreconditionError when the translates of S' fail to cover the line,
+    naming the sub-interval of [0, 1) that ``uncovered_witness`` names: the
+    fold runs only then.
     """
     d, pairs = _pairs_on_grid(sprime, *((HALF,) if prefer_window else ()))
     fragments = list(_unit_fragments(((lo, hi, 1) for lo, hi in pairs), d))
@@ -359,14 +359,8 @@ def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> Int
             elif shifts[i] is None:
                 shifts[i] = k
     if None in shifts:
-        i = j = shifts.index(None)
-        while j < len(shifts) and shifts[j] is None:
-            j += 1
-        witness = Interval(Fraction(ordered[i], d), Fraction(ordered[j], d))
-        raise PreconditionError(
-            "r4",
-            f"translates do not cover the line; residues {witness} are missed",
-            witness=witness,
-        )
+        witness = uncovered_witness(sprime)
+        raise PreconditionError("r4", f"translates do not cover the line; residues {witness} "
+                                "are missed", witness=witness)
     chosen = sorted((u + k * d, v + k * d) for u, v, k in zip(ordered, ordered[1:], shifts))
     return _from_grid(_merge(chosen), d)

@@ -403,6 +403,34 @@ def merge_pairs(pairs: list[Pair]) -> list[Pair]:
     return out
 
 
+def intersect_pairs(a: list[Pair], b: list[Pair]) -> list[Pair]:
+    """The intersection of two sorted, separated pair lists by a two-pointer walk (the set
+    algebra's first ``intersect``), merged by ``merge_pairs``."""
+    out: list[Pair] = []
+    i = j = 0
+    while i < len(a) and j < len(b):
+        lo, hi = max(a[i][0], b[j][0]), min(a[i][1], b[j][1])
+        if lo < hi:
+            out.append((lo, hi))
+        if a[i][1] <= b[j][1]:
+            i += 1
+        else:
+            j += 1
+    return merge_pairs(out)
+
+
+def merge_steps(pieces) -> list[tuple]:
+    """Sorted, disjoint (lo, hi, value) pieces in canonical form: zero values dropped first,
+    then each piece joined to the last kept one when they touch with equal values."""
+    out: list[tuple] = []
+    for lo, hi, v in [p for p in pieces if p[2] != 0]:
+        if out and out[-1][1] == lo and out[-1][2] == v:
+            out[-1] = (out[-1][0], hi, v)
+        else:
+            out.append((lo, hi, v))
+    return out
+
+
 def first_difference(a: list[Pair], b: list[Pair]) -> Pair | None:
     """The first maximal piece of the sorted, separated pairs a outside those of b."""
     for lo, hi in a:

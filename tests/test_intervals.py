@@ -1,13 +1,16 @@
 """Canonical interval-set algebra: examples and algebraic laws."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import intersect_pairs
 from waveset.errors import InputError
 from waveset.intervals import EMPTY, Interval, IntervalSet, _beside_zero, iset, normalize, rat
+from waveset.torus import _from_grid
 
 F = Fraction
 
@@ -54,6 +57,60 @@ def test_subtract_shannon_shape():
 
 def test_intersect_disjoint():
     assert iset((0, 1)).intersect(iset((1, 2))) == EMPTY
+
+
+def _intersect_case(rng, kind):
+    """Two sets of integer pairs over one grid d, both sorted and strictly apart: random,
+    one of them empty, b touching a at its ends, or b nested in a (or a in b)."""
+    d = rng.choice((1, 2, 3, 8, 12))
+
+    def pairs(n):
+        ends = sorted(rng.sample(range(-8 * d, 8 * d), 2 * n))
+        return list(zip(ends[::2], ends[1::2]))
+
+    a = pairs(rng.randint(0, 5))
+    if kind == "empty":
+        b = []
+    elif kind == "touching":  # b's parts lie in the gaps of a, each touching a part of a
+        b = []
+        ends = [-9 * d, *(x for p in a for x in p), 9 * d]
+        for i, (lo, hi) in enumerate(a):
+            part = ((max(lo - rng.randint(1, d), ends[2 * i]), lo) if rng.random() < 0.5
+                    else (hi, min(hi + rng.randint(1, d), ends[2 * i + 3])))
+            if part[0] < part[1] and (not b or b[-1][1] < part[0]):
+                b.append(part)
+    elif kind == "nested":  # each part of b inside a part of a, sometimes all of it
+        b = []
+        for lo, hi in a:
+            u, v = sorted(rng.sample(range(lo, hi + 1), 2))
+            b.append((u, v) if rng.random() < 0.8 else (lo, hi))
+    else:
+        b = pairs(rng.randint(0, 5))
+    if rng.random() < 0.5:
+        a, b = b, a
+    return d, a, b
+
+
+def test_intersect_matches_the_two_pointer_walk_seeded():
+    # intersect is a minus (a minus b); the oracle is the two-pointer walk it replaced,
+    # on parsed sets and on sets holding their grid alone.
+    rng = random.Random(2030)
+    seen = {"random": 0, "empty": 0, "touching": 0, "nested": 0}
+    nonempty = 0
+    for i in range(2400):
+        kind = list(seen)[i % 4]
+        d, a, b = _intersect_case(rng, kind)
+        fa, fb = ([(F(lo, d), F(hi, d)) for lo, hi in p] for p in (a, b))
+        expected = intersect_pairs(fa, fb)
+        for x, y in ((normalize(fa), normalize(fb)), (_from_grid(a, d), _from_grid(b, d))):
+            got = x.intersect(y)
+            assert [(p.lo, p.hi) for p in got.parts] == expected
+            assert got == y.intersect(x) and (x & y) == got
+        if kind == "touching":
+            assert expected == []
+        seen[kind] += 1
+        nonempty += bool(expected)
+    assert min(seen.values()) == 600 and nonempty > 600, (seen, nonempty)
 
 
 def test_union_identity():

@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import merge_steps
 from test_grid_fold import _random_set, _random_spectrum, _scaling_set, _three_level
 from waveset import cli, construct, spectral, torus
 from waveset.construct import _truncated_levels, lemma_r3_construct, rze_pipeline
@@ -246,7 +247,9 @@ def test_square_on_grid_matches_build_seeded():
     for i in range(1500):
         f = (_random_spectrum, _signed_spectrum)[i % 2](rng)
         sq = f.square()
-        expected = StepFn.build((iv, v * v) for iv, v in f.pieces)
+        # merged by the plain oracle, not by the merge that square() and build() share
+        expected = StepFn(tuple((Interval(a, b), w) for a, b, w in merge_steps(
+            (iv.lo, iv.hi, v * v) for iv, v in f.pieces)))
         assert sq == expected and repr(sq) == repr(expected)
         _check_kept_step_fn(sq)
         merged += len(sq.pieces) < len(f.pieces)
@@ -334,6 +337,24 @@ def test_kept_calderon_atoms_match_their_eager_twin():
             assert other == twin and repr(other) == repr(twin)
         assert (twin.min_value, twin.max_value) == (min(v for _, v in twin.atoms),
                                                     max(v for _, v in twin.atoms))
+
+
+def test_integral_reads_the_view_held_seeded():
+    # A parsed spectrum sums its fractions; a kernel-made one sums its grid and leaves its
+    # pieces unmade.  Both equal the plain fraction sum over the pieces.
+    rng = random.Random(2029)
+    for i in range(400):
+        f = (_random_spectrum, _signed_spectrum)[i % 2](rng)
+        d, vden = rng.choice((1, 3, 8, 12)), rng.choice((1, 2, 5))
+        cuts = sorted({rng.randint(-9 * d, 9 * d) for _ in range(rng.randint(1, 9))})
+        grid = spectral._step_from_grid(d, vden, [(a, b, rng.randint(-4, 4))
+                                                  for a, b in zip(cuts, cuts[1:])])
+        for h, kernel_made in ((f, False), (StepFn.build(f.pieces), False),
+                               (f.square(), True), (grid, True)):
+            total = h.integral()
+            assert ("pieces" not in h.__dict__) == kernel_made
+            assert type(total) is F
+            assert total == sum((v * (iv.hi - iv.lo) for iv, v in h.pieces), F(0))
 
 
 def test_orthonormality_leaves_the_calderon_atoms_unmade():

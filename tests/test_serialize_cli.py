@@ -65,6 +65,10 @@ def test_rational_parse_errors():
         parse_rational("1/0")
     with pytest.raises(InputError):
         parse_rational(0.25)
+    for value in (True, False, 0.25, None, [1], {"a": 1}):
+        with pytest.raises(InputError) as err:
+            parse_rational(value)
+        assert str(err.value) == f"rationals must be strings or integers, got {value!r}"
 
 
 @given(interval_sets())
@@ -396,6 +400,30 @@ def test_cli_builds_only_the_invoked_subcommand(capsys, monkeypatch, tmp_path, s
 def test_cli_missing_file(capsys):
     code, rep, _ = run_cli(capsys, ["verify", "wavelet-set", "/nonexistent.json"])
     assert code == 2 and rep["status"] == "error"
+
+
+# Files that json cannot decode: bytes that are not UTF-8 (UnicodeDecodeError), an array
+# nested past the recursion limit (RecursionError), and an integer past the digit limit
+# of int() (ValueError).
+UNDECODABLE_FILES = {
+    "not_utf8": b'{"type": "interval_set", "intervals": [["0", "1\xff"]]}',
+    "nested_too_deep": b"[" * 200_000 + b"]" * 200_000,
+    "integer_too_long": b"1" + b"0" * 4999,
+}
+
+
+@pytest.mark.parametrize("argv", [["verify", "wavelet-set", "FILE"], ["dimfun", "FILE"],
+                                  ["msf2d", "--matrix", "FILE", "--lattice", "id"],
+                                  ["plot", "FILE", "--format", "svg", "--out", "OUT"]])
+@pytest.mark.parametrize("name", sorted(UNDECODABLE_FILES))
+def test_cli_undecodable_file_is_input_error(capsys, tmp_path, name, argv):
+    path, out = tmp_path / f"{name}.json", tmp_path / "out.svg"
+    path.write_bytes(UNDECODABLE_FILES[name])
+    argv = [{"FILE": str(path), "OUT": str(out)}.get(a, a) for a in argv]
+    code, rep, _ = run_cli(capsys, argv)  # one JSON document, or json.loads raises
+    assert code == 2 and rep["status"] == "error"
+    assert rep["witnesses"][0]["reason"].startswith(f"{path} is not valid JSON: ")
+    assert not out.exists()
 
 
 def test_cli_precondition_error_exit_2(capsys, tmp_path):
