@@ -16,8 +16,8 @@ from .errors import InputError, PreconditionError
 from .intervals import Interval, IntervalSet, _beside_zero, _merge, _off_zero, _subtract, iset
 from .spectral import (StepFn, _annulus_levels, _annulus_sums, _psi_grid, _scaling_grid, pow2,
                        validate_scaling_spectrum)
-from .torus import (_from_grid, _pairs_on_grid, extract_transversal, fold_multiplicity,
-                    s1_witness)
+from .torus import (_from_grid, _pairs_on_grid, _unit_fragments, extract_transversal,
+                    fold_multiplicity, s1_witness)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -84,11 +84,12 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
     depth_j.  Every endpoint met is 2^-j x + i for an endpoint x of K, an
     integer i and j <= T, so all of them are integers over scale.
 
-    R_j is built only on the unit cells that its live levels meet, merged
-    into runs.  K lies in [-r, r], so the levels n >= near = ceil(log2 r) lie
-    in [-1, 1), one run; a shallower level lies in the parts of K_n, each at
-    most 1 long, so it meets at most 2 |K| cells, |K| the parts of K.  With
-    at most near such levels, R_j takes O(|K|^2 log r) translates.
+    R_j is the fold of K_j (``_unit_fragments``, merged) laid on each unit
+    cell that its live levels meet, minus K_j.  K lies in [-r, r], so the
+    levels n >= near = ceil(log2 r) lie in the cells [-1, 0) and [0, 1); a
+    shallower level lies in the parts of K_n, each at most 1 long, so it
+    meets at most 2 |K| cells, |K| the parts of K.  The fold has at most
+    3 |K| runs, so R_j takes O(|K|^2 log r) pairs.
     """
     t = depth_n + depth_j
     d, pairs = _pairs_on_grid(k)
@@ -101,18 +102,16 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
         live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j)) if levels[n]]
         if not live:
             continue
-        cells = [(a // scale * scale, -(-b // scale) * scale)
-                 for n in live if n < near for a, b in levels[n]]
+        cells = {c for n in live if n < near for a, b in levels[n]
+                 for c in range(a // scale, -(-b // scale))}
         if live[-1] >= near:
-            cells.append((-scale, scale))
+            cells.update((-1, 0))
         kj = [(a >> j, b >> j) for a, b in kernel]
-        # the integer translates of K_j that meet each run, clipped to it
-        copies = [(max(a + i, lo), min(b + i, hi))
-                  for lo, hi in _merge(sorted(cells))
-                  for a, b in kj
-                  for i in range(((lo - b) // scale + 1) * scale, hi - a, scale)]
-        copies.sort()
-        overlap = _subtract(_merge(copies), kj)
+        fold = _merge(sorted((a, b) for a, b, _, _ in _unit_fragments(((a, b, 1) for a, b in kj),
+                                                                       scale)))
+        # the fold of K_j laid on each unit cell, which is its periodization there
+        overlap = _subtract(_merge([(a + c * scale, b + c * scale)
+                                    for c in sorted(cells) for a, b in fold]), kj)
         for n in live:
             levels[n] = _subtract(levels[n], overlap)
     return scale, levels
@@ -124,9 +123,9 @@ def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[Interv
     E_n = K_n minus R_(n+1), ..., R_(n+depth_j), with K_j = 2^-j K and R_j
     the points of the nonzero integer translates of K_j that lie outside K_j.
     Each R_j is built once and subtracted from every level that needs it
-    (n < j <= n + depth_j) and is not yet empty.  It is the periodization of
-    K_j clipped to the unit cells that those levels meet, minus K_j; there
-    the clipped periodization is the full one.
+    (n < j <= n + depth_j) and is not yet empty.  It is the fold of K_j on
+    [0, 1), laid on each unit cell that those levels meet, minus K_j: on
+    those cells it is the full periodization of K_j.
 
     All of it runs on integer pairs on one grid (``_grid_levels``), and each
     level holds its grid alone.  A kernel whose lcm of endpoint denominators
@@ -156,12 +155,12 @@ def lemma_r3_construct(
 
     Level n is K_n minus R_(n+1), ..., R_(n+J), where R_j is the part of the
     integer translates of K_j = 2^-j K outside K_j.  Each of the N + J sets
-    R_j is built once per call, only on the unit cells of the levels it
-    meets, so its cost grows with the log of the span of K (``_grid_levels``
-    bounds it).  The levels, every R_j, S and W = 2S minus S are integer
-    pairs on its grid 1/(D 2^(N+J)), and S1, the transversal, the fast-path
-    test and the tail bounds read integers on the grids of S' and K, so S and
-    W hold their grids alone and make no fraction.
+    R_j is built once per call, as the fold of K_j laid on the unit cells of
+    the levels it meets, so its cost grows with the log of the span of K
+    (``_grid_levels`` bounds it).  The levels, every R_j, S and W = 2S minus
+    S are integer pairs on its grid 1/(D 2^(N+J)), and S1, the transversal,
+    the fast-path test and the tail bounds read integers on the grids of S'
+    and K, so S and W hold their grids alone and make no fraction.
 
     Checks run in this order, and the first failure is raised: the depth
     budget (InputError), S1 on S' (PreconditionError "S1" naming the part of

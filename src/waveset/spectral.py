@@ -252,7 +252,8 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
     filter (F1: support nesting under doubling plus a periodically
     consistent ratio g(2x)/g(x) on the support).  (F1) runs on g's grid
     (``_scaling_grid``): the nesting is one ``_subtract`` of integer runs, and
-    the ratio one reduced integer pair per cell of its walk against g(2 .), folded mod 1.
+    the ratio test one sweep over the residues each reduced ratio takes
+    (``_ratio_clash``).
     """
     neg = g.negative_witness()
     if neg is not None:
@@ -283,25 +284,29 @@ def validate_scaling_spectrum(g: StepFn) -> SpectrumVerdict:
         return SpectrumVerdict(False, "F1", _from_grid(escape[:1], d).parts[0],
                                "support is not nested under doubling")
     # ... and the forced filter modulus g(2x)/g(x) is consistent mod 1.
-    changes: dict[int, list[tuple[tuple[int, int], int]]] = {}
+    if (clash := _ratio_clash(d, pieces)) is not None:
+        return SpectrumVerdict(False, "F1", _from_grid([clash], d).parts[0],
+                               "filter ratio is not 1-periodic on the support")
+    return SpectrumVerdict(True)
+
+
+def _ratio_clash(d: int, pieces: Sequence[tuple[int, int, int]]) -> tuple[int, int] | None:
+    """The first residue cell over d where two ratios g(2x)/g(x) meet mod 1, or None, for g's
+    pieces on 1/d (``_scaling_grid``).  Each reduced ratio takes the merged residues of the
+    cells of g's walk against g(2 .) where g is not 0; one ``sweep_weighted`` over those runs
+    finds the first residue two take, and the cell ends at the next end of a folded cell."""
+    taken: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for a, b, den, num in _walk(pieces, [(a >> 1, b >> 1, w) for a, b, w in pieces]):
         if den:
-            k = math.gcd(num, den)
-            ratio = num // k, den // k  # g(2x)/g(x) in lowest terms
-            for lo, hi, _, _ in _unit_fragments([(a, b, 1)], d):
-                changes.setdefault(lo, []).append((ratio, 1))
-                changes.setdefault(hi, []).append((ratio, -1))
-    points = sorted(changes)
-    covering: dict[tuple[int, int], int] = {}  # ratio -> fragments covering the current cell
-    for a, b in zip(points, points[1:]):
-        for ratio, step in changes[a]:
-            covering[ratio] = covering.get(ratio, 0) + step
-            if covering[ratio] == 0:
-                del covering[ratio]
-        if len(covering) > 1:
-            return SpectrumVerdict(False, "F1", Interval(Fraction(a, d), Fraction(b, d)),
-                                   "filter ratio is not 1-periodic on the support")
-    return SpectrumVerdict(True)
+            k = math.gcd(num, den)  # g(2x)/g(x) in lowest terms
+            taken.setdefault((num // k, den // k), []).extend(
+                (lo, hi) for lo, hi, _, _ in _unit_fragments([(a, b, 1)], d))
+    runs = [(lo, hi, 1) for residues in taken.values() for lo, hi in _merge(sorted(residues))]
+    lo = next((lo for lo, _, n in sweep_weighted(runs, 0, d) if n > 1), None)
+    if lo is None:
+        return None
+    ends = sorted({x for residues in taken.values() for run in residues for x in run})
+    return lo, ends[bisect_right(ends, lo)]
 
 
 def psi_spectrum_from_scaling(g: StepFn) -> StepFn:

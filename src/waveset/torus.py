@@ -2,9 +2,11 @@
 
 Folds interval sets onto the unit torus [0, 1), counts translation
 multiplicities exactly, and extracts deterministic transversals (subsets whose
-integer translates tile the line with multiplicity one).  Fold results and
-dimension-function windows share one grid sweep and one periodic-step type,
-which holds the sweep's integer grid alone (``intervals._Views``).
+integer translates tile the line with multiplicity one).  Each reduces an
+interval to the residue fragments of ``_unit_fragments``: folds and
+dimension-function windows sum them in one grid sweep into one periodic-step
+type, which holds the sweep's integer grid alone (``intervals._Views``), and a
+transversal claims them in order of shift.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import InputError, PreconditionError
@@ -328,39 +331,29 @@ def periodize_window(e: IntervalSet, m: int) -> IntervalSet:
 def extract_transversal(sprime: IntervalSet, prefer_window: bool = False) -> IntervalSet:
     """Pick a deterministic subset of S' whose translates tile with multiplicity one.
 
-    Refines [0, 1) by the folded breakpoints of S'; on each atom, among the
-    integers k with atom + k inside S', picks the smallest k.  With
-    ``prefer_window`` the representative inside [-1/2, 1/2) is preferred when
-    one exists (atoms are additionally cut at 1/2 so the preference is
-    well defined).
+    Each residue of [0, 1) keeps its copy in S' of least integer shift; with
+    ``prefer_window`` S' meet [-1/2, 1/2) is kept first, so a residue keeps
+    its copy there when S' holds one.  On the grid of S' (with 1/2 on it,
+    ``_pairs_on_grid``) the window, then each ``_unit_fragments`` fragment of
+    S' in order of shift, claims the residues no earlier claim took
+    (``_subtract``), and the result holds its grid alone.
 
-    Cuts and the shift scan are integer bisections on the grid of S' (with
-    1/2 on it, ``_pairs_on_grid``), and the result holds its grid alone.
-
-    Raises PreconditionError when the translates of S' fail to cover the line,
-    naming the sub-interval of [0, 1) that ``uncovered_witness`` names: the
-    fold runs only then.
+    Raises PreconditionError when residues are left unclaimed, i.e. the
+    translates of S' fail to cover the line, naming the sub-interval of
+    [0, 1) that ``uncovered_witness`` names: the fold runs only then.
     """
     d, pairs = _pairs_on_grid(sprime, *((HALF,) if prefer_window else ()))
-    fragments = list(_unit_fragments(((lo, hi, 1) for lo, hi in pairs), d))
-    cuts = {0, d, d // 2} if prefer_window else {0, d}
-    for a, b, _, _ in fragments:
-        cuts.update((a, b))
-    ordered = sorted(cuts)
-    shifts: list[int | None] = [None] * (len(ordered) - 1)
-    window = [0 if 2 * v <= d else -1 for v in ordered[1:]]  # the shift into [-1/2, 1/2)
-    # Parts are sorted and disjoint, so the fragments come in order of their
-    # shifts and the first one covering an atom holds its smallest shift.  A
-    # fragment of weight w (each part weighs 1) holds the shifts k, ..., k + w - 1.
-    for a, b, w, k in fragments:
-        for i in range(bisect_left(ordered, a), bisect_left(ordered, b)):
-            if prefer_window and k <= window[i] < k + w:
-                shifts[i] = window[i]
-            elif shifts[i] is None:
-                shifts[i] = k
-    if None in shifts:
+    h = d >> 1
+    window = [(max(a, -h), min(b, h)) for a, b in pairs if a < h and -h < b] if prefer_window else []
+    kept, taken = [], []  # ``taken`` stays merged: [a, b) joins the runs it meets or touches
+    # The window claims first.  Parts are sorted and disjoint, so their fragments come in order
+    # of their shifts, and the first one holding a residue holds its least shift.
+    for a, b, _, k in _unit_fragments(((a, b, 1) for a, b in window + pairs), d):
+        kept += [(u + k * d, v + k * d) for u, v in _subtract([(a, b)], taken)]
+        i, j = bisect_left(taken, a, key=itemgetter(1)), bisect_right(taken, b, key=itemgetter(0))
+        taken[i:j] = [(min(a, taken[i][0]), max(b, taken[j - 1][1])) if i < j else (a, b)]
+    if taken != [(0, d)]:
         witness = uncovered_witness(sprime)
         raise PreconditionError("r4", f"translates do not cover the line; residues {witness} "
                                 "are missed", witness=witness)
-    chosen = sorted((u + k * d, v + k * d) for u, v, k in zip(ordered, ordered[1:], shifts))
-    return _from_grid(_merge(chosen), d)
+    return _from_grid(_merge(sorted(kept)), d)

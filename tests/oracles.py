@@ -9,7 +9,10 @@ hand-checked examples in ``test_torus.py``), ``d4_probe``, the D4 probe
 in its original form, on the interval-set algebra, and the planar reference
 route (``fraction_wavelet_set_exists``, ``fraction_lattice_form``): both
 planar decisions in their original form, on ``Fraction`` matrices and
-``QuadScalar`` arithmetic, with signs taken by rational comparisons.
+``QuadScalar`` arithmetic, with signs taken by rational comparisons, and the
+first grid scans (``atom_transversal``, ``clipped_translate_levels``,
+``change_point_ratio_clash``): the transversal, the overlap sets R_j and the
+(F1) ratio test as integer scans on the library's grids.
 """
 
 from __future__ import annotations
@@ -517,6 +520,128 @@ def fraction_scaling_spectrum_verdict(pieces):
     for a, b in zip(points, points[1:]):
         if len({r for fa, fb, r in fragments if fa <= a and b <= fb}) > 1:
             return "F1", (a, b), "filter ratio is not 1-periodic on the support"
+    return None
+
+
+# ------------------------------------------------- the first grid scans
+#
+# The transversal's atom scan, the overlap sets R_j built from clipped
+# translates and the change-point sweep of the (F1) ratio test, in the form
+# they had before each ran on the shared fold kernels: integers over the
+# same grids, with plain-loop fragments, merges and differences.
+
+
+def grid_unit_fragments(pieces, d: int):
+    """``fraction_unit_fragments`` on integers over d: (a, b, weight, shift), 0 <= a < b <= d."""
+    for lo, hi, val in pieces:
+        k_lo, a = divmod(lo, d)
+        k_hi, b = divmod(hi, d)
+        if k_lo == k_hi:
+            yield a, b, val, k_lo
+            continue
+        if a > 0:
+            yield a, d, val, k_lo
+            k_lo += 1
+        if k_hi > k_lo:
+            yield 0, d, (k_hi - k_lo) * val, k_lo
+        if b > 0:
+            yield 0, b, val, k_hi
+
+
+def subtract_pairs(a: list[Pair], b: list[Pair]) -> list[Pair]:
+    """The pairs of a minus those of b, each sorted and disjoint, every pair of b tried."""
+    out: list[Pair] = []
+    for lo, hi in a:
+        for blo, bhi in b:
+            if lo < hi and blo < hi and bhi > lo:
+                if blo > lo:
+                    out.append((lo, blo))
+                lo = bhi
+        if lo < hi:
+            out.append((lo, hi))
+    return out
+
+
+def atom_transversal(d: int, pairs: list[Pair], prefer_window: bool) -> list[Pair] | None:
+    """The kept pairs over d of the transversal of S' (its parts ``pairs`` over d, 1/2 on
+    the grid with ``prefer_window``), or None when the translates miss a residue.
+
+    [0, d) is cut at every fragment end (and at d/2); each atom takes the
+    least shift of the fragments covering it, or, with ``prefer_window``, the
+    shift into [-1/2, 1/2) when a fragment holds it.
+    """
+    fragments = list(grid_unit_fragments(((lo, hi, 1) for lo, hi in pairs), d))
+    cuts = {0, d, d // 2} if prefer_window else {0, d}
+    for a, b, _, _ in fragments:
+        cuts.update((a, b))
+    ordered = sorted(cuts)
+    shifts: list[int | None] = [None] * (len(ordered) - 1)
+    window = [0 if 2 * v <= d else -1 for v in ordered[1:]]
+    for a, b, w, k in fragments:  # a fragment of weight w holds the shifts k, ..., k + w - 1
+        for i in range(ordered.index(a), ordered.index(b)):
+            if prefer_window and k <= window[i] < k + w:
+                shifts[i] = window[i]
+            elif shifts[i] is None:
+                shifts[i] = k
+    if None in shifts:
+        return None
+    return merge_pairs([(u + k * d, v + k * d) for u, v, k in zip(ordered, ordered[1:], shifts)])
+
+
+def clipped_translate_levels(d: int, pairs: list[Pair], depth_n: int, depth_j: int):
+    """(scale, levels) of the truncated construction for a kernel K with parts ``pairs`` over d.
+
+    Each R_j is the merged integer translates of K_j = 2^-j K that meet the
+    runs of unit cells its live levels meet, clipped to those runs, minus K_j.
+    """
+    t = depth_n + depth_j
+    scale = d << t
+    kernel = [(a << t, b << t) for a, b in pairs]
+    levels = [[(a >> n, b >> n) for a, b in kernel] for n in range(depth_n + 1)]
+    reach = -(-max(-kernel[0][0], kernel[-1][1]) // scale)
+    near = (reach - 1).bit_length()
+    for j in range(1, t + 1):
+        live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j)) if levels[n]]
+        if not live:
+            continue
+        cells = [(a // scale * scale, -(-b // scale) * scale)
+                 for n in live if n < near for a, b in levels[n]]
+        if live[-1] >= near:
+            cells.append((-scale, scale))
+        kj = [(a >> j, b >> j) for a, b in kernel]
+        copies = [(max(a + i, lo), min(b + i, hi))
+                  for lo, hi in merge_pairs(cells)
+                  for a, b in kj
+                  for i in range(((lo - b) // scale + 1) * scale, hi - a, scale)]
+        overlap = subtract_pairs(merge_pairs(copies), kj)
+        for n in live:
+            levels[n] = subtract_pairs(levels[n], overlap)
+    return scale, levels
+
+
+def change_point_ratio_clash(d: int, pieces) -> Pair | None:
+    """The first cell between consecutive residue fragment ends over d where two reduced
+    ratios g(2x)/g(x) meet, for g's (lo, hi, value) pieces on 1/d with even ends."""
+    half = [(a >> 1, b >> 1, w) for a, b, w in pieces]
+    cuts = sorted({x for lo, hi, _ in pieces + half for x in (lo, hi)})
+    changes: dict[int, list] = {}
+    for a, b in zip(cuts, cuts[1:]):
+        den = next((w for lo, hi, w in pieces if lo <= a < hi), 0)
+        num = next((w for lo, hi, w in half if lo <= a < hi), 0)
+        if den:
+            k = math.gcd(num, den)
+            for lo, hi, _, _ in grid_unit_fragments([(a, b, 1)], d):
+                changes.setdefault(lo, []).append(((num // k, den // k), 1))
+                changes.setdefault(hi, []).append(((num // k, den // k), -1))
+    points = sorted(changes)
+    covering: dict = {}
+    for a, b in zip(points, points[1:]):
+        for ratio, step in changes[a]:
+            covering[ratio] = covering.get(ratio, 0) + step
+            if covering[ratio] == 0:
+                del covering[ratio]
+        if len(covering) > 1:
+            return a, b
     return None
 
 

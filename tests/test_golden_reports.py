@@ -66,6 +66,10 @@ INPUTS = {
     "a_not.json": _mat([["3", "0"], ["1", "1/2"]]),
     "a_quad.json": _mat([["3", {"a": "0", "b": "1", "d": 2}], ["0", "1/2"]]),
     "two_i.json": _mat([["2", "0"], ["0", "2"]]),
+    "f1_clash_g.json": _step([["-3/4", "-1/4", "1/2"], ["-1/4", "1/4", "1"],
+                              ["1/4", "3/4", "1/2"]]),
+    "quarter_window.json": _iset([["-1/4", "1/4"]]),
+    "far_kernel.json": _iset([["-1000", "1/4"]]),
 }
 
 COMMANDS = [
@@ -104,6 +108,10 @@ COMMANDS = [
      "--c", "5"],
     ["plot", "journe.json", "--format", "csv", "--out", "journe.csv"],
     ["plot", "journe_h.json", "--format", "svg", "--out", "journe_h.svg"],
+    ["verify", "spectrum", "f1_clash_g.json"],
+    ["construct", "rze", "--spectrum", "f1_clash_g.json"],
+    ["construct", "scaling-set", "quarter_window.json"],
+    ["construct", "scaling-set", "far_kernel.json", "--depth-n", "8", "--depth-j", "8"],
 ]
 
 

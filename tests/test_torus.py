@@ -129,8 +129,8 @@ def test_transversal_uncovered_error():
 
 
 def test_transversal_r4_witness_is_uncovered_witness():
-    # The transversal's own atom loop names the first maximal uncovered run,
-    # which is the witness of the fold, with and without the cut at 1/2.
+    # The transversal refuses exactly when the fold misses a residue, and
+    # names the fold's witness, with and without the window claim.
     rng = random.Random(20261018)
     failures = 0
     for _ in range(400):
