@@ -1,8 +1,8 @@
 """Golden reports: README commands on the acceptance inputs, byte for byte.
 
 ``tests/data/golden_reports.json`` holds the input documents, and for each
-command its argv, exit code, standard output and (for ``plot``) the sha256 of
-the figure it writes.  Every command runs through ``waveset.cli.run`` in a
+command its argv, exit code, standard output and (for a ``plot`` that writes
+one) the sha256 of its figure.  Every command runs through ``waveset.cli.run`` in a
 fresh working directory holding only the inputs, under relative paths, so
 no absolute path reaches a report.  A change that alters any report fails
 here; a deliberate behaviour change regenerates the file with
@@ -70,6 +70,22 @@ INPUTS = {
                               ["1/4", "3/4", "1/2"]]),
     "quarter_window.json": _iset([["-1/4", "1/4"]]),
     "far_kernel.json": _iset([["-1000", "1/4"]]),
+    "negative_h.json": _step([["1", "2", "-1"]]),
+    "empty_h.json": _step([]),
+    "inverted.json": _iset([["1", "0"]]),
+    "singular.json": _mat([["1", "2"], ["2", "4"]]),
+    "mixed_roots.json": _mat([[{"a": "0", "b": "1", "d": 2}, "0"],
+                              ["0", {"a": "0", "b": "1", "d": 3}]]),
+    "no_radicand.json": _mat([[{"a": "0", "b": "1"}, "0"], ["0", "2"]]),
+    "readme_window.json": {"type": "dim_fn_window", "depth": 4, "window": ["1/16", "15/16"],
+                           "pieces": [{"interval": ["1/16", "1/2"], "value": "1"},
+                                      {"interval": ["1/2", "15/16"], "value": "2"}],
+                           "boundary_note": True},
+    "gapped_window.json": {"type": "dim_fn_window", "depth": 4, "window": ["1/16", "15/16"],
+                           "pieces": [{"interval": ["1/16", "1/4"], "value": "1"},
+                                      {"interval": ["1/2", "15/16"], "value": "2"}],
+                           "boundary_note": True},
+    "zero_length_piece.json": _step([["1/4", "1/2", "1"], ["1", "1", "1"]]),
 }
 
 COMMANDS = [
@@ -112,6 +128,25 @@ COMMANDS = [
     ["construct", "rze", "--spectrum", "f1_clash_g.json"],
     ["construct", "scaling-set", "quarter_window.json"],
     ["construct", "scaling-set", "far_kernel.json", "--depth-n", "8", "--depth-j", "8"],
+    ["calderon", "wide_g.json"],
+    ["orthonormal", "wide_g.json"],
+    ["calderon", "negative_h.json"],
+    ["orthonormal", "empty_h.json"],
+    ["plot", "empty_h.json", "--format", "svg", "--out", "empty_h.svg"],
+    ["verify", "wavelet-set", "inverted.json"],
+    ["construct", "scaling-set", "sprime_kernel.json", "--depth-n", "-1"],
+    ["lce", "--matrix", "two_i.json", "--lattice", "id", "--jmin", "0", "--jmax", "4",
+     "--c", "1"],
+    ["lce", "--matrix", "a_quad.json", "--lattice", "id", "--jmin", "0", "--jmax", "4",
+     "--c", "5"],
+    ["lce", "--matrix", "singular.json", "--lattice", "id", "--jmin", "0", "--jmax", "4",
+     "--c", "5"],
+    ["msf2d", "--matrix", "two_i.json", "--lattice", "a_quad.json"],
+    ["msf2d", "--matrix", "mixed_roots.json", "--lattice", "id"],
+    ["msf2d", "--matrix", "no_radicand.json", "--lattice", "id"],
+    ["plot", "readme_window.json", "--format", "svg", "--out", "readme_window.svg"],
+    ["plot", "gapped_window.json", "--format", "svg", "--out", "gapped_window.svg"],
+    ["calderon", "zero_length_piece.json"],
 ]
 
 
@@ -126,7 +161,7 @@ def run_command(directory: Path, argv: list[str]) -> dict:
     finally:
         os.chdir(cwd)
     record = {"argv": argv, "exit": code, "stdout": out.getvalue()}
-    if argv[0] == "plot":
+    if argv[0] == "plot" and (directory / argv[-1]).exists():
         record["figure_sha256"] = hashlib.sha256((directory / argv[-1]).read_bytes()).hexdigest()
     return record
 
