@@ -13,6 +13,7 @@ depth is an input error, refused before any work (the README lists every budget)
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -332,7 +333,7 @@ _MAT2 = (_arg("--matrix", required=True),
 
 # The command table: name -> (help, arguments, handler), arguments in usage
 # order.  `construct` holds a table of its kinds, each (arguments, handler).
-# A handler is named, and looked up when a parser is built, so that it can be
+# A handler is named, and looked up when `run` dispatches, so that it can be
 # replaced on the module like any other function.
 COMMANDS: dict[str, tuple] = {
     "verify": ("exact verification of sets and spectra",
@@ -367,23 +368,19 @@ def _fill(parser: argparse.ArgumentParser, arguments, handler) -> None:
         return
     for flags, options in arguments:
         parser.add_argument(*flags, **options)
-    parser.set_defaults(handler=globals()[handler])
+    parser.set_defaults(handler=handler)
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The `waveset` parser with every subcommand, or with `command` alone.
+@functools.cache
+def build_parser() -> _Parser:
+    """The `waveset` parser with every subcommand, built once per process.
 
-    Alone, the metavar spells out every choice, so the top-level usage that an
-    "unrecognized arguments" error prints reads as in the full parser.  The
-    full parser has none: it would rename "argument command" in the errors of
-    a missing or unknown subcommand.
+    Parsing leaves it unchanged, so every `run` reuses it.  Usage is formatted
+    when an error is raised, so it follows the terminal width of that moment.
     """
     parser = _Parser(prog="waveset", description=__doc__)
-    sub = parser.add_subparsers(
-        dest="command", required=True, parser_class=_Parser,
-        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
-    for name in COMMANDS if command is None else [command]:
-        help_text, arguments, handler = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    for name, (help_text, arguments, handler) in COMMANDS.items():
         _fill(sub.add_parser(name, help=help_text), arguments, handler)
     return parser
 
@@ -399,15 +396,11 @@ def _label(argv: list[str]) -> str:
 
 
 def run(argv: list[str]) -> int:
-    """Execute one command; print the JSON report; return the exit code.
-
-    The parser holds only the subcommand that `argv[0]` names; the full one is
-    built when it names none (`--help`, an unknown or a missing command).
-    """
+    """Execute one command; print the JSON report; return the exit code."""
     command_label = _label(argv)
     try:
-        args = build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
-        report = args.handler(args)
+        args = build_parser().parse_args(argv)
+        report = globals()[args.handler](args)
     except PreconditionError as exc:
         witness = exc.witness if isinstance(exc.witness, Interval) else None
         report = _report(command_label, "error",

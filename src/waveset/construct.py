@@ -73,7 +73,7 @@ def check_S2(s: IntervalSet) -> bool:
     this is equivalent to containing (-a, 0) u (0, b) modulo null sets and is
     decided by one bisection of the parts at 0.
     """
-    return all(_beside_zero(s._grid[1] if s._grid else s._pairs))
+    return all(_beside_zero(s._grid[1] if s._grid else [(p.lo, p.hi) for p in s.parts]))
 
 
 def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[list[tuple]]]:

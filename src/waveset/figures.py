@@ -49,8 +49,6 @@ def _fmt(x: float) -> str:
 
 def _x_mapper(lo: Fraction, hi: Fraction):
     width = hi - lo
-    if width == 0:
-        width = Fraction(1)
 
     def to_x(v: Fraction) -> float:
         return _MARGIN + float((v - lo) / width) * (_WIDTH - 2 * _MARGIN)

@@ -16,8 +16,7 @@ import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from functools import cached_property
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import InputError
@@ -145,7 +144,7 @@ class IntervalSet(_Views):
 
     def __post_init__(self) -> None:
         _intervals_only(self.parts, "normalize()")
-        _separated(self._pairs)
+        _separated([(p.lo, p.hi) for p in self.parts])
 
     def _fractions(self) -> tuple:
         d, pairs = self._grid
@@ -168,17 +167,13 @@ class IntervalSet(_Views):
 
     def contains_point(self, x: RationalLike) -> bool:
         x = rat(x)
-        idx = bisect_right(self._pairs, x, key=itemgetter(0)) - 1
+        idx = bisect_right(self.parts, x, key=attrgetter("lo")) - 1
         return idx >= 0 and self.parts[idx].hi > x
 
     def contains_interval(self, iv: Interval) -> bool:
         """True iff [iv.lo, iv.hi) lies inside a single part."""
-        idx = bisect_right(self._pairs, iv.lo, key=itemgetter(0)) - 1
+        idx = bisect_right(self.parts, iv.lo, key=attrgetter("lo")) - 1
         return idx >= 0 and self.parts[idx].hi >= iv.hi
-
-    @cached_property
-    def _pairs(self) -> list[tuple[Fraction, Fraction]]:
-        return [(p.lo, p.hi) for p in self.parts]
 
     def __str__(self) -> str:
         if not self.parts:
@@ -195,7 +190,8 @@ class IntervalSet(_Views):
 
     def subtract(self, other: "IntervalSet") -> "IntervalSet":
         # pieces of one part are split by parts of other, so they never touch
-        return IntervalSet(tuple(Interval(lo, hi) for lo, hi in _subtract(self._pairs, other._pairs)))
+        a, b = ([(p.lo, p.hi) for p in x.parts] for x in (self, other))
+        return IntervalSet(tuple(Interval(lo, hi) for lo, hi in _subtract(a, b)))
 
     __or__ = union
     __and__ = intersect

@@ -1,9 +1,12 @@
 """Scaling-set construction, defect accounting, and tiling verification."""
 
+import contextlib
+import io
 import math
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -240,6 +243,19 @@ def test_rze_shannon():
     res = rze_pipeline(g)
     assert res.w == SHANNON_W == res.supp_psi.intersect(res.w)
     assert res.contained and res.defects.all_zero
+
+
+def test_readme_example_prints_what_its_comments_say():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Example\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert printed == ["[-1, -1/2) ∪ [1/2, 1)", "True", "True"]
+    comments = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                if line.startswith("print(")]
+    assert len(comments) == 3 and all(c.startswith(o) for c, o in zip(comments, printed)), comments
 
 
 def test_rze_three_level():

@@ -368,15 +368,21 @@ def _readme_commands():
     return [shlex.split(line)[1:] for line in cli_section.splitlines() if line.startswith("waveset ")]
 
 
-def test_cli_subcommand_parser_parses_like_the_full_parser():
+def test_cli_reuses_one_parser_per_process(capsys, monkeypatch, tmp_path, journe_file):
+    """Runs on the process's one parser report as runs on a freshly built parser."""
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    monkeypatch.chdir(tmp_path)  # the README's relative paths; journe.json is journe_file
+    psi = step_fn_to_json(SHANNON_PSI)
+    for name, doc in {"s.json": {"type": "interval_set", "intervals": [["-1/2", "1/2"]]},
+                      "sprime.json": {"type": "interval_set", "intervals": [["-5/8", "5/8"]]},
+                      "g.json": step_fn_to_json(StepFn.build([((F(-1, 2), F(1, 2)), 1)])),
+                      "h.json": psi, "psi.json": psi, "doc.json": psi,
+                      "a.json": {"type": "mat2", "entries": [["2", "0"], ["0", "2"]]}}.items():
+        _write(tmp_path, name, doc)
     readme = _readme_commands()
     assert len(readme) == 13
-    for argv in readme + fuzz_argvs("doc.json", "fig", 3, 4, 6, -3, "1/4", "5", 0, 2):
-        assert vars(cli.build_parser(argv[0]).parse_args(argv)) == vars(
-            cli.build_parser().parse_args(argv)), argv
-
-
-def test_cli_builds_only_the_invoked_subcommand(capsys, monkeypatch, tmp_path, shannon_g_file):
+    argvs = (readme + fuzz_argvs("doc.json", "fig", 3, 4, 6, -3, "1/4", "5", 0, 2)
+             + [["journe.json" if t == "F" else t for t in argv] for argv, _, _ in PARSE_ERRORS])
     built = []
     init = cli._Parser.__init__
 
@@ -385,16 +391,21 @@ def test_cli_builds_only_the_invoked_subcommand(capsys, monkeypatch, tmp_path, s
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(cli._Parser, "__init__", counting_init)
-    cli.build_parser()
-    assert len(built) == 13  # the full parser: counting sees every construction
-    built.clear()
-    h = _write(tmp_path, "h.json", step_fn_to_json(SHANNON_PSI))
-    assert run_cli(capsys, ["dimfun", h, "--depth", "6"])[0] == 0
-    assert len(built) <= 2, built
-    built.clear()
-    argv = ["construct", "rze", "--spectrum", shannon_g_file, "--depth-n", "3", "--depth-j", "3"]
-    assert run_cli(capsys, argv)[0] == 0
-    assert len(built) <= 4, built
+    cli.build_parser.cache_clear()
+    reused = [run_cli(capsys, argv) for argv in argvs]
+    assert len(built) == 13, built  # the top level, ten commands and construct's two kinds
+    for argv, result in zip(argvs, reused):
+        cli.build_parser.cache_clear()
+        assert run_cli(capsys, argv) == result, argv
+    assert len(built) == 13 * (1 + len(argvs))
+
+    def replaced(args):
+        raise RuntimeError("replaced after the parser was built")
+
+    monkeypatch.setattr(cli, "_cmd_psib", replaced)  # dispatch looks the handler up by name
+    code, rep, _ = run_cli(capsys, ["psib", "--b", "1/4"])
+    assert (code, rep["witnesses"]) == (4, [{"reason": "RuntimeError: replaced after the parser "
+                                                        "was built"}])
 
 
 def test_cli_missing_file(capsys):
