@@ -147,6 +147,8 @@ COMMANDS = [
     ["plot", "readme_window.json", "--format", "svg", "--out", "readme_window.svg"],
     ["plot", "gapped_window.json", "--format", "svg", "--out", "gapped_window.svg"],
     ["calderon", "zero_length_piece.json"],
+    ["verify", "--", "wavelet-set", "journe.json"],
+    ["verify", "--", "scaling-set", "sprime_window.json"],
 ]
 
 
