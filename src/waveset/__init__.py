@@ -16,6 +16,7 @@ from .construct import (
     check_S2,
     lemma_r3_construct,
     rze_pipeline,
+    verify_scaling_set,
     verify_wavelet_set,
 )
 from .errors import InconsistentSpectrumError, InputError, PreconditionError
@@ -50,7 +51,6 @@ from .spectral import (
 )
 from .torus import (
     check_S3,
-    check_cover_r4,
     extract_transversal,
     fold_multiplicity,
     periodize_window,

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, Verdict
 from .intervals import Interval, IntervalSet, _beside_zero, _merge, _off_zero, _subtract, iset
 from .spectral import (StepFn, _annulus_levels, _annulus_sums, _psi_grid, _scaling_grid, pow2,
                        validate_scaling_spectrum)
@@ -53,7 +53,7 @@ class DefectReport:
 
 
 @dataclass(frozen=True)
-class ScalingSetResult:
+class ScalingSetResult(Verdict):
     s: IntervalSet
     w: IntervalSet  # always exactly 2S minus S
     defects: DefectReport
@@ -209,10 +209,32 @@ def lemma_r3_construct(
 
 
 @dataclass(frozen=True)
-class WaveletSetVerdict:
+class ScalingSetVerdict(Verdict):
+    S1: bool
+    S2: bool
+    S3: bool
+    witnesses: tuple = ()
+
+
+def verify_scaling_set(s: IntervalSet) -> ScalingSetVerdict:
+    """Exact decision of S1, S2 and S3, witnessed by the part of S outside 2S (S1), none (S2)
+    and the first residues the translates of S do not cover exactly once (S3)."""
+    escape, not_one, s2 = s1_witness(s), fold_multiplicity(s).where_not(1).parts, check_S2(s)
+    witnesses = [("S1: escapes its double", escape)] if escape else []
+    witnesses += [] if s2 else [("S2: no punctured neighborhood of 0", None)]
+    witnesses += [("S3: translates do not tile with multiplicity one", p) for p in not_one[:1]]
+    return ScalingSetVerdict(escape is None, s2, not not_one, tuple(witnesses))
+
+
+@dataclass(frozen=True)
+class WaveletSetVerdict(Verdict):
     passed: bool
     reason: str | None = None
     witness: Interval | None = None
+
+    @property
+    def witnesses(self) -> tuple:
+        return () if self.passed else ((self.reason, self.witness),)
 
 
 def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
@@ -263,7 +285,7 @@ def verify_wavelet_set(w: IntervalSet) -> WaveletSetVerdict:
 
 
 @dataclass(frozen=True)
-class RzeResult:
+class RzeResult(Verdict):
     s: IntervalSet
     w: IntervalSet
     supp_psi: IntervalSet
@@ -271,6 +293,16 @@ class RzeResult:
     defects: DefectReport
     psi_spectrum: StepFn
     leftover_measure: Fraction
+
+    @property
+    def witnesses(self) -> tuple:
+        return () if self.contained else (
+            ("containment not exact at this truncation depth; escape within certified bound",
+             None),)
+
+    @property
+    def status(self) -> str:
+        return "pass" if self.contained else "inconclusive"
 
 
 def rze_pipeline(
@@ -291,11 +323,8 @@ def rze_pipeline(
     """
     verdict = validate_scaling_spectrum(g)
     if not verdict.passed:
-        raise PreconditionError(
-            verdict.condition or "spectrum",
-            f"not a scaling spectrum: ({verdict.condition}) fails, {verdict.detail}",
-            witness=verdict.witness,
-        )
+        raise PreconditionError(verdict.condition, f"not a scaling spectrum: "
+                                f"({verdict.condition}) fails, {verdict.detail}", verdict.witness)
     d, vden, pieces = _scaling_grid(g)
     supp_phi = _merge((a, b) for a, b, _ in pieces)
     result = lemma_r3_construct(_from_grid(supp_phi, d), depth_n, depth_j)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import InputError, PreconditionError
+from .errors import InputError, PreconditionError, Verdict
 from .intervals import RationalLike, rat
 
 ZERO = Fraction(0)
@@ -283,11 +283,19 @@ def _primitive(z1: int, z2: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class ExistenceResult:
+class ExistenceResult(Verdict):
     verdict: str  # "exists" | "not_exists" | "unsupported"
     witness: tuple[int, int] | None = None
     unit_eigenvalue: bool = False
     detail: str = ""
+
+    @property
+    def witnesses(self) -> tuple:
+        return () if self.verdict == "exists" else ((self.detail, self.witness),)
+
+    @property
+    def status(self) -> str:
+        return "error" if self.verdict == "unsupported" else super().status
 
 
 def wavelet_set_exists(a: Mat2, p: Mat2) -> ExistenceResult:
@@ -487,12 +495,16 @@ class LceRow:
 
 
 @dataclass(frozen=True)
-class LceReport:
+class LceReport(Verdict):
     rows: tuple[LceRow, ...]
     c: Fraction
     all_bounded: bool
     witness_j: int | None
     note: str = "finite-range probe of the counting estimate, not a proof"
+
+    @property
+    def witnesses(self) -> tuple:
+        return () if self.all_bounded else ((f"ratio exceeds C at j = {self.witness_j}", None),)
 
 
 def lce_report(a: Mat2, p: Mat2, j_min: int, j_max: int, c: RationalLike) -> LceReport:
@@ -508,12 +520,9 @@ def lce_report(a: Mat2, p: Mat2, j_min: int, j_max: int, c: RationalLike) -> Lce
     forms = _lattice_forms(a, p, j_min, j_max)
     det = a.det().a
     rows = []
-    witness = None
     for j, form, z1_max in forms:
         n = _chord_count(form, z1_max)
         base = max(ONE, abs(det) ** j)
-        ratio = Fraction(n) / base
-        rows.append(LceRow(j, n, base, ratio))
-        if ratio > c and witness is None:
-            witness = j
+        rows.append(LceRow(j, n, base, Fraction(n) / base))
+    witness = next((row.j for row in rows if row.ratio > c), None)
     return LceReport(tuple(rows), c, witness is None, witness)

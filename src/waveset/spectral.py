@@ -16,7 +16,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import InconsistentSpectrumError, InputError
+from .errors import InconsistentSpectrumError, InputError, Verdict
 from .intervals import (Interval, IntervalSet, RationalLike, _beside_zero, _intervals_only, _kept,
                         _merge, _nonempty, _off_zero, _subtract, _Views, rat)
 from .torus import (DimFnWindow, _fold, _from_grid, _grid_sweep, _on_grid, _unit_fragments,
@@ -229,11 +229,15 @@ def _annulus_sums(d: int, vden: int, pieces: Sequence[tuple[int, int, int]], c: 
 
 
 @dataclass(frozen=True)
-class SpectrumVerdict:
+class SpectrumVerdict(Verdict):
     passed: bool
     condition: str | None = None
     witness: Interval | None = None
     detail: str = ""
+
+    @property
+    def witnesses(self) -> tuple:
+        return () if self.passed else ((f"{self.condition}: {self.detail}", self.witness),)
 
 
 def _scaling_grid(g: StepFn) -> tuple[int, int, list[tuple[int, int, int]]]:
@@ -334,7 +338,7 @@ def _psi_grid(d: int, vden: int, pieces: list[tuple]) -> StepFn:
 
 
 @dataclass(frozen=True)
-class CalderonResult(_Views):
+class CalderonResult(_Views, Verdict):
     """Dyadic dilation sum on the annulus [1,2) u [-2,-1), or a divergence flag.  ``calderon``
     holds each side's ``_grid_sweep`` grid as ``_grid``; ``atoms`` are its ``_Views`` fractions."""
 
@@ -351,6 +355,13 @@ class CalderonResult(_Views):
         breaks = [[Fraction(e, scale) for e in ends] for scale, ends, _, _ in self._grid]
         return tuple((_kept(Interval, lo=a, hi=b), value[w]) for bs, (*_, ws)
                      in zip(breaks, self._grid) for a, b, w in zip(bs, bs[1:], ws)),
+
+    @property
+    def witnesses(self) -> tuple:
+        if self.diverges:
+            return ("sum diverges: support reaches 0", self.divergence_witness),
+        return () if self.is_one else next(
+            ((f"sum equals {v} here", iv),) for iv, v in self.atoms if v != 1)
 
 
 def calderon(h: StepFn) -> CalderonResult:
@@ -605,14 +616,39 @@ def mra_verdict(dim: DimFnWindow) -> MraVerdict:
                       window=dim)
 
 
+@dataclass(frozen=True)
+class DimensionReport(Verdict):
+    window: DimFnWindow
+    conditions: DimConditionsReport
+    mra: MraVerdict
+
+    @property
+    def witnesses(self) -> tuple:
+        c = self.conditions
+        return tuple((f"D{i}: certified violation", o.witness)
+                     for i, o in enumerate((c.d1, c.d2, c.d3, c.d4), 1) if o.status == "fail")
+
+
+def dimension_report(h: StepFn, depth_L: int) -> DimensionReport:
+    """Read the window, D1-D4 and the MRA verdict at depth L off one window deep enough for D4
+    (2L + 2); the shallower ones are exact restrictions of it."""
+    deep = dimension_function(h, 2 * depth_L + 2)
+    window = deep.restrict(depth_L)
+    return DimensionReport(window, check_D1_D4(deep, depth_L), mra_verdict(window))
+
+
 # ------------------------------------------- translation orthogonality
 
 
 @dataclass(frozen=True)
-class TqResult:
+class TqResult(Verdict):
     zero: bool
     witness: Interval | None = None
     fn: StepFn = StepFn()
+
+    @property
+    def witnesses(self) -> tuple:
+        return () if self.zero else (("orthogonality sum is nonzero", self.witness),)
 
 
 def tq_check(psi: StepFn, alpha: int) -> TqResult:
@@ -667,13 +703,19 @@ def _tq_sweeps(psi: StepFn, alphas: Iterable[int]) -> Iterator[tuple[int, int, l
 
 
 @dataclass(frozen=True)
-class OrthonormalityReport:
+class OrthonormalityReport(Verdict):
     passed: bool
     norm_sq: Fraction
     calderon: CalderonResult
     tq_failures: tuple[tuple[int, Interval], ...]
     alphas_checked: tuple[int, ...]
     notes: tuple[str, ...] = ()
+
+    @property
+    def witnesses(self) -> tuple:
+        return ((("dilation sum is not identically 1", None),) * (not self.calderon.is_one)
+                + tuple((f"orthogonality sum nonzero at shift {a}", iv) for a, iv in self.tq_failures)
+                + ((f"squared norm is {self.norm_sq}", None),) * (self.norm_sq != 1))
 
 
 MAX_SHIFTS = 2048  # work budget on the odd shifts of one orthonormality check
@@ -741,7 +783,7 @@ def _psi_b_row(b: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class PsiBReport:
+class PsiBReport(Verdict):
     b: Fraction
     norm_sq: Fraction
     calderon: CalderonResult

@@ -303,11 +303,6 @@ def check_S3(s: IntervalSet) -> bool:
     return fold_multiplicity(s).is_constant(1)
 
 
-def check_cover_r4(s: IntervalSet) -> bool:
-    """True iff the integer translates of S cover the line (multiplicity >= 1)."""
-    return uncovered_witness(s) is None
-
-
 def uncovered_witness(s: IntervalSet) -> Interval | None:
     """A sub-interval of [0, 1) whose residues S misses, or None if S covers."""
     m = fold_multiplicity(s)

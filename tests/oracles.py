@@ -12,7 +12,8 @@ planar decisions in their original form, on ``Fraction`` matrices and
 ``QuadScalar`` arithmetic, with signs taken by rational comparisons, and the
 first grid scans (``atom_transversal``, ``clipped_translate_levels``,
 ``change_point_ratio_clash``): the transversal, the overlap sets R_j and the
-(F1) ratio test as integer scans on the library's grids.
+(F1) ratio test as integer scans on the library's grids.  ``small_world_sets``
+enumerates a complete small world of candidate wavelet sets with plain loops.
 """
 
 from __future__ import annotations
@@ -876,3 +877,28 @@ def fraction_lattice_form(a: Mat2, p: Mat2, j: int) -> tuple[int, int, int, int]
     l = math.lcm(q11.denominator, q12.denominator, q22.denominator)
     return (q11.numerator * (l // q11.denominator), q12.numerator * (l // q12.denominator),
             q22.numerator * (l // q22.denominator), l)
+
+
+def small_world_sets(q: int, reach: int, max_parts: int) -> list[list[Pair]]:
+    """Every set of at most ``max_parts`` intervals with ends in (1/q)Z inside [-reach, reach],
+    of measure 1 and with no part touching 0, as its parts in increasing order.
+
+    Parts are kept apart by a gap, so each set is listed once, in its canonical form; a part
+    touches 0 when its closure holds 0.
+    """
+    ends = range(-q * reach, q * reach + 1)
+    found: list[list[Pair]] = []
+
+    def extend(parts: list[tuple[int, int]], start: int, left: int) -> None:
+        if left == 0:
+            found.append([(Fraction(a, q), Fraction(b, q)) for a, b in parts])
+            return
+        if len(parts) == max_parts:
+            return
+        for a in ends:
+            for b in range(a + 1, min(a + left, ends[-1]) + 1):
+                if a >= start and not a <= 0 <= b:
+                    extend(parts + [(a, b)], b + 1, left - (b - a))
+
+    extend([], ends[0], q)
+    return found

@@ -32,7 +32,7 @@ from waveset.construct import (
 from waveset.errors import InputError, PreconditionError
 from waveset.intervals import EMPTY, iset, normalize
 from waveset.spectral import StepFn, pow2
-from waveset.torus import check_S3, check_cover_r4, extract_transversal, uncovered_witness
+from waveset.torus import check_S3, extract_transversal, uncovered_witness
 
 F = Fraction
 
@@ -252,10 +252,10 @@ def test_readme_example_prints_what_its_comments_say():
     with contextlib.redirect_stdout(out):
         exec(compile(block, "README.md", "exec"), {})
     printed = out.getvalue().splitlines()
-    assert printed == ["[-1, -1/2) ∪ [1/2, 1)", "True", "True"]
+    assert printed == ["[-1, -1/2) ∪ [1/2, 1)", "True", "True", "pass"]
     comments = [line.split("#", 1)[1].strip() for line in block.splitlines()
                 if line.startswith("print(")]
-    assert len(comments) == 3 and all(c.startswith(o) for c, o in zip(comments, printed)), comments
+    assert len(comments) == 4 and all(c.startswith(o) for c, o in zip(comments, printed)), comments
 
 
 def test_rze_three_level():
@@ -334,7 +334,7 @@ def test_truncated_levels_match_periodization(seed, kind, shift, depth_n, depth_
     sprime = None
     if kind == "admissible":
         sprime = _random_admissible(rng)
-        assume(check_S1(sprime) and check_cover_r4(sprime))
+        assume(check_S1(sprime) and uncovered_witness(sprime) is None)
         k = extract_transversal(sprime, prefer_window=True)
     elif kind == "scattered":
         k = _scattered_kernel(rng)
@@ -505,7 +505,7 @@ def test_construct_fast_path_iff_window_inside():
     routes = set()
     for _ in range(150):
         sprime = _random_admissible(rng).scale(F(rng.randint(4, 16), 16))
-        if not (check_S1(sprime) and check_cover_r4(sprime)):
+        if not (check_S1(sprime) and uncovered_witness(sprime) is None):
             continue
         depth = rng.randint(0, 6)
         res = lemma_r3_construct(sprime, depth, depth)

@@ -13,7 +13,6 @@ from waveset.intervals import EMPTY, iset, normalize
 from waveset.torus import (
     DimFnWindow,
     check_S3,
-    check_cover_r4,
     extract_transversal,
     fold_multiplicity,
     periodize_window,
@@ -79,9 +78,9 @@ def test_periodic_step_rejects_bad_breaks(breaks, values):
 def test_s3_and_r4_flags():
     assert check_S3(iset(("-1/2", "1/2")))
     assert not check_S3(iset((-1, 1)))
-    assert check_cover_r4(iset((-1, 1)))
+    assert uncovered_witness(iset((-1, 1))) is None
     assert not check_S3(iset((0, "1/3")))
-    assert not check_cover_r4(iset((0, "1/3")))
+    assert uncovered_witness(iset((0, "1/3"))) is not None
 
 
 def test_periodize_window_examples():
@@ -203,7 +202,8 @@ def test_transversal_shift_matches_oracle(s, prefer_window):
 def test_uncovered_witness_honest(s):
     w = uncovered_witness(s)
     if w is None:
-        assert check_cover_r4(s)
+        # Every residue is covered at least once.
+        assert min(fold_multiplicity(s).values) >= 1
     else:
         # No translate of s meets the witness residues.
         m = fold_multiplicity(s) if not s.is_empty else None
