@@ -9,7 +9,8 @@ status and witnesses are those of the result its one library call returned
 (``errors.Verdict``), or of the input error that ended the run.
 
 `dimfun --depth` is 2 to 1024, so its window is at most 2050 deep; any other
-depth is an input error, refused before any work (the README lists every budget).
+depth is an input error, refused before any work.  Both bounds, and their texts, come
+from the library (``spectral.dimension_report``); the README lists every budget.
 """
 
 from __future__ import annotations
@@ -120,8 +121,6 @@ def _outcome_json(o: spectral.CheckOutcome) -> dict:
 
 def _cmd_dimfun(args) -> tuple[Verdict, dict]:
     h = _load_step_fn(args.file)
-    if args.depth < 2:
-        raise InputError(f"dimfun --depth is at least 2; got {args.depth}")
     rep = spectral.dimension_report(h, args.depth)
     checks, mra = rep.conditions, rep.mra
     return rep, {
@@ -175,12 +174,13 @@ def _cmd_orthonormal(args) -> tuple[Verdict, dict]:
 
 def _cmd_psib(args) -> tuple[Verdict, dict]:
     rep = spectral.psi_b_report(args.b)
+    ortho = rep.orthonormality
     return rep, {
         "b": format_rational(rep.b),
-        "norm_sq": format_rational(rep.norm_sq),
-        "calderon": _calderon_data(rep.calderon),
-        "tq_failures": _tq_failures(rep.tq_failures),
-        "orthonormal": rep.orthonormal,
+        "norm_sq": format_rational(ortho.norm_sq),
+        "calderon": _calderon_data(ortho.calderon),
+        "tq_failures": _tq_failures(ortho.tq_failures),
+        "orthonormal": ortho.passed,
         "table_row": rep.table_row,
         "consistent": rep.consistent,
         "notes": list(rep.notes),

@@ -39,13 +39,9 @@ class DefectReport:
 
     s1_defect: Fraction
     coverage_defect: Fraction
-    containment_exact: bool
     depth_n: int
     depth_j: int
-
-    @classmethod
-    def exact(cls, depth_n: int, depth_j: int) -> "DefectReport":
-        return cls(ZERO, ZERO, True, depth_n, depth_j)
+    containment_exact = True  # a constant, not a field: on every route S lies inside S'
 
     @property
     def all_zero(self) -> bool:
@@ -190,14 +186,13 @@ def lemma_r3_construct(
     if fast:
         # K has measure 1, so it lies inside the window only as the whole
         # window, which is itself a scaling set: S = K at every depth.
-        s, defects = k, DefectReport.exact(depth_n, depth_j)
+        s, defects = k, DefectReport(ZERO, ZERO, depth_n, depth_j)
     else:
         # Over 2^-(N + J): the outer tail 2^-N |K| (|K| = 1 by tiling), and 2^-(n + J) at level n
         # for each of the 2 floor(2^-n span K) nonzero shifts that can meet it, and one more.
         span, tail = s_grid[-1][1] - s_grid[0][0], Fraction(1, 1 << (depth_n + depth_j))
         cover = sum((2 * (span // (scale << n)) + 1) << (depth_n - n) for n in range(depth_n + 1))
-        defects = DefectReport(pow2(1 - depth_n), (cover + (1 << depth_j)) * tail, True, depth_n,
-                               depth_j)
+        defects = DefectReport(pow2(1 - depth_n), (cover + (1 << depth_j)) * tail, depth_n, depth_j)
         scale, levels = _grid_levels(k, depth_n, depth_j)
         s_grid = _merge(sorted(p for level in levels for p in level))
         s = _from_grid(s_grid, scale)

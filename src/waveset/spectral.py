@@ -632,6 +632,8 @@ class DimensionReport(Verdict):
 def dimension_report(h: StepFn, depth_L: int) -> DimensionReport:
     """Read the window, D1-D4 and the MRA verdict at depth L off one window deep enough for D4
     (2L + 2); the shallower ones are exact restrictions of it."""
+    if depth_L < 2:
+        raise InputError(f"dimfun --depth is at least 2; got {depth_L}")
     deep = dimension_function(h, 2 * depth_L + 2)
     window = deep.restrict(depth_L)
     return DimensionReport(window, check_D1_D4(deep, depth_L), mra_verdict(window))
@@ -642,13 +644,15 @@ def dimension_report(h: StepFn, depth_L: int) -> DimensionReport:
 
 @dataclass(frozen=True)
 class TqResult(Verdict):
-    zero: bool
-    witness: Interval | None = None
     fn: StepFn = StepFn()
 
     @property
+    def zero(self) -> bool:
+        return self.fn.is_zero
+
+    @property
     def witnesses(self) -> tuple:
-        return () if self.zero else (("orthogonality sum is nonzero", self.witness),)
+        return () if self.zero else (("orthogonality sum is nonzero", self.fn.pieces[0][0]),)
 
 
 def tq_check(psi: StepFn, alpha: int) -> TqResult:
@@ -670,14 +674,11 @@ def tq_check(psi: StepFn, alpha: int) -> TqResult:
     if alpha % 2 == 0:
         raise InputError("alpha must be odd; even shifts reduce to odd ones by dilation")
     if psi.is_zero:
-        return TqResult(True)
+        return TqResult()
     if any(_beside_zero(psi._held()[2])):
         raise InputError("support must be bounded away from 0")
     (scale, wden, atoms), = _tq_sweeps(psi, [alpha])  # t_a vanishes outside [-R, R)
-    total = _step_from_grid(scale, wden, atoms)
-    if total.is_zero:
-        return TqResult(True, fn=total)
-    return TqResult(False, total.pieces[0][0], total)
+    return TqResult(_step_from_grid(scale, wden, atoms))
 
 
 def _tq_sweeps(psi: StepFn, alphas: Iterable[int]) -> Iterator[tuple[int, int, list[tuple]]]:
@@ -785,56 +786,48 @@ def _psi_b_row(b: Fraction) -> str:
 @dataclass(frozen=True)
 class PsiBReport(Verdict):
     b: Fraction
-    norm_sq: Fraction
-    calderon: CalderonResult
-    tq_failures: tuple[tuple[int, Interval], ...]
-    orthonormal: bool
-    table_row: str
-    consistent: bool
-    notes: tuple[str, ...]
+    orthonormality: OrthonormalityReport
+
+    @property
+    def table_row(self) -> str:
+        return _psi_b_row(self.b)
+
+    @property
+    def consistent(self) -> bool:
+        return self.orthonormality.passed == (self.table_row == "orthonormal wavelet")
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        rep, cal, notes = self.orthonormality, self.orthonormality.calderon, []
+        if self.b:  # at b = 0 the report that psi_b_report makes carries the notes
+            if not cal.is_one:
+                notes.append(f"dilation sum ranges over [{cal.min_value}, {cal.max_value}]: "
+                             "not a Parseval wavelet")
+            if rep.tq_failures:
+                notes.append("translation-orthogonality sums are nonzero: not a Parseval wavelet")
+            if rep.norm_sq != 1:
+                notes.append(f"squared norm is {rep.norm_sq}, not 1")
+        if self.table_row == "open: frame status unknown":
+            notes.append("frame status in this range is an open question; "
+                         "only necessary conditions are certified")
+        return tuple(notes) + rep.notes
 
 
 def psi_b_report(b: RationalLike) -> PsiBReport:
     """Computable diagnostics for the band-pair family member at parameter b.
 
-    Reports the squared norm, the Calderon sum, translation-orthogonality
-    failures and the orthonormality verdict, then labels whether the known
-    classification row for this b is consistent with these necessary
-    conditions.  Frame and Riesz claims beyond what the two characterizing
-    equations certify are out of scope.
+    Holds the orthonormality report of psi_b (the squared norm, the Calderon
+    sum, translation-orthogonality failures and the verdict) and labels
+    whether the known classification row for this b is consistent with these
+    necessary conditions.  Frame and Riesz claims beyond what the two
+    characterizing equations certify are out of scope.  At b = 0 the support
+    touches 0, so the orthogonality sums are skipped.
     """
     b = rat(b)
     psi = psi_b_spectrum(b)
-    row = _psi_b_row(b)
-    notes: list[str] = []
     if b == 0:
         h = psi.square()
-        report = OrthonormalityReport(False, h.integral(), calderon(h), (), (),
-                                      ("orthogonality sums skipped: support touches 0",))
-        notes.append("support touches 0: dilation sum diverges, so not a Parseval wavelet")
-    else:
-        report = orthonormality_check(psi)
-        if not report.calderon.is_one:
-            notes.append(
-                f"dilation sum ranges over [{report.calderon.min_value}, "
-                f"{report.calderon.max_value}]: not a Parseval wavelet"
-            )
-        if report.tq_failures:
-            notes.append("translation-orthogonality sums are nonzero: not a Parseval wavelet")
-        if report.norm_sq != 1:
-            notes.append(f"squared norm is {report.norm_sq}, not 1")
-    orthonormal = report.passed
-    consistent = orthonormal == (row == "orthonormal wavelet")
-    if row == "open: frame status unknown":
-        notes.append("frame status in this range is an open question; "
-                     "only necessary conditions are certified")
-    return PsiBReport(
-        b=b,
-        norm_sq=report.norm_sq,
-        calderon=report.calderon,
-        tq_failures=report.tq_failures,
-        orthonormal=orthonormal,
-        table_row=row,
-        consistent=consistent,
-        notes=tuple(notes + list(report.notes)),
-    )
+        return PsiBReport(b, OrthonormalityReport(False, h.integral(), calderon(h), (), (), (
+            "support touches 0: dilation sum diverges, so not a Parseval wavelet",
+            "orthogonality sums skipped: support touches 0")))
+    return PsiBReport(b, orthonormality_check(psi))

@@ -360,5 +360,5 @@ def test_integral_reads_the_view_held_seeded():
 def test_orthonormality_leaves_the_calderon_atoms_unmade():
     for b in ("1/2", "1/4", "1/3", "3/4"):
         for cal in (spectral.orthonormality_check(spectral.psi_b_spectrum(b)).calderon,
-                    spectral.psi_b_report(b).calderon):
+                    spectral.psi_b_report(b).orthonormality.calderon):
             assert not cal.diverges and "atoms" not in cal.__dict__

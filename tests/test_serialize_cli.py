@@ -248,6 +248,17 @@ def test_cli_psib(capsys):
     assert rep["data"]["orthonormal"] is False
 
 
+@pytest.mark.parametrize("b", [f"{k}/8" for k in range(1, 8)] + ["1/3", "2/5"])
+def test_cli_psib_prints_what_orthonormal_prints(capsys, tmp_path, b):
+    # psib reports the orthonormality report it ran: the same fields as `orthonormal` on psi_b.
+    psi = _write(tmp_path, "psi_b.json", step_fn_to_json(spectral.psi_b_spectrum(b)))
+    _, band, _ = run_cli(capsys, ["psib", "--b", b])
+    _, ortho, _ = run_cli(capsys, ["orthonormal", psi])
+    for key in ("norm_sq", "calderon", "tq_failures"):
+        assert band["data"][key] == ortho["data"][key], key
+    assert band["data"]["orthonormal"] == (ortho["status"] == "pass")
+
+
 def test_cli_dimfun_journe(capsys, journe_file):
     code, rep, _ = run_cli(capsys, ["dimfun", journe_file, "--depth", "8"])
     # An interval-set file is not a step function: input error.

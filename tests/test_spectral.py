@@ -996,9 +996,9 @@ def test_tq_shannon_zero():
 def test_tq_psi_quarter_nonzero():
     psi = psi_b_spectrum("1/4")
     res = tq_check(psi, 1)
-    assert not res.zero and res.witness is not None
+    (_, witness), = res.witnesses
     pieces = pieces_of(psi)
-    mid = (res.witness.lo + res.witness.hi) / 2
+    mid = (witness.lo + witness.hi) / 2
     assert tq_sum_at(pieces, 1, mid) != 0
 
 
@@ -1024,13 +1024,11 @@ def signed_spectra(draw):
 def test_tq_matches_oracle(psi, alpha, sign, rng):
     alpha *= sign
     res = tq_check(psi, alpha)
-    assert res.zero == res.fn.is_zero
     pieces = pieces_of(psi)
     # Every point here is at least 1/9973 from 0, where terms with 2^m > 3 * 9973 vanish.
     for iv, v in res.fn.pieces:
         assert tq_sum_at(pieces, alpha, (iv.lo + iv.hi) / 2, 16) == v
-    if not res.zero:
-        assert res.witness == res.fn.pieces[0][0]
+    assert [w for _, w in res.witnesses] == [iv for iv, _ in res.fn.pieces[:1]]
     for m in range(5):  # term m lives in 2^-m [-3, 3]
         for xi in sample_fractions(rng, 6, -3 * pow2(-m), 3 * pow2(-m)):
             assert tq_sum_at(pieces, alpha, xi, 16) == res.fn.value_at(xi)
@@ -1083,7 +1081,7 @@ def test_orthonormality_shift_budget(monkeypatch):
         with pytest.raises(InputError, match="at most 2048 odd shifts .work budget.; "
                                              "the support reach 2049 needs 2049"):
             orthonormality_check(StepFn.build([((1, 2049), 1)]))
-    monkeypatch.setattr(spectral, "tq_check", lambda psi, a: spectral.TqResult(True))
+    monkeypatch.setattr(spectral, "tq_check", lambda psi, a: spectral.TqResult())
     rep = orthonormality_check(StepFn.build([((-2048, -1), 1), ((1, 2048), 1)]))
     assert rep.alphas_checked == tuple(range(1, 4096, 2))
 
@@ -1105,24 +1103,25 @@ def test_orthonormality_one_sided_fails():
 
 def test_psi_b_half_orthonormal():
     rep = psi_b_report("1/2")
-    assert rep.orthonormal and rep.table_row == "orthonormal wavelet" and rep.consistent
+    assert rep.orthonormality.passed and rep.table_row == "orthonormal wavelet" and rep.consistent
 
 
 def test_psi_b_quarter_calderon_two():
     rep = psi_b_report("1/4")
-    assert rep.calderon.min_value == rep.calderon.max_value == 2
-    assert not rep.orthonormal and rep.consistent
+    assert rep.orthonormality.calderon.min_value == rep.orthonormality.calderon.max_value == 2
+    assert not rep.orthonormality.passed and rep.consistent
 
 
 def test_psi_b_eighth_calderon_three():
     rep = psi_b_report("1/8")
-    assert rep.calderon.min_value == rep.calderon.max_value == 3
-    assert not rep.orthonormal and rep.consistent
+    assert rep.orthonormality.calderon.min_value == rep.orthonormality.calderon.max_value == 3
+    assert not rep.orthonormality.passed and rep.consistent
 
 
 def test_psi_b_zero_diverges():
     rep = psi_b_report(0)
-    assert rep.calderon.diverges and not rep.orthonormal and rep.consistent
+    assert rep.orthonormality.calderon.diverges and not rep.orthonormality.passed
+    assert rep.consistent
 
 
 def test_psi_b_open_range_labelled():

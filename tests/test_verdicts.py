@@ -189,6 +189,7 @@ def seeded_commands(rng: random.Random) -> list[list[str]]:
         ["lce", "--matrix", "a.json", "--lattice", "id", "--jmin", "0", "--jmax", "3",
          "--c", str(rng.randint(1, 6))],
         ["plot", "h.json", "--format", rng.choice(["csv", "svg"]), "--out", "h.out"],
+        ["dimfun", "h.json", "--depth", str(rng.choice([-1, 0, 1]))],
     ]
 
 
@@ -230,3 +231,18 @@ def test_small_world_wavelet_sets_by_two_routes():
         assert construct.verify_wavelet_set(w.scale(-1)).passed == tiles, parts
         two_interval += tiles and len(parts) == 2
     assert two_interval == 5
+
+
+def test_small_world_wavelet_sets_are_mra_by_their_dimension_function():
+    """The 5 wavelet sets of the small world are two-interval sets: D1 and D2 pass at depth 8,
+    no condition fails, and the dimension function is identically 1 (Bownik, Rzeszotnik and
+    Speegle's conditions, and the MRA verdict)."""
+    wavelet_sets = [iset(*parts) for parts in small_world_sets(6, 2, 3)
+                    if construct.verify_wavelet_set(iset(*parts)).passed]
+    assert len(wavelet_sets) == 5
+    for w in wavelet_sets:
+        rep = spectral.dimension_report(StepFn.indicator(w), 8)
+        c = rep.conditions
+        assert c.d1.status == c.d2.status == "pass", w
+        assert "fail" not in [o.status for o in (c.d1, c.d2, c.d3, c.d4)], w
+        assert rep.mra.status == "is_mra", w
