@@ -326,7 +326,7 @@ def rze_pipeline(
     psi = _psi_grid(d, vden, pieces)
     dh, _, h = psi._grid
     supp_psi = _merge((a, b) for a, b, _ in h)
-    (ds, s), (dw, w) = (x._grid or _pairs_on_grid(x) for x in (result.s, result.w))
+    (ds, s), (dw, w) = result.s._grid, result.w._grid
     scale = math.lcm(d, ds, dw)  # dh divides d
     s, w, phi, psi_ = ([(a * (scale // e), b * (scale // e)) for a, b in pairs]
                        for e, pairs in ((ds, s), (dw, w), (d, supp_phi), (dh, supp_psi)))

@@ -10,7 +10,7 @@ equations, and the band-pair indicator family psi_b.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
@@ -52,13 +52,14 @@ class StepFn(_Views):
     its endpoint and value denominators.  A kernel (``_step_from_grid``) makes a
     step function holding the grid alone; a parsed one makes it on first kernel
     read (``_step_grid``).  Both constructors merge by ``_merge_steps``, and
-    ``integral`` sums the view held.  A spectrum h keeps its deepest window
-    (``_held_window``).
+    ``integral`` sums the view held.  A spectrum h keeps its deepest window,
+    and ``_extends`` when that window extends to every depth (``_held_window``).
     """
 
     pieces: tuple[tuple[Interval, Fraction], ...] = field(default_factory=tuple)
     _grid = None
     _window = None
+    _extends = False
     _FRACTIONS = ("pieces",)
 
     def __post_init__(self) -> None:
@@ -400,9 +401,11 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     Level-j terms live within 2^-j * max-reach of the integers, hence miss
     the window once that radius drops below 2^-L, at j > J.  Levels 1..J are
     one periodic ``_grid_sweep``, which folds all translates k at once, so
-    the work follows J (L plus the log of the reach), not the reach.  The
-    window is an exact ``restrict`` of the one h holds (``_held_window``):
-    depth_L over MAX_WINDOW_DEPTH is refused first, J over MAX_LEVELS next.
+    the work follows J (L plus the log of the reach), not the reach.  Below
+    2^-L* the function is dilation-periodic (``_tail_depth``), so for h off
+    0 one sweep at L* + 1 fixes every window.  The window is an exact cut or
+    extension of the one h holds (``_held_window``): depth_L over
+    MAX_WINDOW_DEPTH is refused first, J over MAX_LEVELS next.
     """
     window = _held_window(h, depth_L).restrict(depth_L)
     object.__setattr__(window, "source", h)
@@ -410,30 +413,125 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
 
 
 def _held_window(h: StepFn, depth_L: int) -> DimFnWindow:
-    """The window h holds, at least depth_L deep, after the refusals of depth_L.  The first
-    read sweeps at depth_L, a deeper one at the larger of depth_L and twice the held depth
-    capped by both budgets, which never refuses.  Like ``_grid`` it is no field (copies,
-    pickles, equality and hash ignore it), and it has no source: h and it form no cycle."""
+    """A window of h at least depth_L deep, read off the one h holds, after the refusals of
+    depth_L: below 2, over MAX_WINDOW_DEPTH, a negative h, J over MAX_LEVELS, then the grid
+    budget.  For h off 0 with L* + 1 in both budgets (``_tail_depth``) the first read sweeps
+    once at L* + 1, and a deeper read is the ``_dilation_extend`` of the held window, never a
+    sweep.  Otherwise (h zero, reaching 0, or L* + 1 over a budget) the first read sweeps at
+    depth_L, a deeper one at the larger of depth_L and twice the held depth capped by both
+    budgets, which never refuses.  h holds its deepest window so far.  Like ``_grid`` it is
+    no field (copies, pickles, equality and hash ignore it), and it has no source: h and it
+    form no cycle."""
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
     if depth_L > MAX_WINDOW_DEPTH:
         raise InputError(f"window depth is at most {MAX_WINDOW_DEPTH}, so dimfun --depth is at "
                          f"most 1024 (work budget); got window depth {depth_L}")
     held = h._window
-    if held is None or held.depth_L < depth_L:  # a held window's h is nonnegative
+    if held is not None and held.depth_L >= depth_L:
+        return held
+    if held is None:  # a held window's h is nonnegative
         neg = h.negative_witness()
         if neg is not None:
             raise InputError(f"squared spectrum must be nonnegative; got {neg[1]} on {neg[0]}")
-        d, _, pieces = h._held()
-        log_reach = floor_log2(Fraction(max(-pieces[0][0], pieces[-1][1]), d)) if pieces else 0
-        if held is not None:  # a depth_L over the level cap stays, and is refused next
+    d, _, pieces = h._held()
+    log_reach = floor_log2(Fraction(max(-pieces[0][0], pieces[-1][1]), d)) if pieces else 0
+    _levels(1, depth_L + log_reach + 1)  # the level budget of the depth asked
+    grid = _step_grid(h)
+    if held is None:
+        tail = _tail_depth(h)
+        if tail is not None and tail < min(MAX_WINDOW_DEPTH, MAX_LEVELS - log_reach):
+            held = _swept_window(grid, tail + 1, log_reach)
+            object.__setattr__(h, "_extends", True)
+    if not h._extends:
+        if held is not None:  # a depth_L over the level cap was refused above
             depth_L = max(depth_L, min(2 * held.depth_L, MAX_WINDOW_DEPTH, MAX_LEVELS - log_reach))
-        levels = _levels(1, depth_L + log_reach + 1)  # while 2^-j * reach >= 2^-L
-        grid, = _grid_sweep(*_step_grid(h), levels, True,
-                            [(pow2(-depth_L), 1 - pow2(-depth_L))], depth_L)
-        held = DimFnWindow._from_grid(grid, depth_L, not h.is_zero)
-        object.__setattr__(h, "_window", held)
+        held = _swept_window(grid, depth_L, log_reach)
+    elif held.depth_L < depth_L:
+        held = _dilation_extend(held, depth_L)
+    object.__setattr__(h, "_window", held)
     return held
+
+
+def _swept_window(grid: tuple, depth_L: int, log_reach: int) -> DimFnWindow:
+    """The depth-L window swept directly: levels 1..L + log2(reach), while 2^-j reach >= 2^-L,
+    in one periodic ``_grid_sweep`` of h's grid, with a boundary note unless h is zero."""
+    window, = _grid_sweep(*grid, range(1, depth_L + log_reach + 1), True,
+                          [(pow2(-depth_L), 1 - pow2(-depth_L))], depth_L)
+    return DimFnWindow._from_grid(window, depth_L, bool(grid[2]))
+
+
+def _tail_depth(h: StepFn) -> int | None:
+    """L*, the least L >= 2 with 2^-L <= min(delta, eps) / 2, read off h's grid; None when h
+    is zero or its support reaches 0.
+
+    delta is the distance from 0 to the support of h, which lies inside
+    [-R, R], and eps the least |b - 2^j k| / 2^j over the breaks b of h, the
+    levels j >= 1 with 2^(j-1) <= R and the k != 0 with b != 2^j k.  Split the dimension
+    function D = F + G, F(x) = sum h(2^j x) over j >= 1 its k = 0 terms.
+    Then F(x/2) = F(x) + h(x), so F(x/2) = F(x) on 0 < |x| < delta, where h
+    vanishes.  For |x| < 1/2 and k != 0, |x + k| >= 1/2, so the term
+    h(2^j (x + k)) is nonzero only if 2^(j-1) <= R: G is a finite sum there.
+    Each of its terms breaks where 2^j (x + k) is a break b, at
+    x = (b - 2^j k) / 2^j, so none breaks on 0 < |x| < eps, and
+    G(x/2) = G(x) there.  Hence D(x/2) = D(x) on 0 < |x| < min(delta, eps),
+    and, D being 1-periodic, D(1 - y/2) = D(1 - y) there too: the window at
+    depth L* + 1 holds the octaves [2^-(L*+1), 2^-L*) and
+    [1 - 2^-L*, 1 - 2^-(L*+1)), all inside that range, and their copies by
+    2^-m fix D on all of (0, 1) (``_dilation_extend``).
+
+    For each b and j only the two integers k nearest b / 2^j can give the
+    least distance, so the cost is O(breaks x levels) with no loop over k.
+    Where b / 2^j is an integer the next k lie 1 away, which never moves L*
+    (at least 2), and they are skipped.  Every distance is an integer on the
+    grid 1/(D 2^J), J the last level.  Ends over D give delta >= 1/D and
+    eps >= 1/(2RD), so L* <= log2(RD) + 3.
+    """
+    d, _, pieces = _step_grid(h)
+    if not pieces:
+        return None
+    _, near, big = _off_zero(pieces)
+    if near is None:
+        return None
+    last = floor_log2(Fraction(big, d)) + 1 if big >= d else 0  # 2^(j-1) <= R iff j <= last
+    gap = near << last  # delta on 1/(D 2^last)
+    breaks = {e for a, b, _ in pieces for e in (a, b)}
+    for j in range(1, last + 1):
+        m, up = d << j, last - j
+        for b in breaks:
+            k, rest = divmod(b, m)
+            if rest:  # k and k + 1 are the nearest integers to b / 2^j
+                if k:
+                    gap = min(gap, rest << up)
+                if k + 1:
+                    gap = min(gap, (m - rest) << up)
+    return max(2, -floor_log2(Fraction(gap, d << (last + 1))))
+
+
+def _dilation_extend(w: DimFnWindow, depth_L: int) -> DimFnWindow:
+    """The depth-L window of a dimension function that is dilation-periodic below 2^-(M-1),
+    M = w.depth_L < L (``_tail_depth``): w with the octave [2^-M, 2^-(M-1)) copied to
+    x -> 2^-m x and the octave [1 - 2^-(M-1), 1 - 2^-M) to 1 - y -> 1 - 2^-m y, for
+    m = 1..L - M, on the grid 1/(scale 2^(L-M)).  Equal neighbours are merged, and
+    ``_from_grid`` makes the canonical window, equal to the direct sweep piece for piece."""
+    up = depth_L - w.depth_L
+    s, ends, weights = w.scale, w.ends, w.weights
+    a = ends[0]  # 2^-M on the grid
+    t = s << up
+    i, j = bisect_left(ends, 2 * a), bisect_right(ends, s - 2 * a) - 1
+    low = list(zip(ends[:i], weights[:i]))
+    high = [(s - 2 * a, weights[j])] + list(zip(ends[j + 1:-1], weights[j + 1:]))
+    cells = [(e << n, v) for n in range(up) for e, v in low]
+    cells += [(e << up, v) for e, v in zip(ends, weights)]
+    cells += [(t - ((s - e) << n), v) for n in range(up - 1, -1, -1) for e, v in high]
+    out_ends, out_weights = [], []
+    for e, v in cells:
+        if not out_weights or out_weights[-1] != v:
+            out_ends.append(e)
+            out_weights.append(v)
+    out_ends.append(t - a)
+    return DimFnWindow._from_grid((t, tuple(out_ends), w.vden, tuple(out_weights)), depth_L,
+                                  w.boundary_note)
 
 
 @dataclass(frozen=True)
@@ -461,8 +559,9 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
     "no violation found" (they are limit statements and cannot be decided by
     any finite computation).  D3 explores residue classes mod 2^l up to the
     class depth l = min(L, 8).  D1-D3 look at the depth-(L + 2) part of the
-    input, D4 at a window 2L deep, the input or else the one its source
-    holds.  All read the integer grid; only a witness becomes an interval.
+    input, D4 at a window 2L deep, the input or else one read off the window
+    its source holds, with no sweep for a source off 0 (``_held_window``).
+    All read the integer grid; only a witness becomes an interval.
     """
     L = depth_L
     if L < 2:
@@ -556,9 +655,10 @@ def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
     Certified-fail probe at depth L: the function vanishes at every
     contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset T of the
     depth-L window.  Those contractions lie in [2^-2L, 2^-ceil(L/2)), read
-    from the given window when it is 2L deep, else from the window the
-    source holds, deepened to at least 2L (``_held_window``).  On the grid,
-    T loses 2^j N at each j, N the part of [0, 1) off the zero runs.
+    from the given window when it is 2L deep, else from a window at least 2L
+    deep read off the one the source holds (``_held_window``: a cut, an
+    extension of its dilation-periodic tail, or a deeper sweep).  On the
+    grid, T loses 2^j N at each j, N the part of [0, 1) off the zero runs.
     """
     j_lo = (L + 1) // 2
     if dim.depth_L < 2 * L and dim.source is None:

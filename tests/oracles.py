@@ -12,7 +12,9 @@ planar decisions in their original form, on ``Fraction`` matrices and
 ``QuadScalar`` arithmetic, with signs taken by rational comparisons, and the
 first grid scans (``atom_transversal``, ``clipped_translate_levels``,
 ``change_point_ratio_clash``): the transversal, the overlap sets R_j and the
-(F1) ratio test as integer scans on the library's grids.  ``small_world_sets``
+(F1) ratio test as integer scans on the library's grids, and
+``window_by_direct_sweep``, the dimension-function window swept at exactly
+the depth asked, with no cut or extension.  ``small_world_sets``
 enumerates a complete small world of candidate wavelet sets with plain loops.
 """
 
@@ -25,8 +27,8 @@ from fractions import Fraction
 from waveset.errors import InputError, PreconditionError
 from waveset.intervals import iset, normalize
 from waveset.msf2d import ExistenceResult, Mat2, QuadScalar
-from waveset.spectral import StepFn, dimension_function
-from waveset.torus import periodize_window
+from waveset.spectral import StepFn, _step_grid, dimension_function
+from waveset.torus import DimFnWindow, _grid_sweep, periodize_window
 
 Pair = tuple[Fraction, Fraction]
 
@@ -114,6 +116,44 @@ def dim_sum_at(pieces, xi: Fraction, j_max: int = 64) -> Fraction:
         for k in range(math.floor(-xi - radius) - 1, math.ceil(-xi + radius) + 2):
             total += value_at(pieces, pow2(j) * (xi + k))
     return total
+
+
+def window_by_direct_sweep(h: StepFn, depth_L: int) -> DimFnWindow:
+    """The depth-L dimension-function window of h from one periodic sweep at exactly that depth:
+    levels 1 to L + log2(reach) of the grid of a copy of h, so nothing h holds is read, cut
+    or extended.  Its source is h, as ``dimension_function`` sets it."""
+    d, vden, pieces = _step_grid(StepFn.build(h.pieces))
+    reach = max((max(-lo, hi) for lo, hi, _ in pieces), default=d)
+    window = Fraction(1, 2**depth_L), 1 - Fraction(1, 2**depth_L)
+    levels = range(1, depth_L + floor_log2(Fraction(reach, d)) + 1)
+    grid, = _grid_sweep(d, vden, pieces, levels, True, [window], depth_L)
+    return DimFnWindow._from_grid(grid, depth_L, bool(pieces), h)
+
+
+def tail_depth_by_loops(pieces, skip=None):
+    """(L*, the (b, j, k) that gives eps) with plain loops over every k, or (None, None) when the
+    support reaches 0: delta the distance from 0 to the support, eps the least
+    |b - 2^j k| / 2^j over the breaks b, the j >= 1 with 2^(j-1) <= R and the k != 0 with
+    b != 2^j k, and L* the least L >= 2 with 2^-L <= min(delta, eps) / 2.  The triple ``skip``
+    is left out of eps."""
+    if not pieces or any(lo <= 0 <= hi for lo, hi, _ in pieces):
+        return None, None
+    delta = min(min(abs(lo), abs(hi)) for lo, hi, _ in pieces)
+    reach = max(max(abs(lo), abs(hi)) for lo, hi, _ in pieces)
+    breaks = sorted({x for lo, hi, _ in pieces for x in (lo, hi)})
+    eps, pair, j = None, None, 1
+    while pow2(j - 1) <= reach:
+        for b in breaks:
+            for k in range(math.floor(-reach / pow2(j)) - 1, math.ceil(reach / pow2(j)) + 2):
+                gap = abs(b - pow2(j) * k) / pow2(j)
+                if k and gap and (b, j, k) != skip and (eps is None or gap < eps):
+                    eps, pair = gap, (b, j, k)
+        j += 1
+    least = delta if eps is None else min(delta, eps)
+    depth = 2
+    while pow2(-depth) > least / 2:
+        depth += 1
+    return depth, pair
 
 
 def tq_sum_at(pieces, alpha: int, xi: Fraction, m_max: int = 64) -> Fraction:

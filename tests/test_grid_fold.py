@@ -27,9 +27,10 @@ from oracles import (
 from waveset import construct
 from waveset.construct import rze_pipeline, s1_witness
 from waveset.errors import InconsistentSpectrumError, PreconditionError
-from waveset.intervals import Interval, normalize
+from waveset.intervals import Interval, _merge, normalize
 from waveset.spectral import StepFn, psi_spectrum_from_scaling, validate_scaling_spectrum
-from waveset.torus import extract_transversal, fold_multiplicity, fold_step, sweep_weighted
+from waveset.torus import (_from_grid, extract_transversal, fold_multiplicity, fold_step,
+                           sweep_weighted)
 
 F = Fraction
 DENS = (1, 2, 3, 4, 5, 7, 8, 12, 1617)
@@ -327,13 +328,21 @@ def _scaling_set(rng, k):
 
 def _widened_construction(extra):
     """``lemma_r3_construct`` with ``extra`` added to W and room for it in the coverage
-    bound: a truncated run whose W escapes supp h, which the generated inputs never give."""
+    bound: a truncated run whose W escapes supp h, which the generated inputs never give.
+    The widened W holds its grid, as every W the construction makes does: the union of the
+    integer pairs on the lcm of W's grid and the denominators of ``extra``."""
     real = construct.lemma_r3_construct
 
     def widened(sprime, depth_n, depth_j):
         res = real(sprime, depth_n, depth_j)
+        dw, pairs = res.w._grid
+        d = math.lcm(dw, *(x.denominator for p in extra.parts for x in (p.lo, p.hi)))
+        up = d // dw
+        pairs = [(a * up, b * up) for a, b in pairs]
+        pairs += [(int(p.lo * d), int(p.hi * d)) for p in extra.parts]
+        w = _from_grid(_merge(sorted(pairs)), d)
         defects = dataclasses.replace(res.defects, coverage_defect=F(10))
-        return dataclasses.replace(res, w=res.w.union(extra), defects=defects, fast_path=False)
+        return dataclasses.replace(res, w=w, defects=defects, fast_path=False)
 
     return widened
 

@@ -24,8 +24,10 @@ from oracles import (
     sample_fractions,
     shift,
     stretch,
+    tail_depth_by_loops,
     tq_sum_at,
     value_at,
+    window_by_direct_sweep,
 )
 from waveset.construct import verify_wavelet_set
 from waveset.errors import InconsistentSpectrumError, InputError
@@ -40,6 +42,7 @@ from waveset.spectral import (
     dimension_function,
     floor_log2,
     mra_check,
+    mra_verdict,
     orthonormality_check,
     pow2,
     psi_b_report,
@@ -48,7 +51,7 @@ from waveset.spectral import (
     tq_check,
     validate_scaling_spectrum,
 )
-from waveset.spectral import _check_d4
+from waveset.spectral import _check_d4, _tail_depth
 from waveset.torus import fold_multiplicity, fold_step
 
 F = Fraction
@@ -326,11 +329,12 @@ def test_floor_log2_matches_oracle_seeded():
 
 def test_dimension_fragments_do_not_grow_with_reach(monkeypatch):
     # Each level gives a piece at most three folded fragments (the cut ends
-    # and the whole periods), so the work follows the levels, about L plus
-    # log2 of the reach: 26 levels at 10^2 and 49 at 10^9 at L = 20.
+    # and the whole periods), so the work follows the levels of the one sweep,
+    # at L* + 1 (5 and 6 here) plus log2 of the reach: 11 levels at 10^2 and
+    # 35 at 10^9, and each further level adds at most three fragments.
     from waveset import torus
 
-    made = []
+    made, levels = [], []
     for reach in (10**2, 10**9):
         lengths = []
 
@@ -339,12 +343,15 @@ def test_dimension_fragments_do_not_grow_with_reach(monkeypatch):
             lengths.append(len(fragments))
             return real(fragments, lo, hi)
 
+        h = StepFn.build([((1, reach), 1)])
         with monkeypatch.context() as m:
             m.setattr(torus, "sweep_weighted", counting_sweep)
-            dimension_function(StepFn.build([((1, reach), 1)]), 20)
-        assert sum(lengths) <= 3 * (20 + floor_log2(F(reach)))
+            dimension_function(h, 20)
+        levels.append(_tail_depth(h) + 1 + floor_log2(F(reach)))
+        assert sum(lengths) <= 3 * levels[-1]
         made.append(sum(lengths))
-    assert made[1] <= 3 * made[0]
+    assert levels == [11, 35]
+    assert made[1] - made[0] <= 3 * (levels[1] - levels[0])
 
 
 def test_dilation_sums_level_budget(monkeypatch):
@@ -424,24 +431,21 @@ def _held_window_spectra(rng: random.Random):
 
 
 def test_held_window_reads_match_direct_sweeps_seeded():
-    # Depths asked in random order, each read three ways; every answer equals the one a
-    # fresh spectrum gives from a sweep made at exactly the depth it needs.
+    # Depths asked in random order, each read three ways; every answer equals the one read off
+    # a window swept at exactly the depth it needs.
     rng = random.Random(2210)
     asked = 0
     for h in _held_window_spectra(rng):
-        def fresh():
-            return StepFn.build(h.pieces)
-
         for _ in range(6):
             depth, kind = rng.randint(2, 12), rng.choice(("window", "conditions", "mra"))
             if kind == "window":
                 window = dimension_function(h, depth)
-                assert window == dimension_function(fresh(), depth) and window.source is h
+                assert window == window_by_direct_sweep(h, depth) and window.source is h
             elif kind == "conditions":
                 got = check_D1_D4(dimension_function(h, depth + 2), depth)
-                assert got == check_D1_D4(dimension_function(fresh(), 2 * depth + 2), depth)
+                assert got == check_D1_D4(window_by_direct_sweep(h, 2 * depth + 2), depth)
             else:
-                assert mra_check(h, depth) == mra_check(fresh(), depth)
+                assert mra_check(h, depth) == mra_verdict(window_by_direct_sweep(h, depth))
             assert h._window.depth_L >= depth and h._window.source is None
             asked += 1
     assert asked == 6 * 41
@@ -467,30 +471,181 @@ def test_held_window_refusals_do_not_depend_on_what_is_held():
                 with pytest.raises(InputError) as refused:
                     read()
                 assert str(refused.value) == text
-            assert (h._window and h._window.depth_L) == held
-    # Deepening doubles at most to the level budget's cap, and never refuses there.
+            # off 0 the first read sweeps at L* + 1 = 3, then h holds its deepest read
+            assert (h._window and h._window.depth_L) == (held and max(held, 3))
+    # Off 0 a deeper read extends the window held, up to the level budget's cap; reaching 0,
+    # it doubles at most to that cap, and never refuses there.
     h = StepFn.build(far)
+    dimension_function(h, 60)
+    assert dimension_function(h, 70).depth_L == 70 and h._window.depth_L == 70
+    assert dimension_function(h, 96) == window_by_direct_sweep(h, 96)
+    h = StepFn.build([((0, 2**4000), 1)])
     dimension_function(h, 60)
     assert dimension_function(h, 70).depth_L == 70 and h._window.depth_L == 96
 
 
 def test_held_window_doubles_up_to_the_depth_budget():
-    h = StepFn.build(SHANNON_PSI.pieces)
-    dimension_function(h, 1500)
-    window = dimension_function(h, 1600)
-    assert window.depth_L == 1600 and h._window.depth_L == MAX_WINDOW_DEPTH
-    assert window == dimension_function(StepFn.build(h.pieces), 1600)
+    # Reaching 0, a deeper read doubles the held depth, capped by MAX_WINDOW_DEPTH; off 0,
+    # Shannon's window at 1600 is the extension of the one held at 1500.
+    for pieces, held in (([((-1, 1), 1)], MAX_WINDOW_DEPTH), (SHANNON_PSI.pieces, 1600)):
+        h = StepFn.build(pieces)
+        dimension_function(h, 1500)
+        window = dimension_function(h, 1600)
+        assert window.depth_L == 1600 and h._window.depth_L == held
+        assert window == window_by_direct_sweep(h, 1600)
+
+
+def _journe_type(q: int) -> StepFn:
+    """The indicator of J_q, whose positive half is [c/4, 1/2) u [2^q, 2^q c), c =
+    2^(q+2) / (2^(q+2) - 1): q = 1 is Journe's set."""
+    c, top = F(2 ** (q + 2), 2 ** (q + 2) - 1), 2**q
+    return StepFn.indicator(normalize([(-top * c, -top), (F(-1, 2), -c / 4), (c / 4, F(1, 2)),
+                                       (top, top * c)]))
+
+
+def _distinct_steps(cuts, rng: random.Random):
+    """Touching pieces on the sorted cuts, neighbours unequal, so that every cut is a break."""
+    values = [rng.randint(1, 3)]
+    for _ in cuts[2:]:
+        values.append(rng.choice([v for v in (1, 2, 3) if v != values[-1]]))
+    return [(a, b, v) for a, b, v in zip(cuts, cuts[1:], values)]
+
+
+def _tight_spectrum(rng: random.Random, j: int, k: int, q: int) -> StepFn:
+    """A break b = 2^j k +- 1/q on the side of k, every other break on 1/4: eps is at most
+    1/(q 2^j), and R at most 2^(j+1) + 1."""
+    b = abs(2**j * k + F(rng.choice((-1, 1)), q))
+    top = 2**j * abs(k) + 1
+    cuts = sorted({F(1, 4), b, F(top)} | {F(rng.randint(2, 4 * top - 1), 4) for _ in range(3)})
+    pieces = _distinct_steps(cuts, rng)
+    if k < 0:
+        pieces = [(-hi, -lo, v) for lo, hi, v in pieces]
+    if rng.random() < 0.5:  # the other side on 1/4 alone
+        pieces += [(-hi if k > 0 else lo, -lo if k > 0 else hi, v)
+                   for lo, hi, v in _distinct_steps([F(1, 4), F(3, 4), F(7, 4)], rng)]
+    return step(pieces)
+
+
+def _near_zero_spectrum(rng: random.Random, s: int) -> StepFn:
+    """Steps on [2^-s, 3) and a mirror piece: the support is 2^-s from 0."""
+    cuts = sorted({pow2(-s), F(3)} | {F(rng.randint(1, 11), 4) for _ in range(3)})
+    return step(_distinct_steps(cuts, rng) + [(F(-2), -pow2(-s - 1), 1)])
+
+
+def _tail_spectra(rng: random.Random):
+    """Seeded spectra off 0, several with a dilation-periodic tail that starts deep: band
+    pairs, Journe-type sets, eps-tight steps, and supports 2^-3 to 2^-40 from 0."""
+    for b in ("1/2", "1/3", "1/4", "1/8", "3/5", "2/7"):
+        yield psi_b_spectrum(b)
+    for q in (1, 2, 3):
+        yield _journe_type(q)
+    for _ in range(12):
+        yield _tight_spectrum(rng, rng.randint(1, 3), rng.choice((-2, -1, 1, 2)),
+                              rng.choice((3, 5, 7, 64, 1001, 4097)))
+    for s in (3, 9, 17, 26, 33, 40):
+        yield _near_zero_spectrum(rng, s)
+
+
+def test_windows_equal_direct_sweeps_at_every_depth_seeded():
+    # Every depth 2..40, read in random order on one h and once on a fresh h: each cut or
+    # extension of the window held equals the sweep at exactly that depth, piece for piece.
+    # The grid spectra add the route of spectra reaching 0.
+    rng = random.Random(2810)
+    routes = set()
+    for h in [*_tail_spectra(rng), *(_grid_spectrum(rng) for _ in range(6))]:
+        direct = {depth: window_by_direct_sweep(h, depth) for depth in range(2, 41)}
+        for depth in rng.sample(range(2, 41), 39):
+            assert dimension_function(h, depth) == direct[depth], (h, depth)
+            fresh = StepFn.build(h.pieces)
+            assert dimension_function(fresh, depth) == direct[depth], (h, depth)
+        routes.add(h._extends)
+    assert routes == {True, False}
+
+
+def test_tail_depth_matches_plain_loops_seeded():
+    rng = random.Random(2811)
+    spectra = [*_tail_spectra(rng), *(_grid_spectrum(rng) for _ in range(40)), StepFn(),
+               StepFn.build([((1, 2**12), 1)]), StepFn.build([((-1, 1), 1)])]
+    depths = set()
+    for h in spectra:
+        depth = tail_depth_by_loops(pieces_of(h))[0]
+        assert _tail_depth(h) == depth, h
+        depths.add(depth)
+    assert None in depths and max(d for d in depths if d) >= 40
+
+
+def test_dimension_near_0_and_1_matches_plain_sums_seeded():
+    # Far below any window swept: D at rationals near 2^-200 and 1 - 2^-200, read off the
+    # depth-202 extension, equals the plain double sum.
+    rng = random.Random(2812)
+    for h in list(_tail_spectra(rng))[::2]:
+        pieces = pieces_of(h)
+        j_max = 205 + oracle_floor_log2(max(max(abs(lo), abs(hi)) for lo, hi, _ in pieces))
+        window = dimension_function(h, 202)
+        for x in sample_fractions(rng, 3, pow2(-201), pow2(-199), 9973 << 201):
+            for xi in (x, 1 - x):
+                assert window.value_at(xi) == dim_sum_at(pieces, xi, j_max), (h, xi)
+
+
+def test_a_tail_depth_missing_one_gap_is_caught(monkeypatch):
+    # A mutant whose eps ignores the one (b, j, k) that gives it starts the tail too shallow.
+    # With b = +-2 +- 1/q, q >= 64, that pair gives eps = 1/(2q), and every other at least
+    # 1/32, so the mutant's L* is 2 or more too small: some depth up to 40 then differs from
+    # the direct sweep.  (An eps off by a factor 2 or less moves L* by at most 1, which the
+    # halving in its definition absorbs.)
+    from waveset import spectral
+
+    rng = random.Random(2813)
+    for _ in range(12):
+        h = _tight_spectrum(rng, 1, rng.choice((-1, 1)), rng.choice((64, 1001, 4097)))
+        pieces = pieces_of(h)
+        depth, pair = tail_depth_by_loops(pieces)
+        assert spectral._tail_depth(h) == depth and pair[1:] in ((1, 1), (1, -1))
+        assert tail_depth_by_loops(pieces, skip=pair)[0] <= depth - 2
+        with monkeypatch.context() as m:
+            m.setattr(spectral, "_tail_depth",
+                      lambda f: tail_depth_by_loops(pieces_of(f), skip=pair)[0])
+            assert any(dimension_function(StepFn.build(h.pieces), L) != window_by_direct_sweep(h, L)
+                       for L in range(2, 41)), (h, pair)
+
+
+def test_one_periodic_sweep_per_spectrum(monkeypatch):
+    # Off 0, the full diagnosis (the window at L, D1-D4 on L + 2, the MRA test at L) and a lone
+    # D1-D4 on the L + 2 window of a fresh h each sweep once, at L* + 1.
+    from waveset import spectral
+
+    sweeps = []
+
+    def counting_sweep(*args, real=spectral._grid_sweep):
+        sweeps.append(args[4])  # periodic
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_grid_sweep", counting_sweep)
+    tight = _tight_spectrum(random.Random(7), 2, 1, 65)
+    for h in (JOURNE_H, SHANNON_PSI, psi_b_spectrum("1/3"), tight):
+        for L in (2, 8, 20, 200):
+            fresh = StepFn.build(h.pieces)
+            sweeps.clear()
+            dimension_function(fresh, L)
+            check_D1_D4(dimension_function(fresh, L + 2), L)
+            mra_check(fresh, L)
+            assert sweeps == [True]
+            fresh = StepFn.build(h.pieces)
+            sweeps.clear()
+            check_D1_D4(dimension_function(fresh, L + 2), L)
+            assert sweeps == [True]
+            assert fresh._window.depth_L == max(2 * L, _tail_depth(fresh) + 1)
 
 
 def test_held_window_is_ignored_by_copy_pickle_and_hash():
     h, fresh = StepFn.build(JOURNE_H.pieces), StepFn.build(JOURNE_H.pieces)
     text, key = pickle.dumps(h), hash(h)
     window = dimension_function(h, 12)
-    assert h._window is not None and fresh._window is None
+    assert h._window is not None and h._extends and fresh._window is None
     assert pickle.dumps(h) == text and hash(h) == key == hash(fresh)
     assert h == fresh and repr(h) == repr(fresh)
     for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-        assert twin == h and twin._window is None
+        assert twin == h and twin._window is None and not twin._extends
     again = pickle.loads(pickle.dumps(window))
     assert again == window and again.source._window is None
 
