@@ -73,29 +73,48 @@ def check_S2(s: IntervalSet) -> bool:
 
 
 def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[list[tuple]]]:
-    """The levels of ``_truncated_levels`` as (lo, hi) integer pairs over ``scale``.
+    """Levels E_0, ..., E_N with the inner union truncated at j <= n + depth_j.
 
-    Returns (scale, levels), scale = D 2^T with D the lcm of the endpoint
-    denominators of K (within the ``_on_grid`` budget) and T = depth_n +
-    depth_j.  Every endpoint met is 2^-j x + i for an endpoint x of K, an
-    integer i and j <= T, so all of them are integers over scale.
+    E_n = K_n minus R_(n+1), ..., R_(n+depth_j), with K_j = 2^-j K and R_j
+    the points of the nonzero integer translates of K_j that lie outside K_j.
+    The relative truncation keeps the doubling chain E_n inside 2 E_{n+1}
+    termwise, so the nesting defect of the result is confined to the last
+    level.
 
-    R_j is the fold of K_j (``_unit_fragments``, merged) laid on each unit
-    cell that its live levels meet, minus K_j.  K lies in [-r, r], so the
-    levels n >= near = ceil(log2 r) lie in the cells [-1, 0) and [0, 1); a
-    shallower level lies in the parts of K_n, each at most 1 long, so it
-    meets at most 2 |K| cells, |K| the parts of K.  The fold has at most
-    3 |K| runs, so R_j takes O(|K|^2 log r) pairs.
+    Returns (scale, levels), each level (lo, hi) integer pairs over scale =
+    D 2^T, D the lcm of the endpoint denominators of K (over MAX_GRID_BITS
+    bits, an InputError) and T = depth_n + depth_j.  Every endpoint met is
+    2^-j x + i for an endpoint x of K, an integer i and j <= T, so all of
+    them are integers over scale.
+
+    No R_j takes anything from the levels from ``cut`` on.  K lies in
+    [-r, r], r its reach from 0, so K_n lies in [-2^-n r, 2^-n r], and for
+    j > n every point of R_j, a point of some K_j + k with k != 0, has
+    |x| >= 1 - 2^-(n+1) r.  The two meet in more than a point (parts are
+    half-open) only when 3 2^-(n+1) r > 1.  A truncated level keeps at least
+    what the full cut keeps, so E_n = K_n for n >= cut, the least n with
+    3 r <= 2^(n+1) (at most depth_n + 1), and only the R_j with
+    j < cut + depth_j are built.
+
+    Each such R_j is built once and subtracted from every level below the
+    cut that needs it and is not yet empty.  It is the fold of K_j
+    (``_unit_fragments``, merged) laid on each unit cell that those levels
+    meet, minus K_j: on those cells it is the full periodization of K_j.
+    The levels n >= near = ceil(log2 r) lie in the cells [-1, 0) and
+    [0, 1); a shallower level lies in the parts of K_n, each at most 1 long,
+    so it meets at most 2 |K| cells, |K| the parts of K.  The fold has at
+    most 3 |K| runs, so R_j takes O(|K|^2 log r) pairs.
     """
     t = depth_n + depth_j
     d, pairs = _pairs_on_grid(k)
     scale = d << t
     kernel = [(a << t, b << t) for a, b in pairs]  # K_j: exact >> j
     levels = [[(a >> n, b >> n) for a, b in kernel] for n in range(depth_n + 1)]
-    reach = -(-max(-kernel[0][0], kernel[-1][1]) // scale)  # r, in whole units
-    near = (reach - 1).bit_length()
-    for j in range(1, t + 1):
-        live = [n for n in range(max(0, j - depth_j), min(depth_n + 1, j)) if levels[n]]
+    top = max(-kernel[0][0], kernel[-1][1])  # r = top / scale
+    near = (-(-top // scale) - 1).bit_length()
+    cut = min(depth_n + 1, max(0, (-(-3 * top // scale) - 1).bit_length() - 1))
+    for j in range(1, cut + depth_j):
+        live = [n for n in range(max(0, j - depth_j), min(cut, j)) if levels[n]]
         if not live:
             continue
         cells = {c for n in live if n < near for a, b in levels[n]
@@ -113,28 +132,6 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
     return scale, levels
 
 
-def _truncated_levels(k: IntervalSet, depth_n: int, depth_j: int) -> list[IntervalSet]:
-    """Levels E_0, ..., E_N with the inner union truncated at j <= n + depth_j.
-
-    E_n = K_n minus R_(n+1), ..., R_(n+depth_j), with K_j = 2^-j K and R_j
-    the points of the nonzero integer translates of K_j that lie outside K_j.
-    Each R_j is built once and subtracted from every level that needs it
-    (n < j <= n + depth_j) and is not yet empty.  It is the fold of K_j on
-    [0, 1), laid on each unit cell that those levels meet, minus K_j: on
-    those cells it is the full periodization of K_j.
-
-    All of it runs on integer pairs on one grid (``_grid_levels``), and each
-    level holds its grid alone.  A kernel whose lcm of endpoint denominators
-    exceeds MAX_GRID_BITS bits is an InputError.
-
-    The relative truncation keeps the doubling chain E_n inside 2 E_{n+1}
-    termwise, so the nesting defect of the result is confined to the last
-    level.
-    """
-    scale, levels = _grid_levels(k, depth_n, depth_j)
-    return [_from_grid(level, scale) for level in levels]
-
-
 def lemma_r3_construct(
     sprime: IntervalSet,
     depth_n: int = DEFAULT_DEPTH_N,
@@ -150,10 +147,12 @@ def lemma_r3_construct(
     j <= n + J and the report carries geometric tail bounds.
 
     Level n is K_n minus R_(n+1), ..., R_(n+J), where R_j is the part of the
-    integer translates of K_j = 2^-j K outside K_j.  Each of the N + J sets
-    R_j is built once per call, as the fold of K_j laid on the unit cells of
-    the levels it meets, so its cost grows with the log of the span of K
-    (``_grid_levels`` bounds it).  The levels, every R_j, S and W = 2S minus
+    integer translates of K_j = 2^-j K outside K_j.  No R_j meets a level n
+    with 3 2^-(n+1) reach(K) <= 1, so those levels are K_n as they stand,
+    and only the R_j the shallower levels take are built: each once per
+    call, as the fold of K_j laid on the unit cells of the levels it meets,
+    so its cost grows with the log of the span of K (``_grid_levels`` proves
+    the cut and bounds the cost).  The levels, every R_j, S and W = 2S minus
     S are integer pairs on its grid 1/(D 2^(N+J)), and S1, the transversal,
     the fast-path test and the tail bounds read integers on the grids of S'
     and K, so S and W hold their grids alone and make no fraction.

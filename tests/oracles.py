@@ -5,8 +5,9 @@ comparisons, deliberately avoiding the canonical set algebra and the
 summation shortcuts of the library, so agreement is meaningful.  The
 exceptions are ``truncated_level_by_periodization``, the construction's level
 loop in its original form, built on ``periodize_window`` (itself pinned by
-hand-checked examples in ``test_torus.py``), ``d4_probe``, the D4 probe
-in its original form, on the interval-set algebra, and the planar reference
+hand-checked examples in ``test_torus.py``), ``truncated_levels``, the
+library's own levels made into sets for that comparison, ``d4_probe``, the
+D4 probe in its original form, on the interval-set algebra, and the planar reference
 route (``fraction_wavelet_set_exists``, ``fraction_lattice_form``): both
 planar decisions in their original form, on ``Fraction`` matrices and
 ``QuadScalar`` arithmetic, with signs taken by rational comparisons, and the
@@ -24,11 +25,12 @@ import math
 import random
 from fractions import Fraction
 
+from waveset.construct import _grid_levels
 from waveset.errors import InputError, PreconditionError
 from waveset.intervals import iset, normalize
 from waveset.msf2d import ExistenceResult, Mat2, QuadScalar
 from waveset.spectral import StepFn, _step_grid, dimension_function
-from waveset.torus import DimFnWindow, _grid_sweep, periodize_window
+from waveset.torus import DimFnWindow, _from_grid, _grid_sweep, periodize_window
 
 Pair = tuple[Fraction, Fraction]
 
@@ -378,6 +380,13 @@ def truncated_level_by_periodization(k, n: int, depth_j: int):
         if acc.is_empty:
             break
     return acc
+
+
+def truncated_levels(k, depth_n: int, depth_j: int):
+    """The library's levels E_0, ..., E_N (``construct._grid_levels``) as sets, each
+    holding its grid alone, for comparison with ``truncated_level_by_periodization``."""
+    scale, levels = _grid_levels(k, depth_n, depth_j)
+    return [_from_grid(level, scale) for level in levels]
 
 
 # ------------------------------------------------- the unit fold on fractions

@@ -18,10 +18,10 @@ from oracles import (
     sample_fractions,
     translation_multiplicity_at,
     truncated_level_by_periodization,
+    truncated_levels,
 )
 from waveset.construct import (
     MAX_CONSTRUCT_DEPTH,
-    _truncated_levels,
     check_S1,
     check_S2,
     lemma_r3_construct,
@@ -294,16 +294,16 @@ def test_truncated_levels_subtract_and_nest():
     # their integer translates, so inner truncation really removes mass.
     k = iset(("-1/8", "5/8"), ("13/8", "15/8"))
     assert check_S3(k)
-    e0_raw = _truncated_levels(k, 0, 0)[0]
-    e0 = _truncated_levels(k, 0, 4)[0]
+    e0_raw = truncated_levels(k, 0, 0)[0]
+    e0 = truncated_levels(k, 0, 4)[0]
     assert e0_raw == k
     chipped = k.subtract(e0)
     assert chipped.measure() > 0
     assert iset(("29/16", "15/8")).subset_mod_null(chipped)
     # Deeper inner truncation only shrinks a level, and the doubling chain
     # survives truncation: E_0 sits inside 2 E_1 at matching depths.
-    assert _truncated_levels(k, 0, 6)[0].subset_mod_null(e0)
-    e1 = _truncated_levels(k, 1, 4)[1]
+    assert truncated_levels(k, 0, 6)[0].subset_mod_null(e0)
+    e1 = truncated_levels(k, 1, 4)[1]
     assert e0.subset_mod_null(e1.scale(2))
 
 
@@ -344,8 +344,8 @@ def test_truncated_levels_match_periodization(seed, kind, shift, depth_n, depth_
     assert check_S3(k)
     levels = [truncated_level_by_periodization(k, n, depth_j) for n in range(depth_n + 1)]
     # One call builds every level, each overlap set shared by the levels it meets.
-    assert _truncated_levels(k, depth_n, depth_j) == levels
-    assert _truncated_levels(k, depth_n, depth_j)[depth_n] == levels[-1]
+    assert truncated_levels(k, depth_n, depth_j) == levels
+    assert truncated_levels(k, depth_n, depth_j)[depth_n] == levels[-1]
     if sprime is not None and shift == 0:
         expected = EMPTY
         for level in levels:
@@ -383,7 +383,7 @@ def test_truncated_levels_match_oracle_deep_far_and_prime_cut():
     for k, depth_n, depth_j in cases:
         assert check_S3(k)
         levels = [truncated_level_by_periodization(k, n, depth_j) for n in range(depth_n + 1)]
-        assert _truncated_levels(k, depth_n, depth_j) == levels
+        assert truncated_levels(k, depth_n, depth_j) == levels
 
 
 def test_construct_depth_budget():
@@ -427,6 +427,25 @@ def test_construct_translates_do_not_grow_with_span(monkeypatch):
             lemma_r3_construct(iset((-reach, "1/4")), 8, 8)
         made.append(sum(lengths))
     assert made[1] <= 2 * made[0]
+
+
+def test_construct_folds_only_the_scales_a_cut_can_take(monkeypatch):
+    # The kernel of [-2, 3/8) u [5/8, 11/16) reaches r = 13/8, so no R_j meets
+    # a level n >= 2 (3 r <= 2^(n + 1)): only R_1, ..., R_(1 + J) are folded.
+    from waveset import construct
+
+    k = extract_transversal(iset((-2, "3/8"), ("5/8", "11/16")), prefer_window=True)
+    folds = []
+
+    def counting_fragments(pieces, scale, real=construct._unit_fragments):
+        folds.append(scale)
+        return real(pieces, scale)
+
+    monkeypatch.setattr(construct, "_unit_fragments", counting_fragments)
+    for depth, expected in ((256, 257), (40, 41)):
+        folds.clear()
+        construct._grid_levels(k, depth, depth)
+        assert len(folds) == expected, (depth, len(folds))
 
 
 def test_construct_raises_first_failed_precondition():

@@ -20,10 +20,11 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import merge_steps
+import oracles
+from oracles import merge_steps, truncated_levels
 from test_grid_fold import _random_set, _random_spectrum, _scaling_set, _three_level
 from waveset import cli, construct, spectral, torus
-from waveset.construct import _truncated_levels, lemma_r3_construct, rze_pipeline
+from waveset.construct import lemma_r3_construct, rze_pipeline
 from waveset.errors import InconsistentSpectrumError, InputError, PreconditionError
 from waveset.intervals import Interval, IntervalSet, normalize, rat
 from waveset.spectral import (DimFnWindow, StepFn, dimension_function, psi_spectrum_from_scaling,
@@ -79,7 +80,7 @@ def test_kept_grid_is_the_lcm_grid_seeded(monkeypatch):
             return out[-1]
         return record
 
-    for module in (torus, construct, spectral):
+    for module in (torus, construct, spectral, oracles):
         monkeypatch.setattr(module, "_from_grid", recording(torus._from_grid, made_sets))
     monkeypatch.setattr(spectral, "_step_from_grid",
                         recording(spectral._step_from_grid, made_fns))
@@ -99,7 +100,7 @@ def test_kept_grid_is_the_lcm_grid_seeded(monkeypatch):
             sprime = _scaling_set(rng, rng.randint(1, 4))
             depth = rng.randint(0, 4)
             res = lemma_r3_construct(sprime, depth, depth)
-            _truncated_levels(extract_transversal(sprime, prefer_window=True), depth, depth)
+            truncated_levels(extract_transversal(sprime, prefer_window=True), depth, depth)
             construct.verify_wavelet_set(res.w)
             g = (StepFn.indicator(sprime), _three_level(rng))[i % 2]
             rze_pipeline(g, depth, depth)
