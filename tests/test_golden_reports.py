@@ -149,6 +149,9 @@ COMMANDS = [
     ["calderon", "zero_length_piece.json"],
     ["verify", "--", "wavelet-set", "journe.json"],
     ["verify", "--", "scaling-set", "sprime_window.json"],
+    ["dimfun", "wide_g.json", "--depth", "6"],
+    ["dimfun", "empty_h.json", "--depth", "6"],
+    ["dimfun", "shannon_g.json", "--depth", "6"],
 ]
 
 
