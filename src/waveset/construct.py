@@ -100,10 +100,9 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
     cut that needs it and is not yet empty.  It is the fold of K_j
     (``_unit_fragments``, merged) laid on each unit cell that those levels
     meet, minus K_j: on those cells it is the full periodization of K_j.
-    The levels n >= near = ceil(log2 r) lie in the cells [-1, 0) and
-    [0, 1); a shallower level lies in the parts of K_n, each at most 1 long,
-    so it meets at most 2 |K| cells, |K| the parts of K.  The fold has at
-    most 3 |K| runs, so R_j takes O(|K|^2 log r) pairs.
+    A level lies in the parts of K_n, each at most 1 long, so it meets at
+    most 2 |K| cells, |K| the parts of K.  The fold has at most 3 |K| runs,
+    so R_j takes O(|K|^2 log r) pairs.
     """
     t = depth_n + depth_j
     d, pairs = _pairs_on_grid(k)
@@ -111,16 +110,12 @@ def _grid_levels(k: IntervalSet, depth_n: int, depth_j: int) -> tuple[int, list[
     kernel = [(a << t, b << t) for a, b in pairs]  # K_j: exact >> j
     levels = [[(a >> n, b >> n) for a, b in kernel] for n in range(depth_n + 1)]
     top = max(-kernel[0][0], kernel[-1][1])  # r = top / scale
-    near = (-(-top // scale) - 1).bit_length()
     cut = min(depth_n + 1, max(0, (-(-3 * top // scale) - 1).bit_length() - 1))
     for j in range(1, cut + depth_j):
         live = [n for n in range(max(0, j - depth_j), min(cut, j)) if levels[n]]
         if not live:
             continue
-        cells = {c for n in live if n < near for a, b in levels[n]
-                 for c in range(a // scale, -(-b // scale))}
-        if live[-1] >= near:
-            cells.update((-1, 0))
+        cells = {c for n in live for a, b in levels[n] for c in range(a // scale, -(-b // scale))}
         kj = [(a >> j, b >> j) for a, b in kernel]
         fold = _merge(sorted((a, b) for a, b, _, _ in _unit_fragments(((a, b, 1) for a, b in kj),
                                                                        scale)))

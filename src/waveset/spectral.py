@@ -52,14 +52,14 @@ class StepFn(_Views):
     its endpoint and value denominators.  A kernel (``_step_from_grid``) makes a
     step function holding the grid alone; a parsed one makes it on first kernel
     read (``_step_grid``).  Both constructors merge by ``_merge_steps``, and
-    ``integral`` sums the view held.  A spectrum h keeps its deepest window,
-    and ``_extends`` when that window extends to every depth (``_held_window``).
+    ``integral`` sums the view held.  A spectrum h with a dilation-periodic
+    tail keeps its deepest window, which extends to every depth
+    (``_held_window``).
     """
 
     pieces: tuple[tuple[Interval, Fraction], ...] = field(default_factory=tuple)
     _grid = None
     _window = None
-    _extends = False
     _FRACTIONS = ("pieces",)
 
     def __post_init__(self) -> None:
@@ -403,9 +403,10 @@ def dimension_function(h: StepFn, depth_L: int = 20) -> DimFnWindow:
     one periodic ``_grid_sweep``, which folds all translates k at once, so
     the work follows J (L plus the log of the reach), not the reach.  Below
     2^-L* the function is dilation-periodic (``_tail_depth``), so for h off
-    0 one sweep at L* + 1 fixes every window.  The window is an exact cut or
-    extension of the one h holds (``_held_window``): depth_L over
-    MAX_WINDOW_DEPTH is refused first, J over MAX_LEVELS next.
+    0 one sweep at L* + 1 fixes every window: the window is an exact cut or
+    extension of the one h holds.  Any other h is swept at depth_L on each
+    read (``_held_window``).  depth_L over MAX_WINDOW_DEPTH is refused first,
+    J over MAX_LEVELS next.
     """
     window = _held_window(h, depth_L).restrict(depth_L)
     object.__setattr__(window, "source", h)
@@ -417,11 +418,10 @@ def _held_window(h: StepFn, depth_L: int) -> DimFnWindow:
     depth_L: below 2, over MAX_WINDOW_DEPTH, a negative h, J over MAX_LEVELS, then the grid
     budget.  For h off 0 with L* + 1 in both budgets (``_tail_depth``) the first read sweeps
     once at L* + 1, and a deeper read is the ``_dilation_extend`` of the held window, never a
-    sweep.  Otherwise (h zero, reaching 0, or L* + 1 over a budget) the first read sweeps at
-    depth_L, a deeper one at the larger of depth_L and twice the held depth capped by both
-    budgets, which never refuses.  h holds its deepest window so far.  Like ``_grid`` it is
-    no field (copies, pickles, equality and hash ignore it), and it has no source: h and it
-    form no cycle."""
+    sweep; h holds its deepest window so far.  Like ``_grid`` it is no field (copies, pickles,
+    equality and hash ignore it), and it has no source: h and it form no cycle.  Any other h
+    (zero, reaching 0, or L* + 1 over a budget) is swept at depth_L on every read and holds
+    nothing."""
     if depth_L < 2:
         raise InputError("window depth must be at least 2")
     if depth_L > MAX_WINDOW_DEPTH:
@@ -440,14 +440,10 @@ def _held_window(h: StepFn, depth_L: int) -> DimFnWindow:
     grid = _step_grid(h)
     if held is None:
         tail = _tail_depth(h)
-        if tail is not None and tail < min(MAX_WINDOW_DEPTH, MAX_LEVELS - log_reach):
-            held = _swept_window(grid, tail + 1, log_reach)
-            object.__setattr__(h, "_extends", True)
-    if not h._extends:
-        if held is not None:  # a depth_L over the level cap was refused above
-            depth_L = max(depth_L, min(2 * held.depth_L, MAX_WINDOW_DEPTH, MAX_LEVELS - log_reach))
-        held = _swept_window(grid, depth_L, log_reach)
-    elif held.depth_L < depth_L:
+        if tail is None or tail >= min(MAX_WINDOW_DEPTH, MAX_LEVELS - log_reach):
+            return _swept_window(grid, depth_L, log_reach)
+        held = _swept_window(grid, tail + 1, log_reach)
+    if held.depth_L < depth_L:
         held = _dilation_extend(held, depth_L)
     object.__setattr__(h, "_window", held)
     return held
@@ -559,8 +555,8 @@ def check_D1_D4(dim: DimFnWindow, depth_L: int) -> DimConditionsReport:
     "no violation found" (they are limit statements and cannot be decided by
     any finite computation).  D3 explores residue classes mod 2^l up to the
     class depth l = min(L, 8).  D1-D3 look at the depth-(L + 2) part of the
-    input, D4 at a window 2L deep, the input or else one read off the window
-    its source holds, with no sweep for a source off 0 (``_held_window``).
+    input, D4 at a window 2L deep, the input or else one read off its source,
+    with no sweep for a source off 0 (``_held_window``).
     All read the integer grid; only a witness becomes an interval.
     """
     L = depth_L
@@ -656,8 +652,8 @@ def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
     contraction 2^-j x, ceil(L/2) <= j <= L, on a nonnull subset T of the
     depth-L window.  Those contractions lie in [2^-2L, 2^-ceil(L/2)), read
     from the given window when it is 2L deep, else from a window at least 2L
-    deep read off the one the source holds (``_held_window``: a cut, an
-    extension of its dilation-periodic tail, or a deeper sweep).  On the
+    deep read off the source (``_held_window``: a cut or an extension of the
+    window it holds, or a sweep at 2L when it holds none).  On the
     grid, T loses 2^j N at each j, N the part of [0, 1) off the zero runs.
     """
     j_lo = (L + 1) // 2
@@ -685,7 +681,7 @@ def _check_d4(dim: DimFnWindow, L: int) -> CheckOutcome:
 
 @dataclass(frozen=True)
 class MraVerdict:
-    status: str  # "is_mra" | "not_mra" | "inconclusive"
+    status: str  # "is_mra" | "not_mra"
     witness: Interval | None = None
     note: str = ""
     window: DimFnWindow | None = None

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from waveset.construct import _grid_levels
 from waveset.errors import InputError, PreconditionError
-from waveset.intervals import iset, normalize
+from waveset.intervals import IntervalSet, iset, normalize
 from waveset.msf2d import ExistenceResult, Mat2, QuadScalar
 from waveset.spectral import StepFn, _step_grid, dimension_function
 from waveset.torus import DimFnWindow, _from_grid, _grid_sweep, periodize_window
@@ -951,3 +951,20 @@ def small_world_sets(q: int, reach: int, max_parts: int) -> list[list[Pair]]:
 
     extend([], ends[0], q)
     return found
+
+
+def dilation_union(parts: list[Pair]) -> IntervalSet:
+    """S_W, the union of 2^-j W over j >= 1, for a wavelet set W with these parts, off 0.
+
+    The dilates 2^j W tile R minus 0, and for |x| < r/2, r the distance of W from 0, the
+    one holding x has 2^j r <= |x|, so j <= -2: S_W holds [-r/2, r/2).  Every 2^-j W with
+    2^-j R < r/2, R the reach of W, lies in that window, so S_W is the window with 2^-1 W,
+    ..., 2^-J W, J the least such j.
+    """
+    r = min(lo if lo > 0 else -hi for lo, hi in parts)
+    reach = max(-parts[0][0], parts[-1][1])
+    pieces, j = [(-r / 2, r / 2)], 0
+    while not j or reach / 2**j >= r / 2:
+        j += 1
+        pieces += [(lo / 2**j, hi / 2**j) for lo, hi in parts]
+    return normalize(pieces)

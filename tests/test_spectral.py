@@ -446,7 +446,10 @@ def test_held_window_reads_match_direct_sweeps_seeded():
                 assert got == check_D1_D4(window_by_direct_sweep(h, 2 * depth + 2), depth)
             else:
                 assert mra_check(h, depth) == mra_verdict(window_by_direct_sweep(h, depth))
-            assert h._window.depth_L >= depth and h._window.source is None
+            tail = _tail_depth(h)  # held iff h has a dilation-periodic tail
+            assert (h._window is None) == (tail is None)
+            assert h._window is None or (h._window.depth_L >= max(depth, tail + 1)
+                                         and h._window.source is None)
             asked += 1
     assert asked == 6 * 41
 
@@ -474,24 +477,24 @@ def test_held_window_refusals_do_not_depend_on_what_is_held():
             # off 0 the first read sweeps at L* + 1 = 3, then h holds its deepest read
             assert (h._window and h._window.depth_L) == (held and max(held, 3))
     # Off 0 a deeper read extends the window held, up to the level budget's cap; reaching 0,
-    # it doubles at most to that cap, and never refuses there.
+    # each read sweeps at the depth asked and h holds nothing.
     h = StepFn.build(far)
     dimension_function(h, 60)
     assert dimension_function(h, 70).depth_L == 70 and h._window.depth_L == 70
     assert dimension_function(h, 96) == window_by_direct_sweep(h, 96)
     h = StepFn.build([((0, 2**4000), 1)])
     dimension_function(h, 60)
-    assert dimension_function(h, 70).depth_L == 70 and h._window.depth_L == 96
+    assert dimension_function(h, 70).depth_L == 70 and h._window is None
 
 
-def test_held_window_doubles_up_to_the_depth_budget():
-    # Reaching 0, a deeper read doubles the held depth, capped by MAX_WINDOW_DEPTH; off 0,
-    # Shannon's window at 1600 is the extension of the one held at 1500.
-    for pieces, held in (([((-1, 1), 1)], MAX_WINDOW_DEPTH), (SHANNON_PSI.pieces, 1600)):
+def test_deep_reads_extend_off_0_and_hold_nothing_reaching_0():
+    # Reaching 0, h holds nothing, so a deeper read sweeps again; off 0, Shannon's window at
+    # 1600 is the extension of the one held at 1500.
+    for pieces, held in (([((-1, 1), 1)], None), (SHANNON_PSI.pieces, 1600)):
         h = StepFn.build(pieces)
         dimension_function(h, 1500)
         window = dimension_function(h, 1600)
-        assert window.depth_L == 1600 and h._window.depth_L == held
+        assert window.depth_L == 1600 and (h._window and h._window.depth_L) == held
         assert window == window_by_direct_sweep(h, 1600)
 
 
@@ -558,7 +561,7 @@ def test_windows_equal_direct_sweeps_at_every_depth_seeded():
             assert dimension_function(h, depth) == direct[depth], (h, depth)
             fresh = StepFn.build(h.pieces)
             assert dimension_function(fresh, depth) == direct[depth], (h, depth)
-        routes.add(h._extends)
+        routes.add(h._window is not None)
     assert routes == {True, False}
 
 
@@ -637,15 +640,39 @@ def test_one_periodic_sweep_per_spectrum(monkeypatch):
             assert fresh._window.depth_L == max(2 * L, _tail_depth(fresh) + 1)
 
 
+def test_spectra_without_a_tail_sweep_each_read_at_the_depth_asked(monkeypatch):
+    # Reaching 0 or zero, h holds nothing: the full diagnosis sweeps once per window read, each
+    # time at exactly the depth asked (the window at L, D1-D3 at L + 2, D4 at 2L, the MRA test
+    # at L), never deeper.
+    from waveset import spectral
+
+    sweeps = []
+
+    def counting_sweep(*args, real=spectral._grid_sweep):
+        sweeps.append((args[4], args[6]))  # periodic, depth
+        return real(*args)
+
+    monkeypatch.setattr(spectral, "_grid_sweep", counting_sweep)
+    for pieces in ([((-1, 1), 1)], [((0, 2**4000), 1)], []):
+        for L in (3, 8, 30):
+            h = StepFn.build(pieces)
+            sweeps.clear()
+            dimension_function(h, L)
+            check_D1_D4(dimension_function(h, L + 2), L)
+            mra_check(h, L)
+            assert sweeps == [(True, L), (True, L + 2), (True, 2 * L), (True, L)], (pieces, L)
+            assert h._window is None
+
+
 def test_held_window_is_ignored_by_copy_pickle_and_hash():
     h, fresh = StepFn.build(JOURNE_H.pieces), StepFn.build(JOURNE_H.pieces)
     text, key = pickle.dumps(h), hash(h)
     window = dimension_function(h, 12)
-    assert h._window is not None and h._extends and fresh._window is None
+    assert h._window is not None and fresh._window is None
     assert pickle.dumps(h) == text and hash(h) == key == hash(fresh)
     assert h == fresh and repr(h) == repr(fresh)
     for twin in (copy.copy(h), copy.deepcopy(h), pickle.loads(pickle.dumps(h))):
-        assert twin == h and twin._window is None and not twin._extends
+        assert twin == h and twin._window is None
     again = pickle.loads(pickle.dumps(window))
     assert again == window and again.source._window is None
 

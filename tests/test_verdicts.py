@@ -22,7 +22,7 @@ from pathlib import Path
 
 import pytest
 
-from oracles import small_world_sets
+from oracles import dilation_union, small_world_sets
 from test_golden_reports import COMMANDS as GOLDEN_COMMANDS
 from test_golden_reports import INPUTS, run_command, write_inputs
 from waveset import construct, figures, msf2d, serialize, spectral
@@ -246,3 +246,25 @@ def test_small_world_wavelet_sets_are_mra_by_their_dimension_function():
         assert c.d1.status == c.d2.status == "pass", w
         assert "fail" not in [o.status for o in (c.d1, c.d2, c.d3, c.d4)], w
         assert rep.mra.status == "is_mra", w
+
+
+def test_small_world_wavelet_sets_give_scaling_sets_exactly_when_mra():
+    """For each wavelet set W of the small world, and Journe's set, S_W = the union of 2^-j W
+    over j >= 1 (``oracles.dilation_union``) has 2 S_W minus S_W = W; S_W passes S1-S3 exactly
+    when W is MRA, and then rze on 1_(S_W) gives W back with status pass; and x -> -x keeps
+    the MRA verdict."""
+    wavelet_sets = [parts for parts in small_world_sets(6, 2, 3)
+                    if construct.verify_wavelet_set(iset(*parts)).passed]
+    journe = [(F(-16, 7), F(-2)), (F(-1, 2), F(-2, 7)), (F(2, 7), F(1, 2)), (F(2), F(16, 7))]
+    verdicts = []
+    for parts in wavelet_sets + [journe]:
+        w, s = iset(*parts), dilation_union(parts)
+        assert s.scale(2) - s == w, parts
+        mra = spectral.mra_check(StepFn.indicator(w), 8).status
+        assert spectral.mra_check(StepFn.indicator(w.scale(-1)), 8).status == mra, parts
+        assert (construct.verify_scaling_set(s).status == "pass") == (mra == "is_mra"), parts
+        if mra == "is_mra":
+            rze = construct.rze_pipeline(StepFn.indicator(s))
+            assert rze.w == w and rze.status == "pass", parts
+        verdicts.append(mra)
+    assert verdicts == ["is_mra"] * 5 + ["not_mra"]
