@@ -964,7 +964,7 @@ def dilation_union(parts: list[Pair]) -> IntervalSet:
     r = min(lo if lo > 0 else -hi for lo, hi in parts)
     reach = max(-parts[0][0], parts[-1][1])
     pieces, j = [(-r / 2, r / 2)], 0
-    while not j or reach / 2**j >= r / 2:
+    while reach / 2**j >= r / 2:  # true at j = 0, as R >= r
         j += 1
         pieces += [(lo / 2**j, hi / 2**j) for lo, hi in parts]
     return normalize(pieces)

@@ -10,7 +10,9 @@ so a result that drops one fails here.
 
 The small-world test decides every candidate of a complete enumeration
 (``oracles.small_world_sets``) by two independent routes: the tiling decision
-``verify_wavelet_set`` and the orthonormality of the indicator's spectrum.
+``verify_wavelet_set`` and the orthonormality of the indicator's spectrum.  Its wavelet
+sets W are then tied to scaling sets: S_W, the union of the 2^-j W over j >= 1, passes
+S1-S3 exactly when W is MRA.
 """
 
 from __future__ import annotations
