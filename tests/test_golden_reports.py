@@ -86,6 +86,7 @@ INPUTS = {
                                       {"interval": ["1/2", "15/16"], "value": "2"}],
                            "boundary_note": True},
     "zero_length_piece.json": _step([["1/4", "1/2", "1"], ["1", "1", "1"]]),
+    "empty_set.json": _iset([]),
 }
 
 COMMANDS = [
@@ -152,6 +153,11 @@ COMMANDS = [
     ["dimfun", "wide_g.json", "--depth", "6"],
     ["dimfun", "empty_h.json", "--depth", "6"],
     ["dimfun", "shannon_g.json", "--depth", "6"],
+    ["plot", "journe.json", "--format", "svg", "--out", "journe.svg"],
+    ["plot", "empty_set.json", "--format", "svg", "--out", "empty_set.svg"],
+    ["plot", "signed_psi.json", "--format", "csv", "--out", "signed_psi.csv"],
+    ["plot", "readme_window.json", "--format", "csv", "--out", "readme_window.csv"],
+    ["plot", "empty_h.json", "--format", "csv", "--out", "empty_h.csv"],
 ]
 
 
