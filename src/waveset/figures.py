@@ -1,7 +1,10 @@
 """Static figure emission: exact CSV tables and deterministic SVG plots.
 
-CSV rows carry exact rational strings.  SVG coordinates are formatted with a
-fixed precision so identical inputs produce byte-identical files; tick labels
+Every figure reads one row table (``_rows``): an interval set's parts, a step
+function's pieces, or a window's breaks with the value that starts at each.
+CSV rows carry exact rational strings.  SVG draws the rows in one frame, on an
+x-axis padded by a tenth of their span; coordinates are formatted with a fixed
+precision so identical inputs produce byte-identical files, and tick labels
 stay exact.
 """
 
@@ -24,22 +27,23 @@ _HEIGHT_STEP = 320
 _MARGIN = 50
 
 
-def render_csv(obj: Plottable) -> str:
+def _rows(obj: Plottable) -> tuple[str, list[tuple]]:
+    """The CSV header and exact rows of a figure: (lo, hi) per part of an interval set,
+    (lo, hi, value) per piece of a step function, (break, value) per piece of a window and
+    its last break valued None."""
     if isinstance(obj, IntervalSet):
-        lines = ["lo,hi"]
-        lines += [f"{format_rational(p.lo)},{format_rational(p.hi)}" for p in obj.parts]
-    elif isinstance(obj, StepFn):
-        lines = ["lo,hi,value"]
-        lines += [
-            f"{format_rational(iv.lo)},{format_rational(iv.hi)},{format_rational(v)}"
-            for iv, v in obj.pieces
-        ]
-    elif isinstance(obj, DimFnWindow):
-        lines = ["break,value"]
-        lines += [f"{format_rational(a)},{format_rational(v)}" for a, _, v in obj.pieces()]
-        lines.append(f"{format_rational(obj.breaks[-1])},")
-    else:
-        raise InputError(f"cannot render {type(obj).__name__} as a figure")
+        return "lo,hi", [(p.lo, p.hi) for p in obj.parts]
+    if isinstance(obj, StepFn):
+        return "lo,hi,value", [(iv.lo, iv.hi, v) for iv, v in obj.pieces]
+    if isinstance(obj, DimFnWindow):
+        return "break,value", [(a, v) for a, _, v in obj.pieces()] + [(obj.breaks[-1], None)]
+    raise InputError(f"cannot render {type(obj).__name__} as a figure")
+
+
+def render_csv(obj: Plottable) -> str:
+    header, rows = _rows(obj)
+    lines = [header]
+    lines += [",".join("" if x is None else format_rational(x) for x in row) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -47,126 +51,111 @@ def _fmt(x: float) -> str:
     return f"{x:.4f}"
 
 
-def _x_mapper(lo: Fraction, hi: Fraction):
-    width = hi - lo
-
-    def to_x(v: Fraction) -> float:
-        return _MARGIN + float((v - lo) / width) * (_WIDTH - 2 * _MARGIN)
-
-    return to_x
-
-
-def _svg_header(height: int) -> list[str]:
-    return [
+def _svg(height: int, rows: list[tuple], draw, empty: str, empty_y: int, lead=()) -> str:
+    """One figure in the frame: header and white background, the ``lead`` lines, then the
+    lines of ``draw(to_x)`` (to_x maps the rows' span, padded by a tenth of it on each side,
+    onto the width), or the label ``empty`` when there are no rows, and the closing tag."""
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{height}" '
         f'viewBox="0 0 {_WIDTH} {height}">',
         f'<rect width="{_WIDTH}" height="{height}" fill="white"/>',
+        *lead,
     ]
-
-
-def _render_number_line(obj: IntervalSet) -> str:
-    height = _HEIGHT_LINE
-    parts = obj.parts
-    out = _svg_header(height)
-    axis_y = height // 2
-    out.append(
-        f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{_WIDTH - _MARGIN}" y2="{axis_y}" '
-        'stroke="black" stroke-width="1"/>'
-    )
-    if parts:
-        lo, hi = parts[0].lo, parts[-1].hi
-        pad = (hi - lo) / 10 if hi > lo else Fraction(1)
-        to_x = _x_mapper(lo - pad, hi + pad)
-        for p in parts:
-            x1, x2 = to_x(p.lo), to_x(p.hi)
-            out.append(
-                f'<line x1="{_fmt(x1)}" y1="{axis_y}" x2="{_fmt(x2)}" y2="{axis_y}" '
-                'stroke="steelblue" stroke-width="8" stroke-linecap="butt"/>'
-            )
-            for v, x in ((p.lo, x1), (p.hi, x2)):
-                out.append(
-                    f'<line x1="{_fmt(x)}" y1="{axis_y - 8}" x2="{_fmt(x)}" '
-                    f'y2="{axis_y + 8}" stroke="black" stroke-width="1"/>'
-                )
-                out.append(
-                    f'<text x="{_fmt(x)}" y="{axis_y + 24}" font-size="11" '
-                    f'text-anchor="middle">{format_rational(v)}</text>'
-                )
+    if rows:
+        lo, hi = rows[0][0], rows[-1][1]
+        pad = (hi - lo) / 10
+        lo, width = lo - pad, hi - lo + 2 * pad
+        out += draw(lambda v: _MARGIN + float((v - lo) / width) * (_WIDTH - 2 * _MARGIN))
     else:
         out.append(
-            f'<text x="{_WIDTH // 2}" y="{axis_y - 12}" font-size="12" '
-            'text-anchor="middle">empty set</text>'
+            f'<text x="{_WIDTH // 2}" y="{empty_y}" font-size="12" '
+            f'text-anchor="middle">{empty}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
+def _render_number_line(parts: list[tuple[Fraction, Fraction]]) -> str:
+    axis_y = _HEIGHT_LINE // 2
+    axis = (
+        f'<line x1="{_MARGIN}" y1="{axis_y}" x2="{_WIDTH - _MARGIN}" y2="{axis_y}" '
+        'stroke="black" stroke-width="1"/>'
+    )
+
+    def draw(to_x):
+        for lo, hi in parts:
+            x1, x2 = to_x(lo), to_x(hi)
+            yield (
+                f'<line x1="{_fmt(x1)}" y1="{axis_y}" x2="{_fmt(x2)}" y2="{axis_y}" '
+                'stroke="steelblue" stroke-width="8" stroke-linecap="butt"/>'
+            )
+            for v, x in ((lo, x1), (hi, x2)):
+                yield (
+                    f'<line x1="{_fmt(x)}" y1="{axis_y - 8}" x2="{_fmt(x)}" '
+                    f'y2="{axis_y + 8}" stroke="black" stroke-width="1"/>'
+                )
+                yield (
+                    f'<text x="{_fmt(x)}" y="{axis_y + 24}" font-size="11" '
+                    f'text-anchor="middle">{format_rational(v)}</text>'
+                )
+
+    return _svg(_HEIGHT_LINE, parts, draw, "empty set", axis_y - 12, [axis])
+
+
 def _render_step(atoms: list[tuple[Fraction, Fraction, Fraction]]) -> str:
     height = _HEIGHT_STEP
-    out = _svg_header(height)
     base_y = height - _MARGIN
-    if atoms:
-        lo, hi = atoms[0][0], atoms[-1][1]
-        pad = (hi - lo) / 10 if hi > lo else Fraction(1)
-        to_x = _x_mapper(lo - pad, hi + pad)
-        vmax = max(max((v for *_, v in atoms), default=Fraction(0)), Fraction(1))
-        vmin = min(min((v for *_, v in atoms), default=Fraction(0)), Fraction(0))
-        vspan = vmax - vmin if vmax > vmin else Fraction(1)
+
+    def draw(to_x):
+        vmax = max(max(v for *_, v in atoms), Fraction(1))
+        vmin = min(min(v for *_, v in atoms), Fraction(0))
+        vspan = vmax - vmin
 
         def to_y(v: Fraction) -> float:
             return base_y - float((v - vmin) / vspan) * (height - 2 * _MARGIN)
 
         zero_y = to_y(Fraction(0))
-        out.append(
+        yield (
             f'<line x1="{_MARGIN}" y1="{_fmt(zero_y)}" x2="{_WIDTH - _MARGIN}" '
             f'y2="{_fmt(zero_y)}" stroke="black" stroke-width="1"/>'
         )
         labelled: set[Fraction] = set()
         for a, b, v in atoms:
             x1, x2, y = to_x(a), to_x(b), to_y(v)
-            out.append(
+            yield (
                 f'<line x1="{_fmt(x1)}" y1="{_fmt(y)}" x2="{_fmt(x2)}" y2="{_fmt(y)}" '
                 'stroke="firebrick" stroke-width="3"/>'
             )
             if v not in labelled:
                 labelled.add(v)
-                out.append(
+                yield (
                     f'<text x="{_fmt(_MARGIN - 6)}" y="{_fmt(y + 4)}" font-size="11" '
                     f'text-anchor="end">{format_rational(v)}</text>'
                 )
         for v, x in ((atoms[0][0], to_x(atoms[0][0])), (atoms[-1][1], to_x(atoms[-1][1]))):
-            out.append(
+            yield (
                 f'<text x="{_fmt(x)}" y="{_fmt(base_y + 18)}" font-size="11" '
                 f'text-anchor="middle">{format_rational(v)}</text>'
             )
-    else:
-        out.append(
-            f'<text x="{_WIDTH // 2}" y="{height // 2}" font-size="12" '
-            'text-anchor="middle">zero function</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+
+    return _svg(height, atoms, draw, "zero function", height // 2)
 
 
 def render_svg(obj: Plottable) -> str:
-    if isinstance(obj, IntervalSet):
-        return _render_number_line(obj)
-    if isinstance(obj, StepFn):
-        return _render_step([(iv.lo, iv.hi, v) for iv, v in obj.pieces])
-    if isinstance(obj, DimFnWindow):
-        return _render_step(list(obj.pieces()))
-    raise InputError(f"cannot render {type(obj).__name__} as a figure")
+    header, rows = _rows(obj)
+    if header == "lo,hi":
+        return _render_number_line(rows)
+    if header == "break,value":  # a window's piece runs from its break to the next
+        rows = [(a, b, v) for (a, v), (b, _) in zip(rows, rows[1:])]
+    return _render_step(rows)
 
 
 def emit_figure(obj: Plottable, fmt: str, out_path: str) -> int:
     """Write the figure file; returns the number of bytes written."""
-    if fmt == "csv":
-        payload = render_csv(obj)
-    elif fmt == "svg":
-        payload = render_svg(obj)
-    else:
+    renderers = {"csv": render_csv, "svg": render_svg}
+    if fmt not in renderers:
         raise InputError(f"unsupported figure format {fmt!r} (use csv or svg)")
-    data = payload.encode("utf-8")
+    data = renderers[fmt](obj).encode("utf-8")
     try:
         with open(out_path, "wb") as fh:
             fh.write(data)

@@ -18,10 +18,7 @@ from .torus import DimFnWindow
 
 
 def format_rational(x: Fraction) -> str:
-    x = rat(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    return str(rat(x))  # "n" or "p/q", as Fraction prints itself
 
 
 def parse_rational(s: Any) -> Fraction:
@@ -171,7 +168,10 @@ def dim_fn_window_from_json(obj: Any) -> DimFnWindow:
             raise InputError("window pieces must be contiguous")
         breaks.append(b)
         values.append(v)
-    return DimFnWindow(tuple(breaks), tuple(values), depth, boundary_note)
+    window = DimFnWindow(tuple(breaks), tuple(values), depth, boundary_note)
+    if depth < 0:
+        raise InputError(f'"depth" must be a nonnegative integer, got {depth}')
+    return window
 
 
 def defect_report_to_json(d: DefectReport) -> dict:

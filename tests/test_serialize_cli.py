@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from waveset import cli, spectral
 from waveset.errors import InputError
 from waveset.figures import render_csv, render_svg
-from waveset.intervals import iset, normalize
+from waveset.intervals import IntervalSet, iset, normalize, rat
 from waveset.msf2d import Mat2, QuadScalar
 from waveset.serialize import (
     format_rational,
@@ -29,6 +30,7 @@ from waveset.serialize import (
 )
 from waveset.spectral import StepFn, dimension_function
 from waveset.serialize import dim_fn_window_from_json, dim_fn_window_to_json
+from waveset.torus import DimFnWindow, fold_multiplicity, fold_step
 
 from test_fuzz_cli import argvs as fuzz_argvs
 
@@ -118,6 +120,48 @@ def test_svg_deterministic_and_wellformed():
     assert a == b and a.startswith("<svg") and a.rstrip().endswith("</svg>")
     f = StepFn.build([((0, 1), F(1, 2)), ((1, 2), 1)])
     assert render_svg(f) == render_svg(f)
+
+
+def test_figure_rows_read_back_exactly():
+    """Seeded interval sets, signed step functions and windows (folds, a dimension function,
+    ones built from breaks and values, and the empty set and zero function among them): each
+    CSV row reads back through ``rat`` to the value's own parts, pieces, or breaks and values,
+    and the SVG draws one segment per row.  A non-plottable is refused alike by both
+    renderers."""
+    rng = random.Random(2031)
+    objs = [iset(), StepFn.build([]), dimension_function(StepFn.indicator(iset((1, 2))), 4)]
+    for _ in range(60):
+        q = rng.choice((1, 3, 8, 1001))
+        cuts = sorted(rng.sample(range(-4 * q, 4 * q + 1), 2 * rng.randint(1, 4)))
+        s = normalize((F(a, q), F(b, q)) for a, b in zip(cuts[::2], cuts[1::2]))
+        h = StepFn.build([((F(a, q), F(b, q)), rng.choice((1, -1, 2, F(-7, 3), F(1, 2))))
+                          for a, b in zip(cuts, cuts[1:])])
+        breaks = sorted({F(0), F(1)} | {F(rng.randint(1, 15), 16) for _ in range(3)})
+        w = DimFnWindow(tuple(breaks), tuple(rng.choice((0, 1, -2)) for _ in breaks[1:]), 3, True)
+        objs += [s, h, w, fold_multiplicity(s) if rng.random() < 0.5 else fold_step(h.pieces)]
+    assert len(objs) >= 200
+    expected = {
+        IntervalSet: lambda s: ("lo,hi", [[p.lo, p.hi] for p in s.parts], "steelblue"),
+        StepFn: lambda f: ("lo,hi,value", [[iv.lo, iv.hi, v] for iv, v in f.pieces], "firebrick"),
+        DimFnWindow: lambda w: ("break,value",
+                                [[b, v] for b, v in zip(w.breaks, w.values + (None,))],
+                                "firebrick"),
+    }
+    for obj in objs:
+        header, rows, stroke = expected[type(obj)](obj)
+        got_header, *lines = render_csv(obj).splitlines()
+        assert got_header == header
+        assert [[rat(x) if x else None for x in line.split(",")] for line in lines] == rows
+        assert render_svg(obj).count(f'stroke="{stroke}"') == len(rows) - (header == "break,value")
+    assert 'text-anchor="middle">empty set</text>' in render_svg(iset())
+    assert 'text-anchor="middle">zero function</text>' in render_svg(StepFn.build([]))
+    for bad in (1, "x", None):
+        reasons = []
+        for render in (render_csv, render_svg):
+            with pytest.raises(InputError) as info:
+                render(bad)
+            reasons.append(str(info.value))
+        assert reasons == [f"cannot render {type(bad).__name__} as a figure"] * 2
 
 
 # ------------------------------------------------------------------ CLI
@@ -477,6 +521,9 @@ MALFORMED_WINDOWS = {
                           "pieces": [{"interval": ["1/16"], "value": "1"}]},
     "breaks_outside_unit": {"type": "dim_fn_window", "depth": 4,
                             "pieces": [{"interval": ["1/2", "3/2"], "value": "1"}]},
+    "depth_negative": {"type": "dim_fn_window", "depth": -3, "window": ["1/16", "15/16"],
+                       "pieces": [{"interval": ["1/16", "15/16"], "value": "1"}],
+                       "boundary_note": True},
 }
 
 
